@@ -146,18 +146,31 @@ def _out_dir(args):
     return out
 
 
-def _initial_state(cfg, node_count, seed):
+def _initial_state(spec, cfg, seed):
+    """Initial state of a run, checked against the node count it runs on."""
+    if spec.structure is not None:
+        node_count = spec.structure.node_count
+    else:
+        node_count = int(cfg.get("node_count", 0))
+        if node_count < 1:
+            raise ValueError("kind 'hk' without a graph needs config key node_count")
     kind = cfg.get("init", "unit")
+    dim = int(cfg.get("dim", 20 if kind == "unit" else 1))
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if kind == "unit":
-        return pseudo_features(node_count, int(cfg.get("dim", 20)), seed)
-    if kind == "uniform":
-        rng = np.random.default_rng(seed)
-        return rng.random(node_count)
-    if kind == "zeros":
-        return np.zeros((node_count, int(cfg.get("dim", 1))))
-    if kind == "csv":
-        return read_state_csv(cfg["state_csv"])
-    raise ValueError(f"unknown init kind {kind!r}")
+        x = pseudo_features(node_count, dim, seed)
+    elif kind == "uniform":
+        x = np.random.default_rng(seed).random(node_count)
+    elif kind == "zeros":
+        x = np.zeros((node_count, dim))
+    elif kind == "csv":
+        x = read_state_csv(cfg["state_csv"])
+    else:
+        raise ValueError(f"unknown init kind {kind!r}")
+    if x.shape[0] != node_count:
+        raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
+    return x
 
 
 def _energy_fn(spec):
@@ -169,15 +182,8 @@ def _energy_fn(spec):
     return lambda x: dirichlet_energy_graph(g, x)
 
 
-def _run_dynamic(spec, cfg, seed, post_step=None):
-    """Shared driver: build state, run the chosen dynamic, return a trajectory."""
-    if spec.structure is not None:
-        n = spec.structure.node_count
-    else:
-        n = int(cfg.get("node_count", 0))
-        if n < 1:
-            raise ValueError("kind 'hk' without a graph needs config key node_count")
-    x0 = _initial_state(cfg, n, seed)
+def _run_dynamic(spec, cfg, x0, post_step=None):
+    """Shared driver: run the chosen dynamic from x0, return a trajectory."""
     energy_fn = _energy_fn(spec)
     if spec.is_discrete:
         steps = int(cfg.get("steps", 50))
@@ -192,9 +198,10 @@ def cmd_simulate(args):
     cfg = _merge_flags(_load_config(args.config), args)
     graph, hypergraph = _load_structure(args, cfg)
     spec = DynamicSpec.from_json(cfg, structure=hypergraph if hypergraph is not None else graph)
+    x0 = _initial_state(spec, cfg, args.seed)
     out = _out_dir(args)
     _write_manifest(out, "simulate", args, cfg)
-    traj = _run_dynamic(spec, cfg, args.seed)
+    traj = _run_dynamic(spec, cfg, x0)
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_state_csv(out / "final_state.csv", traj.final_state)
     if traj.energies is not None:
@@ -213,16 +220,19 @@ def cmd_energy(args):
     runs = cfg.get("runs")
     if runs is None:
         runs = [dict(cfg, name=cfg.get("name", "run"))]
+    arms = []
+    for i, run_cfg in enumerate(runs):
+        merged = {k: v for k, v in cfg.items() if k != "runs"}
+        merged.update(run_cfg)
+        spec = DynamicSpec.from_json(merged, structure=structure)
+        arms.append((str(merged.get("name", f"run{i}")), spec, merged,
+                     _initial_state(spec, merged, args.seed)))
     out = _out_dir(args)
     _write_manifest(out, "energy", args, cfg)
     summary = {}
     outputs = []
-    for i, run_cfg in enumerate(runs):
-        merged = {k: v for k, v in cfg.items() if k != "runs"}
-        merged.update(run_cfg)
-        name = str(merged.get("name", f"run{i}"))
-        spec = DynamicSpec.from_json(merged, structure=structure)
-        traj = _run_dynamic(spec, merged, args.seed)
+    for name, spec, merged, x0 in arms:
+        traj = _run_dynamic(spec, merged, x0)
         series = EnergySeries.from_trajectory(traj)
         fname = f"energy_{name}.csv"
         column = "step" if spec.is_discrete else "t"

@@ -149,10 +149,10 @@ def consensus_predict(g, x0, tolerance=1e-12, max_iterations=100_000):
     x0, flat = to_matrix(x0)
     if x0.shape[0] != g.node_count:
         raise ValueError("state row count must match node count")
+    WT = g._csr(g.weight).T
     zeta = np.full(g.node_count, 1.0 / g.node_count)
     for _ in range(max_iterations):
-        nxt = np.zeros_like(zeta)
-        np.add.at(nxt, g.dst, g.weight * zeta[g.src])
+        nxt = WT @ zeta
         nxt /= nxt.sum()
         if float(np.max(np.abs(nxt - zeta))) <= tolerance:
             zeta = nxt

@@ -1,11 +1,20 @@
 """State update rules: averaging consensus, bounded confidence, influence
 message passing on graphs and hypergraphs, and hypergraph diffusion.
 
+Every pair-coupled influence kind runs through one sparse coupling operator:
+a CSR matrix A on the arc pattern with A_ij = phi(s_ij), evaluated as
+rhs(x) = A @ x - rowsum(A) x - lam x, i.e. sum_j phi(s_ij) (x_j - x_i) minus
+the confining control. Static similarities fill A.data once at build time;
+dynamic similarities refill it in place, on the same pattern, at every
+evaluation. A hypergraph runs the same operator on its clique expansion with
+each pair's weight multiplied by its shared-hyperedge count, which is exact
+because phi depends only on the pair. Averaging consensus and hypergraph
+diffusion are plain CSR matvecs.
+
 Discrete maps advance one step per call; *_rhs functions evaluate the
 continuous-time right-hand side, so one unit Euler step of a rhs reproduces
-the matching discrete map. make_* builders return closures that precompute
-whatever the similarity choice allows (static similarities are computed once
-at setup; dynamic similarities are recomputed at every evaluation).
+the matching discrete map. make_* builders return closures over the built
+operator; the one-shot functions build and apply it once.
 """
 
 from __future__ import annotations
@@ -13,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags
 
 from ._state import from_matrix, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
-from .graphs import Hypergraph, WeightedGraph
-from .influence import SimilaritySpec, control_term, phi, similarity_dynamic, similarity_static
+from .graphs import Hypergraph, WeightedGraph, validate_row_stochastic
+from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_static
 
 __all__ = [
     "fd_step",
@@ -44,16 +54,17 @@ KINDS = (
 )
 
 
-def fd_step(g, x, tolerance=1e-9):
-    """Averaging consensus step x_i <- sum_j w_ij x_j for row-stochastic w."""
-    from .graphs import validate_row_stochastic
-
+def _averaging_map(g, tolerance=1e-9):
+    """Map x -> W x for the weights of g, checked row stochastic once."""
     if not validate_row_stochastic(g, tolerance):
         raise NotRowStochastic("fd_step needs row sums equal to one")
-    x, flat = to_matrix(x)
-    out = np.zeros_like(x)
-    np.add.at(out, g.src, g.weight[:, None] * x[g.dst])
-    return from_matrix(out, flat)
+    W = g._csr(g.weight)
+    return lambda x: W @ np.asarray(x, dtype=np.float64)
+
+
+def fd_step(g, x, tolerance=1e-9):
+    """Averaging consensus step x_i <- sum_j w_ij x_j for row-stochastic w."""
+    return _averaging_map(g, tolerance)(x)
 
 
 def hk_step(x, eps):
@@ -72,120 +83,61 @@ def hk_step(x, eps):
     return from_matrix((within.astype(np.float64) @ x) / counts[:, None], flat)
 
 
-# -- influence message passing on graphs ---------------------------------
+# -- influence message passing ---------------------------------------------
 
 
-def _arc_phi(g, x, cfg, sim):
-    """Influence weights per stored arc under the given similarity spec."""
-    if sim.is_dynamic:
-        s = similarity_dynamic(x, (g.src, g.dst), temperature=sim.temperature)
-    else:
-        s = similarity_static(g)
-    return phi(cfg, s)
+def _coupling_rhs(g, cfg, sim, count=1.0):
+    """rhs(x) = A @ x - rowsum(A) x - lam x with A_ij = count_ij phi(s_ij) on g's arcs.
 
+    Static similarity is the normalized-adjacency similarity of g; dynamic
+    similarity is recomputed from the state at every call.
+    """
+    A = g._csr(np.zeros(g.arc_count))
 
-def _accumulate(g, x, coeff):
-    """Sum_j coeff_ij (x_j - x_i) for each source node i over stored arcs."""
-    out = np.zeros_like(x)
-    np.add.at(out, g.src, coeff[:, None] * (x[g.dst] - x[g.src]))
-    return out
+    def fill(s):
+        # A.data is aligned with the arcs; the result is rowsum(A) + lam.
+        A.data[:] = count * phi(cfg, s)
+        return np.bincount(g.src, weights=A.data, minlength=g.node_count) + cfg.lam
 
+    if not sim.is_dynamic:
+        static_diag = fill(similarity_static(g))
 
-def odnet_rhs(g, x, cfg, sim=SimilaritySpec()):
-    """Continuous-time influence dynamics: coupling plus confining control."""
-    x, flat = to_matrix(x)
-    out = _accumulate(g, x, _arc_phi(g, x, cfg, sim)) + control_term(cfg, x)
-    return from_matrix(out, flat)
-
-
-def odnet_discrete_step(g, x, cfg, sim=SimilaritySpec()):
-    """One discrete influence step; equals a unit Euler step of odnet_rhs."""
-    x = np.asarray(x, dtype=np.float64)
-    return x + odnet_rhs(g, x, cfg, sim)
-
-
-def make_odnet_rhs(g, cfg, sim=SimilaritySpec()):
-    """Closure for odnet_rhs; static similarities are frozen at build time."""
-    if sim.is_dynamic:
-
-        def rhs(x):
-            x, flat = to_matrix(x)
-            s = similarity_dynamic(x, (g.src, g.dst), temperature=sim.temperature)
-            out = _accumulate(g, x, phi(cfg, s)) + control_term(cfg, x)
-            return from_matrix(out, flat)
-
-    else:
-        coeff = phi(cfg, similarity_static(g))
-
-        def rhs(x):
-            x, flat = to_matrix(x)
-            out = _accumulate(g, x, coeff) + control_term(cfg, x)
-            return from_matrix(out, flat)
+    def rhs(x):
+        x, flat = to_matrix(x)
+        if sim.is_dynamic:
+            diag = fill(similarity_dynamic(x, (g.src, g.dst), temperature=sim.temperature))
+        else:
+            diag = static_diag
+        return from_matrix(A @ x - diag[:, None] * x, flat)
 
     return rhs
 
 
-# -- influence message passing on hypergraphs ----------------------------
+def make_odnet_rhs(g, cfg, sim=SimilaritySpec()):
+    """Closure for odnet_rhs; static similarities are frozen at build time."""
+    return _coupling_rhs(g, cfg, sim)
 
 
-def _hyperedge_pairs(h):
-    """Ordered co-membership pairs (i_idx, j_idx), i != j, per hyperedge."""
-    src, dst = [], []
-    for e in range(h.edge_count):
-        m = h.members(e)
-        if m.size < 2:
-            continue
-        ii, jj = np.meshgrid(m, m, indexing="ij")
-        keep = ii != jj
-        src.append(ii[keep])
-        dst.append(jj[keep])
-    if src:
-        return np.concatenate(src), np.concatenate(dst)
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+def odnet_rhs(g, x, cfg, sim=SimilaritySpec()):
+    """Continuous-time influence dynamics: coupling plus confining control."""
+    return make_odnet_rhs(g, cfg, sim)(x)
 
 
-def _hypergraph_static_phi(h, cfg):
-    """Static influence weights per ordered co-membership pair.
-
-    Static similarity on a hypergraph is the normalized-adjacency similarity
-    of its clique expansion, shared by every hyperedge containing the pair.
-    """
-    g = h.clique_expansion()
-    s_arc = similarity_static(g)
-    lookup = {}
-    for a, b, s in zip(g.src.tolist(), g.dst.tolist(), s_arc.tolist()):
-        lookup[(a, b)] = s
-    src, dst = _hyperedge_pairs(h)
-    s = np.array([lookup[(int(a), int(b))] for a, b in zip(src, dst)])
-    return src, dst, phi(cfg, s)
+def odnet_discrete_step(g, x, cfg, sim=SimilaritySpec()):
+    """One discrete influence step; equals a unit Euler step of odnet_rhs."""
+    return np.asarray(x, dtype=np.float64) + odnet_rhs(g, x, cfg, sim)
 
 
 def make_hypergraph_odnet_rhs(h, cfg, sim=SimilaritySpec()):
     """Closure for the hypergraph influence rhs.
 
     Each hyperedge contributes couplings over all its ordered node pairs, so
-    a pair sharing several hyperedges is counted once per hyperedge.
+    a pair sharing several hyperedges is counted once per hyperedge. Static
+    similarity is that of the clique expansion.
     """
-    if sim.is_dynamic:
-        src, dst = _hyperedge_pairs(h)
-
-        def rhs(x):
-            x, flat = to_matrix(x)
-            s = similarity_dynamic(x, (src, dst), temperature=sim.temperature)
-            out = np.zeros_like(x)
-            np.add.at(out, src, phi(cfg, s)[:, None] * (x[dst] - x[src]))
-            return from_matrix(out + control_term(cfg, x), flat)
-
-    else:
-        src, dst, coeff = _hypergraph_static_phi(h, cfg)
-
-        def rhs(x):
-            x, flat = to_matrix(x)
-            out = np.zeros_like(x)
-            np.add.at(out, src, coeff[:, None] * (x[dst] - x[src]))
-            return from_matrix(out + control_term(cfg, x), flat)
-
-    return rhs
+    g = h.clique_expansion()
+    count = np.asarray(h._co_membership_csr()[g.src, g.dst]).ravel()
+    return _coupling_rhs(g, cfg, sim, count)
 
 
 def hypergraph_odnet_rhs(h, x, cfg, sim=SimilaritySpec()):
@@ -206,21 +158,20 @@ def diffusion_kernel(h, kind="uniform"):
     sum to one on node-regular hypergraphs, and callers enforce that. Nodes
     in no hyperedge keep their state via K_ii = 1.
     """
-    H = h.incidence.astype(np.float64)
-    covered = H.any(axis=1)
     if kind == "uniform":
-        C = H @ H.T
-        t = C.sum(axis=1)
+        K = h.co_membership()
+        t = K.sum(axis=1)
         t[t == 0.0] = 1.0
-        K = C / t[:, None]
+        K /= t[:, None]
     elif kind == "hgnn":
-        dv = H.sum(axis=1)
-        de = H.sum(axis=0)
+        H = csr_matrix(h.incidence, dtype=np.float64)
+        dv = np.asarray(H.sum(axis=1)).ravel()
+        de = np.asarray(H.sum(axis=0)).ravel()
         dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros_like(dv), where=dv > 0.0)
-        K = (dv_isqrt[:, None] * H) @ (H.T / de[:, None]) * dv_isqrt[None, :]
+        K = (diags(dv_isqrt) @ H @ diags(1.0 / de) @ H.T @ diags(dv_isqrt)).toarray()
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    idx = np.flatnonzero(~covered)
+    idx = np.flatnonzero(~h.incidence.any(axis=1))
     K[idx, idx] = 1.0
     return K
 
@@ -235,6 +186,7 @@ def make_hypergraph_diffusion_rhs(h, kernel="uniform"):
     """Closure computing dx/dt = -(I - K) x for a normalized kernel K."""
     K = diffusion_kernel(h, kernel)
     _check_kernel(K)
+    K = csr_matrix(K)
 
     def rhs(x):
         x = np.asarray(x, dtype=np.float64)
@@ -288,8 +240,7 @@ class DynamicSpec:
         """Discrete one-step map for the discrete kinds."""
         if self.kind == "fd":
             self._need("graph")
-            g = self.structure
-            return lambda x: fd_step(g, x)
+            return _averaging_map(self.structure)
         if self.kind == "hk":
             eps = self.hk_radius
             return lambda x: hk_step(x, eps)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix, triu
 
 from .errors import (
     EmptyGraph,
@@ -123,9 +124,12 @@ class WeightedGraph:
 
     def weighted_out_degree(self):
         """Vector of outgoing weight sums, self loops included."""
-        d = np.zeros(self.node_count)
-        np.add.at(d, self.src, self.weight)
-        return d
+        return np.bincount(self.src, weights=self.weight, minlength=self.node_count)
+
+    def _csr(self, data):
+        """N x N CSR matrix on the arc pattern; data is aligned with the arcs."""
+        n = self.node_count
+        return csr_matrix((data, self.dst, self._row_ptr), shape=(n, n))
 
     def dense_weights(self):
         """Dense weight matrix view; guarded by the dense-path limit."""
@@ -210,10 +214,14 @@ class Hypergraph:
         """Sorted node indices belonging to hyperedge e."""
         return self._members[e]
 
+    def _co_membership_csr(self):
+        """Sparse (CSR) form of co_membership, C = H H^T."""
+        H = csr_matrix(self.incidence, dtype=np.float64)
+        return H @ H.T
+
     def co_membership(self):
         """Dense count matrix C with C[i, j] = number of shared hyperedges."""
-        H = self.incidence.astype(np.float64)
-        return H @ H.T
+        return self._co_membership_csr().toarray()
 
     def clique_expansion(self):
         """Undirected graph over co-membered pairs.
@@ -221,11 +229,9 @@ class Hypergraph:
         Edge weight is the sum over shared hyperedges of the product of the
         two membership weights.
         """
-        W = self.membership_weight @ self.membership_weight.T
-        iu, ju = np.triu_indices(self.node_count, k=1)
-        keep = W[iu, ju] > 0.0
-        edges = zip(iu[keep].tolist(), ju[keep].tolist(), W[iu, ju][keep].tolist())
-        return WeightedGraph(self.node_count, edges, directed=False)
+        M = csr_matrix(self.membership_weight)
+        W = triu(M @ M.T, k=1).tocoo()
+        return WeightedGraph(self.node_count, zip(W.row.tolist(), W.col.tolist(), W.data.tolist()))
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"

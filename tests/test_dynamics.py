@@ -31,11 +31,12 @@ from odyn import (
     make_odnet_rhs,
     odnet_discrete_step,
     odnet_rhs,
+    phi,
     rk4_step,
     similarity_dynamic,
 )
 
-from conftest import random_row_stochastic
+from conftest import random_digraph, random_row_stochastic
 
 IDENTITY_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, lam=0.1,
@@ -188,17 +189,28 @@ def test_odnet_control_only_when_graph_is_silent():
     assert odnet_rhs(g, x, cfg).tolist() == [-1.0, -1.0]
 
 
-def odnet_oracle(g, x, cfg):
-    """Literal double-loop restatement of the influence rhs, static sim."""
+def odnet_oracle(g, x, cfg, sim=SimilaritySpec()):
+    """Literal double-loop restatement of the influence rhs.
+
+    Static similarity is w_ij / sqrt(d_i d_j); dynamic similarity is the
+    cosine of the state rows divided by the temperature, mapped affinely
+    into [0, 1]. A self loop couples a node to itself, so it adds zero.
+    """
     n = g.node_count
     w = g.dense_weights()
     d = w.sum(axis=1)
+    rows = x.reshape(n, -1)
     out = np.zeros_like(x, dtype=np.float64)
     for i in range(n):
         for j in range(n):
             if w[i, j] <= 0.0:
                 continue
-            s = min(1.0, w[i, j] / np.sqrt(d[i] * d[j]))
+            if sim.is_dynamic:
+                norms = np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
+                cos = float(rows[i] @ rows[j]) / norms if norms > 0.0 else 0.0
+                s = min(1.0, max(0.0, 0.5 * (cos / sim.temperature + 1.0)))
+            else:
+                s = min(1.0, w[i, j] / np.sqrt(d[i] * d[j]))
             if s > cfg.eps2:
                 c = cfg.mu * s
             elif s >= cfg.eps1:
@@ -216,8 +228,19 @@ def test_odnet_rhs_matches_double_loop_oracle():
     g, _ = generate_sbm([5, 5], 0.6, 0.2, seed=9)
     rng = np.random.default_rng(9)
     x = rng.uniform(-1.0, 1.0, 10)
-    for cfg in (TEXAS, InfluenceConfig(eps1=0.012, eps2=0.40, mu=1.4, lam=0.05)):
-        assert np.allclose(odnet_rhs(g, x, cfg), odnet_oracle(g, x, cfg), atol=1e-12)
+    rows = rng.uniform(-1.0, 1.0, (10, 3))
+    looped = random_digraph(9, n_max=10)  # directed, with a self loop
+    assert np.any(looped.src == looped.dst)
+    y = rng.uniform(-1.0, 1.0, looped.node_count)
+    cases = [
+        (g, x, SimilaritySpec()),
+        (g, rows, SimilaritySpec("dynamic", temperature=0.7)),
+        (looped, y, SimilaritySpec()),
+    ]
+    for graph, state, sim in cases:
+        for cfg in (TEXAS, InfluenceConfig(eps1=0.012, eps2=0.40, mu=1.4, lam=0.05)):
+            assert np.allclose(odnet_rhs(graph, state, cfg, sim),
+                               odnet_oracle(graph, state, cfg, sim), atol=1e-12)
 
 
 def test_odnet_matrix_state_columns_are_independent():
@@ -338,6 +361,64 @@ def test_hypergraph_odnet_dynamic_similarity():
     x = np.array([[1.0, 0.0], [3.0, 0.0]])  # cosine 1: s = 1 > eps2
     out = hypergraph_odnet_rhs(h, x, cfg, SimilaritySpec("dynamic"))
     assert np.allclose(out, [[4.0, 0.0], [-4.0, 0.0]])  # mu * 1 * (x_j - x_i)
+
+
+def hypergraph_odnet_oracle(h, x, cfg, sim=SimilaritySpec()):
+    """Per-hyperedge restatement of the hypergraph influence rhs.
+
+    Every ordered pair of every hyperedge couples once, scattered with
+    np.add.at, so a pair sharing k hyperedges couples k times. Static
+    similarity is the normalized-adjacency similarity of the clique
+    expansion, whose weights are the dense product M M^T off the diagonal.
+    """
+    src, dst = [], []
+    for e in range(h.edge_count):
+        m = h.members(e)
+        ii, jj = np.meshgrid(m, m, indexing="ij")
+        keep = ii != jj
+        src.append(ii[keep])
+        dst.append(jj[keep])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    if sim.is_dynamic:
+        s = similarity_dynamic(x, (src, dst), temperature=sim.temperature)
+    else:
+        w = h.membership_weight @ h.membership_weight.T
+        np.fill_diagonal(w, 0.0)
+        d = w.sum(axis=1)
+        s = np.minimum(1.0, w[src, dst] / np.sqrt(d[src] * d[dst]))
+    out = -cfg.lam * x
+    np.add.at(out, src, phi(cfg, s)[:, None] * (x[dst] - x[src]))
+    return out
+
+
+def random_hypergraph(seed):
+    """Random overlapping hyperedges with unequal membership weights.
+
+    The last two hyperedges repeat a pair of the first one (so that pair
+    shares at least two hyperedges) and hold a single node.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 10))
+    edges = [rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+             for _ in range(int(rng.integers(1, 5)))]
+    edges += [edges[0][:2], rng.choice(n, size=1)]
+    memberships = [(int(v), e, float(rng.uniform(0.2, 3.0)))
+                   for e, members in enumerate(edges) for v in members]
+    return Hypergraph(n, memberships)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_hypergraph_odnet_matches_per_hyperedge_oracle(seed):
+    h = random_hypergraph(seed)
+    shared = h.co_membership()
+    np.fill_diagonal(shared, 0.0)
+    assert shared.max() >= 2.0
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (h.node_count, 3))
+    for sim in (SimilaritySpec(), SimilaritySpec("dynamic", temperature=0.8)):
+        for cfg in (InfluenceConfig(eps1=0.1, eps2=0.6, mu=1.5, lam=0.05), TEXAS):
+            assert np.allclose(hypergraph_odnet_rhs(h, x, cfg, sim),
+                               hypergraph_odnet_oracle(h, x, cfg, sim), rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------- hypergraph diffusion

@@ -304,6 +304,35 @@ def test_unknown_kind_exits_2(tmp_path, triangle_csv, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
+    state = write_text(tmp_path / "x0.csv", "0.1,0.2\n0.3,0.4\n")  # 2 rows, 3 nodes
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
+                        "init": "csv", "state_csv": str(state), "steps": 12})
+    for command in ("simulate", "energy"):
+        out = tmp_path / command
+        code = run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_zero_dim_state_exits_2(tmp_path, triangle_csv, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
+                        "init": "unit", "dim": 0, "steps": 12})
+    for command in ("simulate", "energy"):
+        out = tmp_path / command
+        code = run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_fd_on_non_stochastic_graph_exits_3(tmp_path, capsys):
     g = write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,2.0\n1,0,2.0\n")
     cfg = write_config(tmp_path, "cfg.json",
