@@ -23,3 +23,12 @@ def to_matrix(x):
 def from_matrix(x, flat):
     """Undo to_matrix: drop the column axis when the input was 1-d."""
     return x[:, 0] if flat else x
+
+
+def norm1(d):
+    """Euclidean norm of one-column rows whose difference is d.
+
+    The same arithmetic as np.linalg.norm on those rows, sqrt(d * d), which
+    differs from |d| where d * d under- or overflows.
+    """
+    return np.sqrt(d * d)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._state import from_matrix, to_matrix
+from ._state import from_matrix, norm1, to_matrix
 from .dynamics import diffusion_kernel
 from .errors import (
     InsufficientData,
@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .graphs import is_aperiodic, is_strongly_connected, validate_row_stochastic
+from .graphs import DENSE_LIMIT, is_aperiodic, is_strongly_connected, validate_row_stochastic
 
 __all__ = [
     "EnergySeries",
@@ -86,18 +86,17 @@ def dirichlet_energy_hypergraph(h, x):
     """Sum over hyperedges and ordered node pairs of ||x_i - x_j||^2.
 
     Ordered pairs mean each unordered pair counts twice per shared
-    hyperedge, mirroring the double-sum convention.
+    hyperedge, mirroring the double-sum convention. Computed in the centred
+    form 2 sum_e m_e sum_{i in e} ||x_i - mean_e||^2, a sum of squares, so
+    it is never negative (the expanded m sum|x|^2 - |sum x|^2 cancels).
     """
     x, _ = to_matrix(x)
-    total = 0.0
-    for e in range(h.edge_count):
-        m = h.members(e)
-        if m.size < 2:
-            continue
-        xs = x[m]
-        sq = np.einsum("ij,ij->i", xs, xs)
-        total += 2.0 * (m.size * float(sq.sum()) - float(np.dot(xs.sum(0), xs.sum(0))))
-    return float(total)
+    ptr = h._edge_ptr
+    sizes = np.diff(ptr)
+    xs = x[h._member_nodes]
+    mean = np.add.reduceat(xs, ptr[:-1], axis=0) / sizes[:, None]
+    c = xs - np.repeat(mean, sizes, axis=0)
+    return float(2.0 * np.sum(np.repeat(sizes, sizes) * np.einsum("ij,ij->i", c, c)))
 
 
 def detect_oversmoothing(series, slope_threshold=1e-3, ratio_threshold=1e-6):
@@ -122,10 +121,28 @@ def detect_oversmoothing(series, slope_threshold=1e-3, ratio_threshold=1e-6):
 
 
 def cluster_count(x, tol):
-    """Number of connected components when rows within distance tol link."""
+    """Number of connected components when rows within distance tol link.
+
+    One-column states are counted from their sorted values in O(N log N);
+    wider states build the N x N x d difference tensor and are refused
+    (TooLarge) above DENSE_LIMIT rows.
+    """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     x, _ = to_matrix(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cluster_count needs a finite state")
+    if x.shape[1] == 1:
+        # Float subtraction and norm1 are monotone, so a gap wider than tol
+        # between sorted neighbours also separates every pair across it, and
+        # a gap within tol links the two neighbours.
+        s = np.sort(x[:, 0])
+        return int(np.count_nonzero(norm1(np.diff(s)) > tol)) + int(s.size > 0)
+    if x.shape[0] > DENSE_LIMIT:
+        raise TooLarge(
+            f"cluster_count dense path refused for {x.shape[0]} rows of dimension "
+            f"{x.shape[1]} (limit {DENSE_LIMIT})"
+        )
     diff = x[:, None, :] - x[None, :, :]
     close = np.linalg.norm(diff, axis=2) <= tol
     n_comp, _ = connected_components(csr_matrix(close), directed=False)

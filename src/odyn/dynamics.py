@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from ._state import from_matrix, to_matrix
-from .errors import KernelNotNormalized, NotRowStochastic
-from .graphs import Hypergraph, WeightedGraph, validate_row_stochastic
+from ._state import from_matrix, norm1, to_matrix
+from .errors import KernelNotNormalized, NotRowStochastic, TooLarge
+from .graphs import DENSE_LIMIT, Hypergraph, WeightedGraph, validate_row_stochastic
 from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_static
 
 __all__ = [
@@ -72,15 +72,64 @@ def hk_step(x, eps):
 
     Every node always hears itself, so the neighborhood is never empty.
     Distances are Euclidean over full state rows; the interaction is
-    all-to-all, no graph is involved.
+    all-to-all, no graph is involved. One-column states run in O(N log N)
+    on the sorted values; wider states build the N x N x d difference tensor
+    and are refused (TooLarge) above DENSE_LIMIT rows.
     """
     if eps <= 0.0:
         raise ValueError("confidence radius eps must be positive")
     x, flat = to_matrix(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("hk_step needs a finite state")
+    if x.shape[1] == 1:
+        return from_matrix(_hk_step_sorted(x[:, 0], eps)[:, None], flat)
+    if x.shape[0] > DENSE_LIMIT:
+        raise TooLarge(
+            f"hk_step dense path refused for {x.shape[0]} rows of dimension "
+            f"{x.shape[1]} (limit {DENSE_LIMIT})"
+        )
     diff = x[:, None, :] - x[None, :, :]
     within = np.linalg.norm(diff, axis=2) < eps
     counts = within.sum(axis=1)
     return from_matrix((within.astype(np.float64) @ x) / counts[:, None], flat)
+
+
+def _hk_step_sorted(v, eps):
+    """hk_step for scalar opinions v, from the sorted order of v."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    n = s.size
+    k = np.arange(n)
+    # With s sorted, sorted agent k hears exactly the positions lo[k] <= m <
+    # hi[k], because float subtraction is monotone. The bounds are found by
+    # bisection on the dense path's own distance test norm1(s_m - s_k) < eps;
+    # searchsorted(s +- eps) can round to the wrong side of the boundary.
+    lo = _first_true(np.zeros(n, dtype=np.int64), k, lambda a, m: norm1(s[a] - s[m]) < eps)
+    hi = _first_true(k + 1, np.full(n, n), lambda a, m: norm1(s[m] - s[a]) >= eps)
+    # Window sums from interleaved [lo, hi) bounds; the trailing 0 keeps
+    # hi == n a valid index. Direct sums, unlike prefix-sum differences,
+    # carry no rounding error from values outside the window.
+    sums = np.add.reduceat(np.append(s, 0.0), np.column_stack([lo, hi]).ravel())[::2]
+    out = np.empty(n)
+    out[order] = sums / (hi - lo)
+    return out
+
+
+def _first_true(lo, hi, test):
+    """Per entry a, the first m in [lo[a], hi[a]) with test(a, m), else hi[a].
+
+    test(a, m) takes index arrays and must be false then true along m; all
+    entries are bisected at once.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    a = np.flatnonzero(lo < hi)
+    while a.size:
+        mid = (lo[a] + hi[a]) // 2
+        t = test(a, mid)
+        hi[a] = np.where(t, mid, hi[a])
+        lo[a] = np.where(t, lo[a], mid + 1)
+        a = a[lo[a] < hi[a]]
+    return lo
 
 
 # -- influence message passing ---------------------------------------------

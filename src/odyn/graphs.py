@@ -41,6 +41,9 @@ log = logging.getLogger("odyn")
 # Dense N x N views are only materialized below this node count.
 DENSE_LIMIT = 2000
 
+# Uniforms drawn per slab by generate_sbm (8 MB of doubles).
+_SBM_SLAB = 1 << 20
+
 
 class WeightedGraph:
     """Directed or undirected graph with strictly positive edge weights.
@@ -59,20 +62,45 @@ class WeightedGraph:
     __slots__ = ("node_count", "directed", "src", "dst", "weight", "_row_ptr", "_loops")
 
     def __init__(self, node_count, edges, directed=False):
+        # Flat lists rather than a tuple per edge: in a fresh process,
+        # allocating the tuples costs about twice the parsing itself.
+        src, dst, w = [], [], []
+        for s, d, x in edges:
+            src.append(int(s))
+            dst.append(int(d))
+            w.append(float(x))
+        self._build(
+            node_count,
+            np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64),
+            np.array(w, dtype=np.float64),
+            directed,
+        )
+
+    @classmethod
+    def from_arrays(cls, node_count, src, dst, weight, directed=False):
+        """Build from matching 1-d arrays of sources, targets and weights.
+
+        Same semantics and validation as the edge-list constructor: for an
+        undirected graph each edge is listed once and mirrored here.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weight = np.asarray(weight, dtype=np.float64)
+        if src.ndim != 1 or src.shape != dst.shape or src.shape != weight.shape:
+            raise ValueError("src, dst and weight must be matching 1-d arrays")
+        g = cls.__new__(cls)
+        g._build(node_count, src, dst, weight, directed)
+        return g
+
+    def _build(self, node_count, src, dst, w, directed):
         node_count = int(node_count)
         if node_count < 1:
             raise EmptyGraph("graph needs at least one node")
-        rows = [(int(s), int(d), float(w)) for s, d, w in edges]
         if not directed:
-            rows = rows + [(d, s, w) for s, d, w in rows if s != d]
-        if rows:
-            src = np.array([r[0] for r in rows], dtype=np.int64)
-            dst = np.array([r[1] for r in rows], dtype=np.int64)
-            w = np.array([r[2] for r in rows], dtype=np.float64)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.float64)
+            mirror = src != dst
+            src, dst = np.concatenate([src, dst[mirror]]), np.concatenate([dst, src[mirror]])
+            w = np.concatenate([w, w[mirror]])
         if src.size:
             if src.min() < 0 or src.max() >= node_count:
                 raise ValueError("edge source index out of range")
@@ -172,7 +200,9 @@ class Hypergraph:
     belong to the hyperedge.
     """
 
-    __slots__ = ("node_count", "edge_count", "incidence", "membership_weight", "_members")
+    __slots__ = (
+        "node_count", "edge_count", "incidence", "membership_weight", "_member_nodes", "_edge_ptr"
+    )
 
     def __init__(self, node_count, memberships, edge_count=None):
         node_count = int(node_count)
@@ -208,11 +238,16 @@ class Hypergraph:
         self.edge_count = edge_count
         self.incidence = H
         self.membership_weight = M
-        self._members = tuple(np.flatnonzero(H[:, e]) for e in range(edge_count))
+        # Memberships ordered by hyperedge, then node; hyperedge e owns the
+        # slice _edge_ptr[e] : _edge_ptr[e + 1] of _member_nodes.
+        edge_of, node_of = np.nonzero(H.T)
+        node_of.setflags(write=False)
+        self._member_nodes = node_of
+        self._edge_ptr = np.searchsorted(edge_of, np.arange(edge_count + 1))
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""
-        return self._members[e]
+        return self._member_nodes[self._edge_ptr[e] : self._edge_ptr[e + 1]]
 
     def _co_membership_csr(self):
         """Sparse (CSR) form of co_membership, C = H H^T."""
@@ -231,7 +266,7 @@ class Hypergraph:
         """
         M = csr_matrix(self.membership_weight)
         W = triu(M @ M.T, k=1).tocoo()
-        return WeightedGraph(self.node_count, zip(W.row.tolist(), W.col.tolist(), W.data.tolist()))
+        return WeightedGraph.from_arrays(self.node_count, W.row, W.col, W.data)
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
@@ -405,11 +440,26 @@ def generate_sbm(block_sizes, p_in, p_out, seed=0):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     n = int(labels.size)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < probs
-    edges = zip(iu[keep].tolist(), ju[keep].tolist(), [1.0] * int(keep.sum()))
-    g = WeightedGraph(n, edges, directed=False)
+    # One uniform per pair i < j in row-major (triu) order, drawn in slabs of
+    # flat pair indices: PCG64 yields the same doubles in pieces as in one
+    # call, so the graph matches the all-pairs draw while memory stays
+    # O(slab + edges). Row i's pairs start at flat index row_start[i].
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2
+    total = n * (n - 1) // 2
+    p_max = max(p_in, p_out)
+    src, dst = [rows[:0]], [rows[:0]]
+    for start in range(0, total, _SBM_SLAB):
+        u = rng.random(min(_SBM_SLAB, total - start))
+        cand = np.flatnonzero(u < p_max)
+        flat = cand + start
+        i = np.searchsorted(row_start, flat, side="right") - 1
+        j = flat - row_start[i] + i + 1
+        keep = u[cand] < np.where(labels[i] == labels[j], p_in, p_out)
+        src.append(i[keep])
+        dst.append(j[keep])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    g = WeightedGraph.from_arrays(n, src, dst, np.ones(src.size), directed=False)
     return g, NodeLabels(labels, len(sizes))
 
 
@@ -424,6 +474,10 @@ def normalize_rows(g):
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:
         log.info("normalize_rows added self loops on %d sink node(s)", dead.size)
-    edges = list(zip(g.src.tolist(), g.dst.tolist(), (g.weight / sums[g.src]).tolist()))
-    edges.extend((int(i), int(i), 1.0) for i in dead)
-    return WeightedGraph(g.node_count, edges, directed=True)
+    return WeightedGraph.from_arrays(
+        g.node_count,
+        np.concatenate([g.src, dead]),
+        np.concatenate([g.dst, dead]),
+        np.concatenate([g.weight / sums[g.src], np.ones(dead.size)]),
+        directed=True,
+    )

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._state import to_matrix
 from .errors import OutOfRangeSimilarity, ZeroDegree
 
 __all__ = [
@@ -146,16 +147,16 @@ def similarity_static(g):
 def similarity_dynamic(x, pairs, temperature=1.0):
     """Cosine similarity of state rows mapped affinely into [0, 1].
 
-    pairs is an (i_idx, j_idx) pair of index arrays. Zero rows have cosine
-    zero by convention, i.e. similarity one half. A temperature below one
-    sharpens the map; results are clipped to [0, 1].
+    pairs is an (i_idx, j_idx) pair of index arrays. A 1-d state is one
+    column per node. Zero rows have cosine zero by convention, i.e.
+    similarity one half. A temperature below one sharpens the map; results
+    are clipped to [0, 1].
     """
+    x, _ = to_matrix(x)
     i_idx, j_idx = pairs
-    xi, xj = x[i_idx], x[j_idx]
-    ni = np.linalg.norm(xi, axis=-1)
-    nj = np.linalg.norm(xj, axis=-1)
-    denom = ni * nj
-    dot = np.einsum("...k,...k->...", xi, xj)
+    norm = np.linalg.norm(x, axis=1)
+    denom = norm[i_idx] * norm[j_idx]
+    dot = np.einsum("...k,...k->...", np.take(x, i_idx, axis=0), np.take(x, j_idx, axis=0))
     cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
     s = 0.5 * (cos / temperature + 1.0)
     return np.clip(s, 0.0, 1.0)

@@ -6,7 +6,9 @@ reference arithmetic for the vectorized energy code.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odyn import (
@@ -114,6 +116,17 @@ def test_hypergraph_energy_matches_double_sum_oracle():
                 if i != j:
                     expected += float(np.sum((x[i] - x[j]) ** 2))
     assert dirichlet_energy_hypergraph(h, x) == pytest.approx(expected, abs=1e-10)
+
+
+def test_hypergraph_energy_nonnegative_at_consensus():
+    # Equal nonzero rows: the expanded m sum|x|^2 - |sum x|^2 form cancels to
+    # a rounding residue that can be negative; the centred form cannot.
+    rng = np.random.default_rng(5)
+    memberships = [(int(v), e, 1.0) for e in range(30)
+                   for v in rng.choice(40, size=int(rng.integers(2, 12)), replace=False)]
+    h = Hypergraph(40, memberships, edge_count=30)
+    for row in ([0.1], [0.3, -0.7, 1.9], [1e3, 1e-3]):
+        assert dirichlet_energy_hypergraph(h, np.tile(row, (40, 1))) >= 0.0
 
 
 def test_energy_zero_only_on_agreement():
@@ -235,6 +248,42 @@ def test_cluster_count_multidimensional():
 def test_cluster_count_rejects_negative_tol():
     with pytest.raises(ValueError):
         cluster_count(np.array([0.0]), -0.1)
+
+
+def dense_cluster_oracle(x, tol):
+    """Components of the all-pairs graph linking rows within distance tol."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x[:, None] if x.ndim == 1 else x
+    close = np.linalg.norm(m[:, None, :] - m[None, :, :], axis=2) <= tol
+    return int(connected_components(csr_matrix(close), directed=False)[0])
+
+
+# Values on a 1/8 grid with tolerances that are multiples of 1/8: duplicates
+# and gaps of exactly tol, all exact in binary floating point.
+@given(
+    st.one_of(
+        st.tuples(
+            st.lists(st.integers(0, 16), max_size=40).map(lambda k: np.array(k) / 8.0),
+            st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+        ),
+        st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40).map(np.array),
+                  st.floats(0.0, 0.3)),
+    ),
+    st.booleans(),
+)
+@example((np.array([0.0, 2.225073858507203e-309]), 0.0), False)  # d * d underflows
+@settings(max_examples=120, deadline=None)
+def test_cluster_count_one_column_matches_dense_oracle(state, as_column):
+    x, tol = state
+    if as_column:
+        x = x[:, None]
+    assert cluster_count(x, tol) == dense_cluster_oracle(x, tol)
+
+
+def test_cluster_count_multidimensional_refuses_above_dense_limit():
+    with pytest.raises(TooLarge):
+        cluster_count(np.zeros((2001, 2)), 0.1)
+    assert cluster_count(np.arange(5000.0), 1.0) == 1  # 1-d is not dense
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -7,7 +7,7 @@ dense eigendecompositions, never from the vectorized code under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odyn import (
@@ -18,6 +18,7 @@ from odyn import (
     KernelNotNormalized,
     NotRowStochastic,
     SimilaritySpec,
+    TooLarge,
     WeightedGraph,
     diffusion_kernel,
     fd_step,
@@ -141,6 +142,60 @@ def test_hk_matches_double_loop_oracle():
         members = [x[j] for j in range(x.size) if abs(x[j] - x[i]) < eps]
         expected[i] = np.mean(members)
     assert np.allclose(hk_step(x, eps), expected, atol=1e-14)
+
+
+def dense_hk_oracle(x, eps):
+    """The all-pairs HK step: an N x N x d distance tensor, strict radius."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x[:, None] if x.ndim == 1 else x
+    within = np.linalg.norm(m[:, None, :] - m[None, :, :], axis=2) < eps
+    return ((within.astype(np.float64) @ m) / within.sum(axis=1)[:, None]).reshape(x.shape)
+
+
+# Opinions on a 1/8 grid with radii that are multiples of 1/8: duplicates and
+# gaps of exactly eps, all exact in binary floating point.
+GRID_STATES = st.tuples(
+    st.lists(st.integers(0, 16), min_size=0, max_size=40).map(lambda k: np.array(k) / 8.0),
+    st.sampled_from([0.125, 0.25, 0.375, 1.0]),
+)
+FLOAT_STATES = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40).map(np.array),
+    st.floats(1e-3, 0.6),
+)
+
+
+@given(st.one_of(GRID_STATES, FLOAT_STATES), st.booleans())
+@example((np.array([0.0, 2.225073858507203e-309]), 1e-320), False)  # d * d underflows
+@settings(max_examples=120, deadline=None)
+def test_hk_one_column_matches_dense_oracle(state, as_column):
+    x, eps = state
+    if as_column:
+        x = x[:, None]
+    out = hk_step(x, eps)
+    assert out.shape == x.shape
+    assert np.allclose(out, dense_hk_oracle(x, eps), rtol=0.0, atol=1e-14)
+
+
+def test_hk_window_uses_the_pairwise_difference():
+    # b - a rounds below 0.1 but b < a + 0.1 is false: a window found with
+    # searchsorted(v + eps) would drop the pair that the pairwise test keeps.
+    a, b = 0.7296554464299441, 0.829655446429944
+    assert b - a < 0.1 and not b < a + 0.1
+    x = np.array([a, b, 0.2])
+    out = hk_step(x, 0.1)
+    assert out[0] == out[1] == (a + b) / 2
+    assert np.array_equal(out, dense_hk_oracle(x, 0.1))
+
+
+def test_hk_multidimensional_refuses_above_dense_limit():
+    with pytest.raises(TooLarge):
+        hk_step(np.zeros((2001, 2)), 0.1)
+    assert hk_step(np.zeros(5000), 0.1).tolist() == [0.0] * 5000  # 1-d is not dense
+
+
+def test_hk_rejects_non_finite_state():
+    with pytest.raises(ValueError):
+        hk_step(np.array([0.0, np.nan]), 0.1)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -6,12 +6,14 @@ cycle enumeration) rather than from the library's own traversals.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odyn import graphs
 from odyn import (
     EmptyGraph,
     Hypergraph,
@@ -70,6 +72,16 @@ def cycle_gcd_oracle(g):
     return math.gcd(*lengths) if lengths else 0
 
 
+def triu_sbm_oracle(block_sizes, p_in, p_out, seed):
+    """The all-pairs SBM draw: one uniform per pair i < j in triu order."""
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(labels.size, k=1)
+    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < probs
+    return iu[keep], ju[keep]
+
+
 # ------------------------------------------------------------- container
 
 
@@ -94,6 +106,48 @@ def test_self_loop_stored_once():
     assert g.arc_count == 3  # loop + mirrored pair
     assert g.edge_count == 2
     assert 0 not in g.neighbors(0)
+
+
+BAD_EDGE_LISTS = [
+    (2, [(0, 1, -1.0)], False),
+    (2, [(0, 1, 0.0)], True),
+    (2, [(0, 1, float("nan"))], False),
+    (2, [(0, 2, 1.0)], False),
+    (2, [(2, 0, 1.0)], True),
+    (2, [(-1, 0, 1.0)], True),
+    (3, [(0, 1, 1.0), (1, 0, 2.0)], False),
+    (3, [(2, 1, 1.0), (0, 0, 1.0), (2, 1, 3.0)], True),
+]
+
+
+@pytest.mark.parametrize("n, edges, directed", BAD_EDGE_LISTS)
+def test_from_arrays_rejects_like_the_edge_list_constructor(n, edges, directed):
+    with pytest.raises(ValueError) as listed:
+        WeightedGraph(n, edges, directed=directed)
+    src, dst, w = (np.array(c) for c in zip(*edges))
+    with pytest.raises(ValueError) as arrays:
+        WeightedGraph.from_arrays(n, src, dst, w, directed=directed)
+    assert type(arrays.value) is type(listed.value)
+    assert str(arrays.value) == str(listed.value)
+
+
+def test_from_arrays_validates_shapes_and_node_count():
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        WeightedGraph.from_arrays(3, [0, 1], [1], [1.0, 1.0])
+    with pytest.raises(EmptyGraph):
+        WeightedGraph.from_arrays(0, [], [], [])
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_from_arrays_equals_edge_list_constructor(seed, directed):
+    g = random_digraph(seed)
+    keep = g.src <= g.dst if not directed else np.ones(g.arc_count, dtype=bool)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(int(keep.sum()))
+    src, dst, w = g.src[keep][order], g.dst[keep][order], g.weight[keep][order]
+    listed = WeightedGraph(g.node_count, zip(src.tolist(), dst.tolist(), w.tolist()), directed)
+    assert WeightedGraph.from_arrays(g.node_count, src, dst, w, directed) == listed
 
 
 def test_rejects_bad_edges():
@@ -354,6 +408,32 @@ def test_sbm_degenerate_probabilities():
     assert all((s < 3) == (d < 3) for s, d in pairs)
     full, _ = generate_sbm([2, 2], 1.0, 1.0, seed=0)
     assert full.edge_count == 6  # complete graph on 4 nodes
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_sbm_matches_triu_oracle(sizes, p_in, p_out, seed, slab):
+    # Small slabs cut rows in the middle, so every row-offset mapping is used.
+    with mock.patch.object(graphs, "_SBM_SLAB", slab):
+        g, labels = generate_sbm(sizes, p_in, p_out, seed=seed)
+    iu, ju = triu_sbm_oracle(sizes, p_in, p_out, seed)
+    expected = WeightedGraph(sum(sizes), zip(iu.tolist(), ju.tolist(), [1.0] * iu.size))
+    assert g == expected
+    assert labels.labels.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
+
+
+def test_sbm_matches_triu_oracle_across_default_slabs():
+    # 1600 nodes are 1.28M pairs: more than one default slab.
+    g, _ = generate_sbm([900, 700], 0.01, 0.002, seed=9)
+    iu, ju = triu_sbm_oracle([900, 700], 0.01, 0.002, 9)
+    src, dst, _ = g.undirected_pairs()
+    assert np.array_equal(src, iu) and np.array_equal(dst, ju)
 
 
 def test_sbm_rejects_bad_probability():

@@ -227,6 +227,12 @@ def test_dynamic_similarity_worked_values():
     assert s[3] == 0.5  # zero row convention: cosine 0
 
 
+def test_dynamic_similarity_one_column_state():
+    # A 1-d state is one column per node: one value per pair, not one scalar.
+    s = similarity_dynamic(np.array([1.0, -1.0, 2.0]), (np.array([0, 0]), np.array([1, 2])))
+    assert s.tolist() == [0.0, 1.0]
+
+
 def test_dynamic_similarity_temperature_sharpens():
     x = np.array([[1.0, 0.0], [np.cos(1.159), np.sin(1.159)]])  # cosine ~ 0.4
     pairs = (np.array([0]), np.array([1]))
