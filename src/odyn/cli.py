@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +347,8 @@ def cmd_sweep(args):
 
     results = []
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

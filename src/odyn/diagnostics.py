@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._state import from_matrix, norm1, to_matrix
 from .dynamics import diffusion_kernel
@@ -143,6 +142,8 @@ def cluster_count(x, tol):
             f"cluster_count dense path refused for {x.shape[0]} rows of dimension "
             f"{x.shape[1]} (limit {DENSE_LIMIT})"
         )
+    from scipy.sparse.csgraph import connected_components  # heavy import, only used here
+
     diff = x[:, None, :] - x[None, :, :]
     close = np.linalg.norm(diff, axis=2) <= tol
     n_comp, _ = connected_components(csr_matrix(close), directed=False)

@@ -208,9 +208,13 @@ class Hypergraph:
         node_count = int(node_count)
         if node_count < 1:
             raise EmptyGraph("hypergraph needs at least one node")
-        rows = [(int(n), int(e), float(w)) for n, e, w in memberships]
+        nodes, edges, w = [], [], []
+        for n, e, x in memberships:
+            nodes.append(int(n))
+            edges.append(int(e))
+            w.append(float(x))
         if edge_count is None:
-            edge_count = 1 + max((e for _, e, _ in rows), default=-1)
+            edge_count = 1 + max(edges, default=-1)
         edge_count = int(edge_count)
         if edge_count < 1:
             raise EmptyGraph("hypergraph needs at least one hyperedge")
@@ -218,18 +222,31 @@ class Hypergraph:
             raise TooLarge(f"incidence refused for {node_count} nodes (limit {DENSE_LIMIT})")
         H = np.zeros((node_count, edge_count), dtype=bool)
         M = np.zeros((node_count, edge_count))
-        for n, e, w in rows:
-            if not (0 <= n < node_count):
+        nodes, bad_node = _index_array(nodes, node_count)
+        edges, bad_edge = _index_array(edges, edge_count)
+        w = np.array(w, dtype=np.float64)
+        bad_weight = ~(np.isfinite(w) & (w > 0.0))
+        # Sorted by hyperedge, then node; the sort is stable, so a membership
+        # is a duplicate when it follows an equal pair.
+        order = np.lexsort((nodes, edges))
+        edge_of, node_of = edges[order], nodes[order]
+        same = (edge_of[1:] == edge_of[:-1]) & (node_of[1:] == node_of[:-1])
+        dup = np.zeros(w.size, dtype=bool)
+        dup[order[1:][same]] = True
+        bad = np.flatnonzero(bad_node | bad_edge | bad_weight | dup)
+        if bad.size:
+            k = bad[0]
+            if bad_node[k]:
                 raise ValueError("membership node index out of range")
-            if not (0 <= e < edge_count):
+            if bad_edge[k]:
                 raise ValueError("membership hyperedge index out of range")
-            if not math.isfinite(w) or w <= 0.0:
+            if bad_weight[k]:
                 raise ValueError("membership weights must be finite and positive")
-            if H[n, e]:
-                raise ValueError(f"duplicate membership ({n}, {e})")
-            H[n, e] = True
-            M[n, e] = w
-        empty = np.flatnonzero(~H.any(axis=0))
+            raise ValueError(f"duplicate membership ({nodes[k]}, {edges[k]})")
+        H[nodes, edges] = True
+        M[nodes, edges] = w
+        sizes = np.bincount(edges, minlength=edge_count)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
             raise ValueError(f"hyperedge {int(empty[0])} contains no node")
         H.setflags(write=False)
@@ -240,10 +257,9 @@ class Hypergraph:
         self.membership_weight = M
         # Memberships ordered by hyperedge, then node; hyperedge e owns the
         # slice _edge_ptr[e] : _edge_ptr[e + 1] of _member_nodes.
-        edge_of, node_of = np.nonzero(H.T)
         node_of.setflags(write=False)
         self._member_nodes = node_of
-        self._edge_ptr = np.searchsorted(edge_of, np.arange(edge_count + 1))
+        self._edge_ptr = np.concatenate([[0], np.cumsum(sizes)])
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""
@@ -270,6 +286,19 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
+
+
+def _index_array(values, upper):
+    """Python ints as int64, with the mask of those outside [0, upper).
+
+    Entries outside the range read 0 in the returned array.
+    """
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond 64 bits, so out of range as well
+        a = np.array(values, dtype=object)
+    bad = (a < 0) | (a >= upper)
+    return np.where(bad, 0, a).astype(np.int64), bad.astype(bool)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,20 @@
 All files are UTF-8, comma separated, LF line endings, with a header row.
 Floats are written with repr so a write/read round trip is exact. Rows are
 emitted in a canonical sorted order, which makes outputs byte-stable.
+
+The graph, hypergraph and label readers parse a file's body into columns in
+one C pass (np.loadtxt). Whatever that pass rejects is re-read by the row
+parser, which accepts exactly what Python's csv, int and float accept and
+otherwise raises a CsvFormatError carrying the line number; integers must
+also fit in 64 bits. So the fast pass changes no accepted value and no
+error.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +44,23 @@ LABELS_HEADER = ["node", "label"]
 TRAJECTORY_HEADER = ["t", "node", "feature_index", "value"]
 
 
+_GRAPH_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+_HYPERGRAPH_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("weight", np.float64)])
+_LABELS_DTYPE = np.dtype([("node", np.int64), ("label", np.int64)])
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def _fmt(v):
     return repr(float(v))
+
+
+def _int64(text):
+    """int(text), refused unless it fits in a signed 64-bit integer."""
+    v = int(text)
+    if not _INT64_MIN <= v <= _INT64_MAX:
+        raise ValueError(f"integer {v} does not fit in 64 bits")
+    return v
 
 
 def _read_rows(path, header, types):
@@ -70,16 +93,48 @@ def _read_rows(path, header, types):
     return rows
 
 
+def _read_columns(path, header, dtype):
+    """Parse a CSV with an exact expected header into a structured array.
+
+    The body goes through np.loadtxt in one pass; if anything fails there,
+    the file is re-read by _read_rows, which gives the same values or the
+    located error.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            got = next(csv.reader(fh), None)
+            if got is not None and [c.strip() for c in got] == header:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    # Older numpy reads an int field such as "1.0" by truncating
+                    # a float, with only a DeprecationWarning; the row parser
+                    # refuses it.
+                    warnings.simplefilter("error", DeprecationWarning)
+                    return np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    except (ValueError, csv.Error, DeprecationWarning):
+        pass
+    types = [_int64 if dtype[name] == np.int64 else float for name in dtype.names]
+    return np.array(_read_rows(path, header, types), dtype=dtype)
+
+
+def _edge_rows(*columns):
+    """Rows of Python scalars from matching 1-d arrays."""
+    return zip(*(c.tolist() for c in columns))
+
+
 def read_graph_csv(path, directed=False, node_count=None):
     """Load an edge list (header src,dst,weight) into a WeightedGraph.
 
     Undirected files list each edge once. node_count defaults to the largest
     index seen plus one.
     """
-    rows = _read_rows(path, GRAPH_HEADER, (int, int, float))
+    cols = _read_columns(path, GRAPH_HEADER, _GRAPH_DTYPE)
+    src, dst, w = cols["src"], cols["dst"], cols["weight"]
     if node_count is None:
-        node_count = 1 + max((max(s, d) for s, d, _ in rows), default=0)
-    return WeightedGraph(node_count, rows, directed=directed)
+        node_count = 1 + (max(int(src.max()), int(dst.max())) if src.size else 0)
+    # Plain calls through the module-level names: perfbench's traced run
+    # rebinds WeightedGraph and Hypergraph here to time the builds.
+    return WeightedGraph(node_count, _edge_rows(src, dst, w), directed=directed)
 
 
 def write_graph_csv(path, g):
@@ -87,15 +142,16 @@ def write_graph_csv(path, g):
     src, dst, w = g.undirected_pairs()
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(GRAPH_HEADER) + "\n")
-        for s, d, v in zip(src.tolist(), dst.tolist(), w.tolist()):
-            fh.write(f"{s},{d},{_fmt(v)}\n")
+        fh.write("".join([f"{s},{d},{v!r}\n" for s, d, v in _edge_rows(src, dst, w)]))
 
 
 def read_hypergraph_csv(path, node_count=None, edge_count=None):
     """Load memberships (header node,hyperedge,weight) into a Hypergraph."""
-    rows = _read_rows(path, HYPERGRAPH_HEADER, (int, int, float))
+    cols = _read_columns(path, HYPERGRAPH_HEADER, _HYPERGRAPH_DTYPE)
+    nodes = cols["node"]
     if node_count is None:
-        node_count = 1 + max((n for n, _, _ in rows), default=0)
+        node_count = 1 + (int(nodes.max()) if nodes.size else 0)
+    rows = _edge_rows(nodes, cols["hyperedge"], cols["weight"])
     return Hypergraph(node_count, rows, edge_count=edge_count)
 
 
@@ -110,14 +166,18 @@ def write_hypergraph_csv(path, h):
 
 def read_labels_csv(path, node_count=None, class_count=None):
     """Load node labels (header node,label); missing nodes default to 0."""
-    rows = _read_rows(path, LABELS_HEADER, (int, int))
+    cols = _read_columns(path, LABELS_HEADER, _LABELS_DTYPE)
+    nodes, labs = cols["node"], cols["label"]
     if node_count is None:
-        node_count = 1 + max((n for n, _ in rows), default=0)
+        node_count = 1 + (int(nodes.max()) if nodes.size else 0)
     labels = np.zeros(node_count, dtype=np.int64)
-    for n, lab in rows:
-        if not (0 <= n < node_count):
-            raise CsvFormatError(f"{path}: node index {n} out of range")
-        labels[n] = lab
+    bad = np.flatnonzero((nodes < 0) | (nodes >= node_count))
+    if bad.size:
+        raise CsvFormatError(f"{path}: node index {nodes[bad[0]]} out of range")
+    # A node listed twice keeps its last label.
+    _, first_from_end = np.unique(nodes[::-1], return_index=True)
+    last = nodes.size - 1 - first_from_end
+    labels[nodes[last]] = labs[last]
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 1
     return NodeLabels(labels, class_count)
@@ -126,8 +186,7 @@ def read_labels_csv(path, node_count=None, class_count=None):
 def write_labels_csv(path, labels):
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LABELS_HEADER) + "\n")
-        for n, lab in enumerate(labels.labels.tolist()):
-            fh.write(f"{n},{lab}\n")
+        fh.write("".join([f"{n},{lab}\n" for n, lab in enumerate(labels.labels.tolist())]))
 
 
 def read_state_csv(path):
@@ -164,13 +223,17 @@ def write_state_csv(path, x):
 
 def write_trajectory_csv(path, traj):
     """Long-format trajectory: one row per (time, node, feature)."""
+    keys, shape = [], None
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
         for t, state in zip(traj.times.tolist(), traj.states):
             state = np.atleast_2d(np.asarray(state, dtype=np.float64).T).T
-            for node in range(state.shape[0]):
-                for j in range(state.shape[1]):
-                    fh.write(f"{_fmt(t)},{node},{j},{_fmt(state[node, j])}\n")
+            if state.shape != shape:
+                shape = state.shape
+                keys = [f"{node},{j}," for node in range(shape[0]) for j in range(shape[1])]
+            head = f"{_fmt(t)},"
+            values = map(repr, state.ravel().tolist())
+            fh.write("".join([f"{head}{k}{v}\n" for k, v in zip(keys, values)]))
 
 
 def write_energy_csv(path, steps, energy, column="step"):

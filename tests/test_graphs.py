@@ -216,6 +216,60 @@ def test_hypergraph_rejects_empty_hyperedge():
         Hypergraph(3, [(0, 0, 1.0)], edge_count=2)
 
 
+def hypergraph_oracle(node_count, memberships, edge_count=None):
+    """The per-membership validation loop: (incidence, weights) or the error."""
+    rows = [(int(n), int(e), float(w)) for n, e, w in memberships]
+    if edge_count is None:
+        edge_count = 1 + max((e for _, e, _ in rows), default=-1)
+    if edge_count < 1:
+        raise EmptyGraph("hypergraph needs at least one hyperedge")
+    H = np.zeros((node_count, edge_count), dtype=bool)
+    M = np.zeros((node_count, edge_count))
+    for n, e, w in rows:
+        if not (0 <= n < node_count):
+            raise ValueError("membership node index out of range")
+        if not (0 <= e < edge_count):
+            raise ValueError("membership hyperedge index out of range")
+        if not math.isfinite(w) or w <= 0.0:
+            raise ValueError("membership weights must be finite and positive")
+        if H[n, e]:
+            raise ValueError(f"duplicate membership ({n}, {e})")
+        H[n, e] = True
+        M[n, e] = w
+    empty = np.flatnonzero(~H.any(axis=0))
+    if empty.size:
+        raise ValueError(f"hyperedge {int(empty[0])} contains no node")
+    return H, M
+
+
+MEMBERSHIPS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-1, 4), st.sampled_from([2**63, -(2**70)])),
+        st.integers(-1, 3),
+        st.sampled_from([1.0, 0.5, 2.0, 0.0, -1.0, math.nan, math.inf]),
+    ),
+    max_size=14,
+)
+
+
+@given(MEMBERSHIPS, st.one_of(st.none(), st.integers(1, 3)))
+@settings(max_examples=300, deadline=None)
+def test_hypergraph_validation_matches_loop_oracle(memberships, edge_count):
+    # Same error type and message for the first offending membership, or the
+    # same arrays.
+    try:
+        H, M = hypergraph_oracle(4, memberships, edge_count)
+    except (ValueError, EmptyGraph) as exc:
+        with pytest.raises(type(exc)) as got:
+            Hypergraph(4, memberships, edge_count=edge_count)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    h = Hypergraph(4, memberships, edge_count=edge_count)
+    assert np.array_equal(h.incidence, H)
+    assert np.array_equal(h.membership_weight, M)
+
+
 def test_clique_expansion_weights():
     h = Hypergraph(3, [(0, 0, 2.0), (1, 0, 3.0), (1, 1, 1.0), (2, 1, 1.0)])
     g = h.clique_expansion()
