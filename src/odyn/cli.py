@@ -409,7 +409,9 @@ def main(argv=None):
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (OdynError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # MemoryError: an input such as node index 10**12 implies arrays that cannot
+    # fit; numpy's message names the size.
+    except (OdynError, OSError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

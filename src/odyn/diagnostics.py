@@ -18,7 +18,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .graphs import DENSE_LIMIT, is_aperiodic, is_strongly_connected, validate_row_stochastic
+from .graphs import dense_guard, is_aperiodic, is_strongly_connected, validate_row_stochastic
 
 __all__ = [
     "EnergySeries",
@@ -90,9 +90,9 @@ def dirichlet_energy_hypergraph(h, x):
     it is never negative (the expanded m sum|x|^2 - |sum x|^2 cancels).
     """
     x, _ = to_matrix(x)
-    ptr = h._edge_ptr
+    ptr = h._weights.indptr
     sizes = np.diff(ptr)
-    xs = x[h._member_nodes]
+    xs = x[h._weights.indices]
     mean = np.add.reduceat(xs, ptr[:-1], axis=0) / sizes[:, None]
     c = xs - np.repeat(mean, sizes, axis=0)
     return float(2.0 * np.sum(np.repeat(sizes, sizes) * np.einsum("ij,ij->i", c, c)))
@@ -137,11 +137,7 @@ def cluster_count(x, tol):
         # a gap within tol links the two neighbours.
         s = np.sort(x[:, 0])
         return int(np.count_nonzero(norm1(np.diff(s)) > tol)) + int(s.size > 0)
-    if x.shape[0] > DENSE_LIMIT:
-        raise TooLarge(
-            f"cluster_count dense path refused for {x.shape[0]} rows of dimension "
-            f"{x.shape[1]} (limit {DENSE_LIMIT})"
-        )
+    dense_guard(x.shape[0], f"cluster_count dense path in dimension {x.shape[1]}")
     from scipy.sparse.csgraph import connected_components  # heavy import, only used here
 
     diff = x[:, None, :] - x[None, :, :]

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from ._state import from_matrix, norm1, to_matrix
-from .errors import KernelNotNormalized, NotRowStochastic, TooLarge
-from .graphs import DENSE_LIMIT, Hypergraph, WeightedGraph, validate_row_stochastic
+from .errors import KernelNotNormalized, NotRowStochastic
+from .graphs import Hypergraph, WeightedGraph, dense_guard, validate_row_stochastic
 from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_static
 
 __all__ = [
@@ -83,11 +83,7 @@ def hk_step(x, eps):
         raise ValueError("hk_step needs a finite state")
     if x.shape[1] == 1:
         return from_matrix(_hk_step_sorted(x[:, 0], eps)[:, None], flat)
-    if x.shape[0] > DENSE_LIMIT:
-        raise TooLarge(
-            f"hk_step dense path refused for {x.shape[0]} rows of dimension "
-            f"{x.shape[1]} (limit {DENSE_LIMIT})"
-        )
+    dense_guard(x.shape[0], f"hk_step dense path in dimension {x.shape[1]}")
     diff = x[:, None, :] - x[None, :, :]
     within = np.linalg.norm(diff, axis=2) < eps
     counts = within.sum(axis=1)
@@ -205,37 +201,45 @@ def diffusion_kernel(h, kind="uniform"):
     (diagonal included). "hgnn" is the degree-normalized incidence product
     Dv^-1/2 H W De^-1 H^T Dv^-1/2 with unit hyperedge weights; its rows only
     sum to one on node-regular hypergraphs, and callers enforce that. Nodes
-    in no hyperedge keep their state via K_ii = 1.
+    in no hyperedge keep their state via K_ii = 1. Refused (TooLarge) above
+    DENSE_LIMIT nodes; the diffusion rhs uses the sparse kernel instead.
     """
+    dense_guard(h.node_count, "dense diffusion kernel")
+    return _sparse_kernel(h, kind).toarray()
+
+
+def _sparse_kernel(h, kind):
+    """diffusion_kernel as a CSR matrix with sorted indices and no stored zeros,
+    so K @ x adds each row's terms in the same order as a CSR copy of the
+    dense kernel would."""
     if kind == "uniform":
-        K = h.co_membership()
-        t = K.sum(axis=1)
-        t[t == 0.0] = 1.0
-        K /= t[:, None]
+        K = h._co_membership_csr()
+        t = np.asarray(K.sum(axis=1)).ravel()
+        K.data /= np.repeat(t, np.diff(K.indptr))
     elif kind == "hgnn":
-        H = csr_matrix(h.incidence, dtype=np.float64)
+        H = h._incidence_csr()
         dv = np.asarray(H.sum(axis=1)).ravel()
         de = np.asarray(H.sum(axis=0)).ravel()
         dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros_like(dv), where=dv > 0.0)
-        K = (diags(dv_isqrt) @ H @ diags(1.0 / de) @ H.T @ diags(dv_isqrt)).toarray()
+        K = diags(dv_isqrt) @ H @ diags(1.0 / de) @ H.T @ diags(dv_isqrt)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    idx = np.flatnonzero(~h.incidence.any(axis=1))
-    K[idx, idx] = 1.0
+    idx = np.flatnonzero(np.diff(K.indptr) == 0)  # nodes in no hyperedge
+    K = K + csr_matrix((np.ones(idx.size), (idx, idx)), shape=K.shape)
+    K.sort_indices()
     return K
 
 
 def _check_kernel(K):
     rows = K.sum(axis=1)
-    if np.any(K < -1e-12) or np.any(np.abs(rows - 1.0) > 1e-9):
+    if np.any(K.data < -1e-12) or np.any(np.abs(rows - 1.0) > 1e-9):
         raise KernelNotNormalized("kernel rows must be nonnegative and sum to one")
 
 
 def make_hypergraph_diffusion_rhs(h, kernel="uniform"):
     """Closure computing dx/dt = -(I - K) x for a normalized kernel K."""
-    K = diffusion_kernel(h, kernel)
+    K = _sparse_kernel(h, kernel)
     _check_kernel(K)
-    K = csr_matrix(K)
 
     def rhs(x):
         x = np.asarray(x, dtype=np.float64)

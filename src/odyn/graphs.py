@@ -2,18 +2,18 @@
 
 Graphs are stored sparsely as arc arrays keyed by source node; an undirected
 graph keeps two mirrored arcs per edge so every per-node scan is a contiguous
-slice. Dense matrix views are produced on demand for small graphs only.
-All containers are immutable after construction and safe to share.
+slice. A hypergraph keeps one sparse N x E membership-weight matrix. Dense
+matrix views are produced on demand for small graphs only. All containers
+are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
+from scipy.sparse import csc_matrix, csr_matrix, triu
 
 from .errors import (
     EmptyGraph,
@@ -38,7 +38,7 @@ __all__ = [
 
 log = logging.getLogger("odyn")
 
-# Dense N x N views are only materialized below this node count.
+# Dense N x N (or N x E) views are only materialized up to this node count.
 DENSE_LIMIT = 2000
 
 # Uniforms drawn per slab by generate_sbm (8 MB of doubles).
@@ -161,10 +161,7 @@ class WeightedGraph:
 
     def dense_weights(self):
         """Dense weight matrix view; guarded by the dense-path limit."""
-        if self.node_count > DENSE_LIMIT:
-            raise TooLarge(
-                f"dense view refused for {self.node_count} nodes (limit {DENSE_LIMIT})"
-            )
+        dense_guard(self.node_count, "dense weight view")
         m = np.zeros((self.node_count, self.node_count))
         m[self.src, self.dst] = self.weight
         return m
@@ -195,14 +192,15 @@ class WeightedGraph:
 class Hypergraph:
     """Hypergraph stored as node-hyperedge memberships with weights.
 
+    The one stored form is the N x E membership-weight matrix _weights in
+    CSC form, so its indices/indptr list the members by hyperedge, then node.
+
     Pair weights inside a hyperedge default to the product of the two
     membership weights, so they are nonzero exactly where both nodes
     belong to the hyperedge.
     """
 
-    __slots__ = (
-        "node_count", "edge_count", "incidence", "membership_weight", "_member_nodes", "_edge_ptr"
-    )
+    __slots__ = ("node_count", "edge_count", "_weights")
 
     def __init__(self, node_count, memberships, edge_count=None):
         node_count = int(node_count)
@@ -218,10 +216,6 @@ class Hypergraph:
         edge_count = int(edge_count)
         if edge_count < 1:
             raise EmptyGraph("hypergraph needs at least one hyperedge")
-        if node_count > DENSE_LIMIT:
-            raise TooLarge(f"incidence refused for {node_count} nodes (limit {DENSE_LIMIT})")
-        H = np.zeros((node_count, edge_count), dtype=bool)
-        M = np.zeros((node_count, edge_count))
         nodes, bad_node = _index_array(nodes, node_count)
         edges, bad_edge = _index_array(edges, edge_count)
         w = np.array(w, dtype=np.float64)
@@ -243,35 +237,47 @@ class Hypergraph:
             if bad_weight[k]:
                 raise ValueError("membership weights must be finite and positive")
             raise ValueError(f"duplicate membership ({nodes[k]}, {edges[k]})")
-        H[nodes, edges] = True
-        M[nodes, edges] = w
         sizes = np.bincount(edges, minlength=edge_count)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
             raise ValueError(f"hyperedge {int(empty[0])} contains no node")
-        H.setflags(write=False)
-        M.setflags(write=False)
         self.node_count = node_count
         self.edge_count = edge_count
-        self.incidence = H
-        self.membership_weight = M
-        # Memberships ordered by hyperedge, then node; hyperedge e owns the
-        # slice _edge_ptr[e] : _edge_ptr[e + 1] of _member_nodes.
-        node_of.setflags(write=False)
-        self._member_nodes = node_of
-        self._edge_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        W = csc_matrix((w[order], node_of, ptr), shape=(node_count, edge_count))
+        for a in (W.data, W.indices, W.indptr):
+            a.setflags(write=False)
+        self._weights = W
+
+    def _incidence_csr(self):
+        """Sparse (CSR) 0/1 incidence H as floats, sorted like a dense conversion."""
+        W = self._weights
+        return csc_matrix((np.ones(W.nnz), W.indices, W.indptr), shape=W.shape).tocsr()
+
+    @property
+    def incidence(self):
+        """Dense bool N x E membership matrix; guarded by the dense-path limit."""
+        return self.membership_weight > 0.0
+
+    @property
+    def membership_weight(self):
+        """Dense N x E membership weights; guarded by the dense-path limit."""
+        dense_guard(self.node_count, "dense N x E membership view")
+        return self._weights.toarray()
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""
-        return self._member_nodes[self._edge_ptr[e] : self._edge_ptr[e + 1]]
+        W = self._weights
+        return W.indices[W.indptr[e] : W.indptr[e + 1]]
 
     def _co_membership_csr(self):
         """Sparse (CSR) form of co_membership, C = H H^T."""
-        H = csr_matrix(self.incidence, dtype=np.float64)
+        H = self._incidence_csr()
         return H @ H.T
 
     def co_membership(self):
         """Dense count matrix C with C[i, j] = number of shared hyperedges."""
+        dense_guard(self.node_count, "dense co-membership")
         return self._co_membership_csr().toarray()
 
     def clique_expansion(self):
@@ -280,12 +286,18 @@ class Hypergraph:
         Edge weight is the sum over shared hyperedges of the product of the
         two membership weights.
         """
-        M = csr_matrix(self.membership_weight)
-        W = triu(M @ M.T, k=1).tocoo()
+        M = self._weights
+        W = triu(M.tocsr() @ M.T, k=1).tocoo()
         return WeightedGraph.from_arrays(self.node_count, W.row, W.col, W.data)
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
+
+
+def dense_guard(node_count, what):
+    """Raise TooLarge before a dense path allocates for more than DENSE_LIMIT nodes."""
+    if node_count > DENSE_LIMIT:
+        raise TooLarge(f"{what} refused for {node_count} nodes (limit {DENSE_LIMIT})")
 
 
 def _index_array(values, upper):
@@ -422,12 +434,7 @@ def is_aperiodic(g):
     if not is_strongly_connected(g):
         raise NotStronglyConnected("aperiodicity is defined for strongly connected graphs")
     _, dist = _bfs_reach(g.node_count, g._row_ptr, g.dst, 0)
-    gcd = 0
-    for u, v in zip(g.src, g.dst):
-        gcd = math.gcd(gcd, abs(int(dist[u]) + 1 - int(dist[v])))
-        if gcd == 1:
-            return True
-    return gcd == 1
+    return bool(np.gcd.reduce(np.abs(dist[g.src] + 1 - dist[g.dst])) == 1)
 
 
 def homophily_level(g, labels):
@@ -439,19 +446,17 @@ def homophily_level(g, labels):
     lab = labels.labels
     if lab.size != g.node_count:
         raise ValueError("labels length must match node count")
-    fractions = []
-    skipped = 0
-    for i in range(g.node_count):
-        nb = g.neighbors(i)
-        if nb.size == 0:
-            skipped += 1
-            continue
-        fractions.append(np.count_nonzero(lab[nb] == lab[i]) / nb.size)
+    arc = g.src != g.dst
+    src, dst = g.src[arc], g.dst[arc]
+    degree = np.bincount(src, minlength=g.node_count)
+    agree = np.bincount(src, weights=lab[src] == lab[dst], minlength=g.node_count)
+    has = degree > 0
+    skipped = g.node_count - int(np.count_nonzero(has))
     if skipped:
         log.info("homophily_level skipped %d isolated node(s)", skipped)
-    if not fractions:
+    if skipped == g.node_count:
         raise EmptyGraph("no node has a neighbor")
-    return float(np.mean(fractions))
+    return float(np.mean(agree[has] / degree[has]))
 
 
 def generate_sbm(block_sizes, p_in, p_out, seed=0):

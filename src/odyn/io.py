@@ -63,12 +63,21 @@ def _int64(text):
     return v
 
 
+def _records(path, fh):
+    """csv.reader over fh; what the csv module refuses becomes a located CsvFormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}", line=reader.line_num) from exc
+
+
 def _read_rows(path, header, types):
     """Parse a CSV with an exact expected header; errors carry line numbers."""
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             got = next(reader)
         except StopIteration:
@@ -159,9 +168,9 @@ def write_hypergraph_csv(path, h):
     """Write hypergraph memberships sorted by (hyperedge, node)."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(HYPERGRAPH_HEADER) + "\n")
-        for e in range(h.edge_count):
-            for n in h.members(e).tolist():
-                fh.write(f"{n},{e},{_fmt(h.membership_weight[n, e])}\n")
+        W = h._weights
+        edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
+        fh.write("".join([f"{n},{e},{w!r}\n" for n, e, w in _edge_rows(W.indices, edges, W.data)]))
 
 
 def read_labels_csv(path, node_count=None, class_count=None):
@@ -195,7 +204,7 @@ def read_state_csv(path):
     rows = []
     width = None
     with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_records(path, fh), start=1):
             if not row:
                 continue
             if width is None:

@@ -125,13 +125,6 @@ def simplify_network(g, cfg, seed=0):
     have no incident edge left); the report carries the counts.
     """
     src, dst, _ = g.undirected_pairs()
-    before = SimplifyReport(
-        nodes_before=g.node_count,
-        edges_before=g.edge_count,
-        nodes_after=g.node_count,
-        edges_after=g.edge_count,
-        cutoff=cfg.weight_cutoff,
-    )
     if cfg.source == "dynamic-final":
         x0 = pseudo_features(g.node_count, cfg.feature_dim, seed)
         rhs = make_odnet_rhs(g, cfg.influence, SimilaritySpec("static"))
@@ -148,18 +141,15 @@ def simplify_network(g, cfg, seed=0):
         score = score / top
 
     kept = score > cfg.weight_cutoff
-    edges = zip(src[kept].tolist(), dst[kept].tolist(), score[kept].tolist())
-    out = WeightedGraph(g.node_count, edges, directed=g.directed)
+    out = WeightedGraph.from_arrays(g.node_count, src[kept], dst[kept], score[kept],
+                                    directed=g.directed)
 
     nodes_after = g.node_count
     if cfg.drop_isolated:
-        has_edge = np.zeros(g.node_count, dtype=bool)
-        has_edge[out.src] = True
-        has_edge[out.dst] = True
-        nodes_after = int(has_edge.sum())
+        nodes_after = int(np.union1d(out.src, out.dst).size)
     report = SimplifyReport(
-        nodes_before=before.nodes_before,
-        edges_before=before.edges_before,
+        nodes_before=g.node_count,
+        edges_before=g.edge_count,
         nodes_after=nodes_after,
         edges_after=out.edge_count,
         cutoff=cfg.weight_cutoff,
@@ -176,16 +166,9 @@ def label_by_degree(g, cutoffs=(20, 60)):
     low, high = int(cutoffs[0]), int(cutoffs[1])
     if not (0 <= low <= high):
         raise ValueError("cutoffs must satisfy 0 <= low <= high")
-    names = []
-    for i in range(g.node_count):
-        d = g.degree(i)
-        if d < low:
-            names.append("weak")
-        elif d <= high:
-            names.append("medium")
-        else:
-            names.append("strong")
-    return InfluencerLabeling(low=low, high=high, labels=tuple(names))
+    degree = np.bincount(g.src[g.src != g.dst], minlength=g.node_count)
+    names = np.where(degree < low, "weak", np.where(degree <= high, "medium", "strong"))
+    return InfluencerLabeling(low=low, high=high, labels=tuple(names.tolist()))
 
 
 def propagate_labels(g, labels, influence, integrator, similarity=SimilaritySpec("static")):

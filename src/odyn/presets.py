@@ -69,8 +69,7 @@ def cooccurrence_fixture(seed=96):
     pick = rng.choice(iu.size, size=m, replace=False, p=p / p.sum())
     pick.sort()
     w = rng.beta(0.6, 2.5, size=m) * 0.98 + 0.02
-    edges = zip(iu[pick].tolist(), ju[pick].tolist(), w.tolist())
-    return WeightedGraph(n, edges, directed=False)
+    return WeightedGraph.from_arrays(n, iu[pick], ju[pick], w, directed=False)
 
 
 def planted_two_block_fixture(block_size=30, seed=7):
@@ -89,7 +88,4 @@ def planted_two_block_fixture(block_size=30, seed=7):
         0.7 + 0.3 * rng.random(src.size),
         0.05 + 0.10 * rng.random(src.size),
     )
-    weighted = WeightedGraph(
-        g.node_count, zip(src.tolist(), dst.tolist(), w.tolist()), directed=False
-    )
-    return weighted, labels
+    return WeightedGraph.from_arrays(g.node_count, src, dst, w, directed=False), labels

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix, diags
 
 from odyn import (
     DynamicSpec,
@@ -552,6 +553,61 @@ def test_diffusion_kernel_rejects_unknown_kind():
     h = Hypergraph(2, [(0, 0, 1.0), (1, 0, 1.0)])
     with pytest.raises(ValueError):
         diffusion_kernel(h, "laplacian")
+
+
+def dense_kernel_oracle(h, kind):
+    """The dense kernel build that diffusion_kernel replaced, from the dense views."""
+    if kind == "uniform":
+        K = h.co_membership()
+        t = K.sum(axis=1)
+        t[t == 0.0] = 1.0
+        K /= t[:, None]
+    else:
+        H = csr_matrix(h.incidence, dtype=np.float64)
+        dv = np.asarray(H.sum(axis=1)).ravel()
+        de = np.asarray(H.sum(axis=0)).ravel()
+        dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros_like(dv), where=dv > 0.0)
+        K = (diags(dv_isqrt) @ H @ diags(1.0 / de) @ H.T @ diags(dv_isqrt)).toarray()
+    idx = np.flatnonzero(~h.incidence.any(axis=1))
+    K[idx, idx] = 1.0
+    return K
+
+
+def kernel_test_hypergraph(seed):
+    """Irregular random hyperedges (odd seeds) or r layers of a random
+    k-partition (node-regular, even seeds), plus up to two nodes in no
+    hyperedge."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        n = int(rng.integers(2, 16))
+        groups = [rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+                  for _ in range(int(rng.integers(1, 10)))]
+    else:
+        k = int(rng.integers(2, 5))
+        n = k * int(rng.integers(1, 6))
+        groups = [perm[i:i + k] for perm in (rng.permutation(n) for _ in range(rng.integers(1, 4)))
+                  for i in range(0, n, k)]
+    memberships = [(int(v), e, float(rng.uniform(0.2, 3.0)))
+                   for e, members in enumerate(groups) for v in members]
+    return Hypergraph(n + int(rng.integers(0, 3)), memberships)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sparse_kernel_equals_dense_oracle_bit_for_bit(seed):
+    h = kernel_test_hypergraph(seed)
+    x = np.random.default_rng(seed).standard_normal((h.node_count, 2))
+    for kind in ("uniform", "hgnn"):
+        K = dense_kernel_oracle(h, kind)
+        assert np.array_equal(diffusion_kernel(h, kind), K)
+        if np.all(np.abs(K.sum(axis=1) - 1.0) <= 1e-9):
+            want = csr_matrix(K) @ x - x
+            assert np.array_equal(make_hypergraph_diffusion_rhs(h, kind)(x), want)
+        else:
+            with pytest.raises(KernelNotNormalized):
+                make_hypergraph_diffusion_rhs(h, kind)
+    if seed % 2 == 0:  # node-regular: hgnn must run
+        make_hypergraph_diffusion_rhs(h, "hgnn")
 
 
 def test_diffusion_decay_rate_matches_dense_eigenvalue_oracle():

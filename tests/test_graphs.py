@@ -22,6 +22,7 @@ from odyn import (
     NotStronglyConnected,
     TooLarge,
     WeightedGraph,
+    diffusion_kernel,
     generate_sbm,
     homophily_level,
     is_aperiodic,
@@ -279,6 +280,27 @@ def test_clique_expansion_weights():
     assert (0, 2) not in w
 
 
+def test_hypergraph_above_dense_limit_is_sparse_and_refuses_dense_views():
+    n = 2001
+    h = Hypergraph(n, [(i, i // 3, 1.0) for i in range(n)])
+    assert h.members(666).tolist() == [1998, 1999, 2000]
+    assert h.clique_expansion().edge_count == 3 * (n // 3)
+    for view in (lambda: h.incidence, lambda: h.membership_weight, h.co_membership,
+                 lambda: diffusion_kernel(h, "uniform"), lambda: diffusion_kernel(h, "hgnn")):
+        with pytest.raises(TooLarge):
+            view()
+
+
+def test_hypergraph_stores_only_the_sparse_membership_matrix():
+    h = Hypergraph(3, [(2, 0, 0.5), (0, 0, 2.0), (1, 1, 1.5)])
+    assert Hypergraph.__slots__ == ("node_count", "edge_count", "_weights")
+    w = h._weights
+    assert w.format == "csc" and w.shape == (3, 2)
+    assert w.indices.tolist() == [0, 2, 1] and w.indptr.tolist() == [0, 2, 3]
+    assert w.data.tolist() == [2.0, 0.5, 1.5]
+    assert not h.members(0).flags.writeable
+
+
 # ------------------------------------------------------------ stochastic
 
 
@@ -385,6 +407,24 @@ def test_even_cycle_with_even_chord_stays_periodic():
     assert not is_aperiodic(g)
 
 
+def bfs_gcd_loop_oracle(g):
+    """The per-arc gcd loop over the BFS defects dist(u) + 1 - dist(v)."""
+    _, dist = graphs._bfs_reach(g.node_count, g._row_ptr, g.dst, 0)
+    gcd = 0
+    for u, v in zip(g.src, g.dst):
+        gcd = math.gcd(gcd, abs(int(dist[u]) + 1 - int(dist[v])))
+    return gcd
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_aperiodicity_matches_per_arc_gcd_loop(seed, self_loops):
+    g = random_digraph(seed, n_max=9, extra=0.8, self_loops=self_loops)
+    if not is_strongly_connected(g):
+        return
+    assert is_aperiodic(g) == (bfs_gcd_loop_oracle(g) == 1)
+
+
 # -------------------------------------------------------------- homophily
 
 
@@ -428,6 +468,30 @@ def test_homophily_is_permutation_invariant(seed):
     assert homophily_level(gp, NodeLabels(labels[inv], 3)) == pytest.approx(
         homophily_level(g, NodeLabels(labels, 3)), abs=1e-12
     )
+
+
+def homophily_loop_oracle(g, labels):
+    """The per-node loop: mean over nodes with neighbors of the agreeing fraction."""
+    lab = labels.labels
+    fractions = []
+    for i in range(g.node_count):
+        nb = g.neighbors(i)
+        if nb.size:
+            fractions.append(np.count_nonzero(lab[nb] == lab[i]) / nb.size)
+    if not fractions:
+        raise EmptyGraph("no node has a neighbor")
+    return float(np.mean(fractions))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 2.0))
+@settings(max_examples=80, deadline=None)
+def test_homophily_equals_per_node_loop(seed, self_loops, extra):
+    g = random_digraph(seed, extra=extra, self_loops=self_loops)
+    if seed % 3 == 0:  # undirected, with isolated nodes appended
+        up = g.src <= g.dst
+        g = WeightedGraph.from_arrays(g.node_count + 2, g.src[up], g.dst[up], g.weight[up])
+    labels = NodeLabels(np.random.default_rng(seed).integers(0, 3, g.node_count), 3)
+    assert homophily_level(g, labels) == homophily_loop_oracle(g, labels)
 
 
 def test_homophily_matches_dense_oracle():

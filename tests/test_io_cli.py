@@ -5,6 +5,7 @@ writers are pinned down to exact text, not just parseable text.
 """
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -103,6 +104,19 @@ def test_graph_csv_non_numeric_weight_rejected(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         read_graph_csv(path)
     assert err.value.line == 2
+
+
+def test_oversize_csv_field_is_a_located_format_error(tmp_path, capsys):
+    # 200k characters is past the csv module's field limit (131072).
+    g = write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,0.5\n1,2," + "x" * 200_000 + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_graph_csv(g)
+    assert err.value.line == 3
+    assert "field larger than field limit" in str(err.value)
+    y = write_text(tmp_path / "y.csv", "node,label\n0,0\n")
+    assert run_cli("homophily", "--graph", g, "--labels", y) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "g.csv: line 3" in err and "Traceback" not in err
 
 
 def test_hypergraph_csv_round_trip(tmp_path):
@@ -665,6 +679,52 @@ def test_index_beyond_int64_exits_2_naming_file_and_line(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     name = "g.csv" if bad == "graph" else "y.csv"
     assert f"{name}: line 3: integer {big} does not fit in 64 bits" in err
+
+
+@pytest.mark.parametrize("command", ["homophily", "energy"])
+def test_index_implying_a_size_beyond_memory_exits_2(tmp_path, command):
+    # Node 10^12 is a valid int64, but per-node arrays of that length do not
+    # fit. The child's address space is capped so the allocation fails the
+    # same way whatever the machine's overcommit policy.
+    big = 1_000_000_000_000
+    if command == "homophily":
+        inputs = ["--graph", write_text(tmp_path / "g.csv", f"src,dst,weight\n{big},2,0.5\n"),
+                  "--labels", write_text(tmp_path / "y.csv", "node,label\n0,0\n")]
+    else:
+        inputs = ["--hypergraph", write_text(tmp_path / "h.csv", f"node,hyperedge,weight\n{big},0,1.0\n"),
+                  "--config", write_config(tmp_path, "cfg.json",
+                                           {"kind": "hypergraph-diffusion", "t_end": 1.0})]
+    out = tmp_path / "out"
+    cap = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({4 << 30}, {4 << 30}))"
+    code = f"{cap}; import sys, odyn.cli; sys.exit(odyn.cli.main(sys.argv[1:]))"
+    argv = [command, *map(str, inputs), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+    assert "iB" in proc.stderr  # numpy's message names the size, e.g. "7.28 TiB"
+    assert not out.exists()
+
+
+def test_energy_runs_hypergraph_arms_above_dense_limit(tmp_path, capsys):
+    # 2500 nodes, hyperedge e = {2e, ..., 2e + 3} (mod n): every node in two.
+    n = 2500
+    rows = "".join(f"{(2 * e + k) % n},{e},1.0\n" for e in range(n // 2) for k in range(4))
+    h = write_text(tmp_path / "h.csv", "node,hyperedge,weight\n" + rows)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "scheme": "rk4", "h": 0.1, "t_end": 1.0, "init": "unit", "dim": 3,
+        "runs": [
+            {"name": "odnet", "kind": "hypergraph-odnet", "eps1": 0.0, "eps2": 1.0},
+            {"name": "uniform", "kind": "hypergraph-diffusion", "kernel": "uniform"},
+            {"name": "hgnn", "kind": "hypergraph-diffusion", "kernel": "hgnn"},
+        ],
+    })
+    out = tmp_path / "runs"
+    assert run_cli("energy", "--hypergraph", h, "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    for name in ("odnet", "uniform", "hgnn"):
+        assert 0.0 < summary["runs"][name]["energy_ratio"] < 1.0
 
 
 def test_cli_import_loads_no_csgraph_linalg_or_multiprocessing():

@@ -24,6 +24,8 @@ from odyn import (
     split_masks,
 )
 
+from conftest import random_digraph
+
 WIDE_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 
 
@@ -201,6 +203,24 @@ def test_label_by_degree_partitions_nodes(seed):
     tiers = label_by_degree(g, cutoffs=(3, 7))
     assert len(tiers.labels) == 20
     assert sum(tiers.counts().values()) == 20
+
+
+def label_by_degree_loop_oracle(g, low, high):
+    """The per-node loop over degree(i) that label_by_degree replaces."""
+    names = []
+    for i in range(g.node_count):
+        d = g.degree(i)
+        names.append("weak" if d < low else "medium" if d <= high else "strong")
+    return tuple(names)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_label_by_degree_equals_per_node_loop(seed, low, width, self_loops):
+    g = random_digraph(seed, extra=1.5, self_loops=self_loops)
+    tiers = label_by_degree(g, cutoffs=(low, low + width))
+    assert tiers.labels == label_by_degree_loop_oracle(g, low, low + width)
+    assert all(type(name) is str for name in tiers.labels)
 
 
 # ---------------------------------------------------------- propagation
