@@ -15,10 +15,11 @@ from .errors import (
     InsufficientData,
     NoConvergence,
     NotSPD,
+    NotStronglyConnected,
     PreconditionFailed,
     TooLarge,
 )
-from .graphs import dense_guard, is_aperiodic, is_strongly_connected, validate_row_stochastic
+from .graphs import dense_guard, is_aperiodic, validate_row_stochastic
 
 __all__ = [
     "EnergySeries",
@@ -156,10 +157,11 @@ def consensus_predict(g, x0, tolerance=1e-12, max_iterations=100_000):
     """
     if not validate_row_stochastic(g):
         raise PreconditionFailed("consensus_predict: weights are not row stochastic")
-    if not is_strongly_connected(g):
-        raise PreconditionFailed("consensus_predict: graph is not strongly connected")
-    if not is_aperiodic(g):
-        raise PreconditionFailed("consensus_predict: graph is not aperiodic")
+    try:
+        if not is_aperiodic(g):
+            raise PreconditionFailed("consensus_predict: graph is not aperiodic")
+    except NotStronglyConnected:
+        raise PreconditionFailed("consensus_predict: graph is not strongly connected") from None
     x0, flat = to_matrix(x0)
     if x0.shape[0] != g.node_count:
         raise ValueError("state row count must match node count")

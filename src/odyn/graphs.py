@@ -52,7 +52,7 @@ class WeightedGraph:
     ----------
     node_count : int
         Number of nodes; indices run 0 .. node_count - 1.
-    edges : iterable of (src, dst, weight)
+    edges : iterable of (src, dst, weight), or a structured array of three fields
         For undirected graphs each edge is listed once (self loops too);
         the constructor stores the mirrored arc automatically.
     directed : bool
@@ -62,20 +62,7 @@ class WeightedGraph:
     __slots__ = ("node_count", "directed", "src", "dst", "weight", "_row_ptr", "_loops")
 
     def __init__(self, node_count, edges, directed=False):
-        # Flat lists rather than a tuple per edge: in a fresh process,
-        # allocating the tuples costs about twice the parsing itself.
-        src, dst, w = [], [], []
-        for s, d, x in edges:
-            src.append(int(s))
-            dst.append(int(d))
-            w.append(float(x))
-        self._build(
-            node_count,
-            np.array(src, dtype=np.int64),
-            np.array(dst, dtype=np.int64),
-            np.array(w, dtype=np.float64),
-            directed,
-        )
+        self._build(node_count, *_triples(edges), directed)
 
     @classmethod
     def from_arrays(cls, node_count, src, dst, weight, directed=False):
@@ -84,8 +71,7 @@ class WeightedGraph:
         Same semantics and validation as the edge-list constructor: for an
         undirected graph each edge is listed once and mirrored here.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = _index_column(src), _index_column(dst)
         weight = np.asarray(weight, dtype=np.float64)
         if src.ndim != 1 or src.shape != dst.shape or src.shape != weight.shape:
             raise ValueError("src, dst and weight must be matching 1-d arrays")
@@ -206,19 +192,14 @@ class Hypergraph:
         node_count = int(node_count)
         if node_count < 1:
             raise EmptyGraph("hypergraph needs at least one node")
-        nodes, edges, w = [], [], []
-        for n, e, x in memberships:
-            nodes.append(int(n))
-            edges.append(int(e))
-            w.append(float(x))
+        nodes, edges, w = _triples(memberships)
         if edge_count is None:
-            edge_count = 1 + max(edges, default=-1)
+            edge_count = 1 + (int(edges.max()) if edges.size else -1)
         edge_count = int(edge_count)
         if edge_count < 1:
             raise EmptyGraph("hypergraph needs at least one hyperedge")
-        nodes, bad_node = _index_array(nodes, node_count)
-        edges, bad_edge = _index_array(edges, edge_count)
-        w = np.array(w, dtype=np.float64)
+        bad_node = (nodes < 0) | (nodes >= node_count)
+        bad_edge = (edges < 0) | (edges >= edge_count)
         bad_weight = ~(np.isfinite(w) & (w > 0.0))
         # Sorted by hyperedge, then node; the sort is stable, so a membership
         # is a duplicate when it follows an equal pair.
@@ -300,17 +281,31 @@ def dense_guard(node_count, what):
         raise TooLarge(f"{what} refused for {node_count} nodes (limit {DENSE_LIMIT})")
 
 
-def _index_array(values, upper):
-    """Python ints as int64, with the mask of those outside [0, upper).
-
-    Entries outside the range read 0 in the returned array.
-    """
+def _index_column(values):
+    """values as an int64 array; an integer beyond 64 bits reads -1, out of range."""
     try:
-        a = np.array(values, dtype=np.int64)
-    except OverflowError:  # beyond 64 bits, so out of range as well
-        a = np.array(values, dtype=object)
-    bad = (a < 0) | (a >= upper)
-    return np.where(bad, 0, a).astype(np.int64), bad.astype(bool)
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -(1 << 63) <= v < 1 << 63 else -1 for v in values], dtype=np.int64)
+
+
+def _triples(rows):
+    """(index, index, weight) rows as int64, int64 and float64 columns.
+
+    A 1-d structured array of three fields gives its fields whole: iterating
+    it yields the same triples. Any other iterable is read row by row.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 1 and len(rows.dtype.names or ()) == 3:
+        a, b, w = (rows[name] for name in rows.dtype.names)
+    else:
+        # Flat lists rather than a tuple per row: in a fresh process,
+        # allocating the tuples costs about twice the parsing itself.
+        a, b, w = [], [], []
+        for s, d, x in rows:
+            a.append(int(s))
+            b.append(int(d))
+            w.append(float(x))
+    return _index_column(a), _index_column(b), np.asarray(w, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -385,42 +380,38 @@ def validate_row_stochastic(g, tolerance=1e-9):
     return bool(np.all(np.abs(sums - 1.0) <= tolerance))
 
 
-def _bfs_reach(n, row_ptr, dst, start):
-    """Boolean reach set and BFS levels from `start` over CSR-style arcs."""
-    seen = np.zeros(n, dtype=bool)
-    dist = np.full(n, -1, dtype=np.int64)
-    seen[start] = True
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in dst[row_ptr[u] : row_ptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen, dist
+def _bfs_levels(row_ptr, dst, start):
+    """BFS level of each node from `start` over CSR-style arcs; -1 when unreached."""
+    dist = np.full(row_ptr.size - 1, -1, dtype=np.int64)
+    frontier, level = np.array([start]), 0
+    while frontier.size:
+        dist[frontier] = level
+        # The arc slices of the whole frontier, gathered at once.
+        lo = row_ptr[frontier]
+        count = row_ptr[frontier + 1] - lo
+        arcs = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        reached = np.unique(dst[arcs])
+        frontier, level = reached[dist[reached] < 0], level + 1
+    return dist
+
+
+def _strong_levels(g):
+    """BFS levels from node 0 when the graph is strongly connected, else None.
+
+    Node 0 must reach every node over the arcs and over the reversed arcs. The
+    arcs are sorted by (src, dst), so a stable sort by dst sorts the reversed ones.
+    """
+    dist = _bfs_levels(g._row_ptr, g.dst, 0)
+    if (dist < 0).any():
+        return None
+    order = np.argsort(g.dst, kind="stable")
+    row_ptr = np.searchsorted(g.dst[order], np.arange(g.node_count + 1))
+    return None if (_bfs_levels(row_ptr, g.src[order], 0) < 0).any() else dist
 
 
 def is_strongly_connected(g):
-    """Every node reaches every other along directed arcs.
-
-    Checked with two sweeps from node 0: one over the arcs as stored and one
-    over the reversed arcs.
-    """
-    n = g.node_count
-    if n == 1:
-        return True
-    fwd, _ = _bfs_reach(n, g._row_ptr, g.dst, 0)
-    if not fwd.all():
-        return False
-    order = np.lexsort((g.src, g.dst))
-    rsrc, rdst = g.dst[order], g.src[order]
-    row_ptr = np.searchsorted(rsrc, np.arange(n + 1))
-    bwd, _ = _bfs_reach(n, row_ptr, rdst, 0)
-    return bool(bwd.all())
+    """Every node reaches every other along directed arcs."""
+    return _strong_levels(g) is not None
 
 
 def is_aperiodic(g):
@@ -431,9 +422,9 @@ def is_aperiodic(g):
     cycle lengths, and the gcd over all arcs equals the cycle gcd. Any
     self loop yields defect one, so a self loop alone settles the question.
     """
-    if not is_strongly_connected(g):
+    dist = _strong_levels(g)
+    if dist is None:
         raise NotStronglyConnected("aperiodicity is defined for strongly connected graphs")
-    _, dist = _bfs_reach(g.node_count, g._row_ptr, g.dst, 0)
     return bool(np.gcd.reduce(np.abs(dist[g.src] + 1 - dist[g.dst])) == 1)
 
 

@@ -22,6 +22,7 @@ from odyn import (
     NotStronglyConnected,
     TooLarge,
     WeightedGraph,
+    consensus_predict,
     diffusion_kernel,
     generate_sbm,
     homophily_level,
@@ -32,7 +33,7 @@ from odyn import (
     validate_row_stochastic,
 )
 
-from conftest import make_ring, random_digraph
+from conftest import make_ring, random_digraph, random_row_stochastic
 
 
 # ---------------------------------------------------------------- oracles
@@ -71,6 +72,25 @@ def cycle_gcd_oracle(g):
     for root in range(n):
         walk(root, root, 0, frozenset({root}))
     return math.gcd(*lengths) if lengths else 0
+
+
+def bfs_reach_oracle(n, row_ptr, dst, start):
+    """Boolean reach set and BFS levels from `start`, one arc at a time."""
+    seen = np.zeros(n, dtype=bool)
+    dist = np.full(n, -1, dtype=np.int64)
+    seen[start] = True
+    dist[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in dst[row_ptr[u] : row_ptr[u + 1]]:
+                if not seen[v]:
+                    seen[v] = True
+                    dist[v] = dist[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    return seen, dist
 
 
 def triu_sbm_oracle(block_sizes, p_in, p_out, seed):
@@ -149,6 +169,45 @@ def test_from_arrays_equals_edge_list_constructor(seed, directed):
     src, dst, w = g.src[keep][order], g.dst[keep][order], g.weight[keep][order]
     listed = WeightedGraph(g.node_count, zip(src.tolist(), dst.tolist(), w.tolist()), directed)
     assert WeightedGraph.from_arrays(g.node_count, src, dst, w, directed) == listed
+
+
+def test_index_beyond_64_bits_is_out_of_range():
+    # Such an index raises what an out-of-range index (-1) raises there.
+    for big in (2**64, -(2**70)):
+        calls = [
+            lambda i: WeightedGraph(3, [(i, 0, 1.0)]),
+            lambda i: WeightedGraph.from_arrays(3, [i], [0], [1.0]),
+            lambda i: Hypergraph(3, [(0, i, 1.0)]),
+            lambda i: Hypergraph(3, [(0, i, 1.0)], edge_count=1),
+            lambda i: Hypergraph(3, [(i, 0, 1.0)]),
+        ]
+        for call in calls:
+            with pytest.raises((ValueError, EmptyGraph)) as expected:
+                call(-1)
+            with pytest.raises(type(expected.value)) as got:
+                call(big)
+            assert str(got.value) == str(expected.value)
+
+
+EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 0.0, -1.0, math.nan, math.inf])
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5), WEIGHTS), max_size=12),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_structured_array_builds_like_its_rows(rows, directed):
+    a = np.array(rows, dtype=EDGE_DTYPE)
+    try:
+        expected = WeightedGraph(4, a.tolist(), directed)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            WeightedGraph(4, a, directed)
+        assert str(got.value) == str(exc)
+        return
+    assert WeightedGraph(4, a, directed) == expected
 
 
 def test_rejects_bad_edges():
@@ -267,6 +326,26 @@ def test_hypergraph_validation_matches_loop_oracle(memberships, edge_count):
         assert str(got.value) == str(exc)
         return
     h = Hypergraph(4, memberships, edge_count=edge_count)
+    assert np.array_equal(h.incidence, H)
+    assert np.array_equal(h.membership_weight, M)
+
+
+MEMBERSHIP_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("weight", np.float64)])
+
+
+@given(MEMBERSHIPS.map(lambda rows: [r for r in rows if -1 <= r[0] <= 4]),
+       st.one_of(st.none(), st.integers(1, 3)))
+@settings(max_examples=200, deadline=None)
+def test_hypergraph_from_structured_array_matches_loop_oracle(memberships, edge_count):
+    a = np.array(memberships, dtype=MEMBERSHIP_DTYPE)
+    try:
+        H, M = hypergraph_oracle(4, a.tolist(), edge_count)
+    except (ValueError, EmptyGraph) as exc:
+        with pytest.raises(type(exc)) as got:
+            Hypergraph(4, a, edge_count=edge_count)
+        assert str(got.value) == str(exc)
+        return
+    h = Hypergraph(4, a, edge_count=edge_count)
     assert np.array_equal(h.incidence, H)
     assert np.array_equal(h.membership_weight, M)
 
@@ -409,7 +488,7 @@ def test_even_cycle_with_even_chord_stays_periodic():
 
 def bfs_gcd_loop_oracle(g):
     """The per-arc gcd loop over the BFS defects dist(u) + 1 - dist(v)."""
-    _, dist = graphs._bfs_reach(g.node_count, g._row_ptr, g.dst, 0)
+    _, dist = bfs_reach_oracle(g.node_count, g._row_ptr, g.dst, 0)
     gcd = 0
     for u, v in zip(g.src, g.dst):
         gcd = math.gcd(gcd, abs(int(dist[u]) + 1 - int(dist[v])))
@@ -423,6 +502,32 @@ def test_aperiodicity_matches_per_arc_gcd_loop(seed, self_loops):
     if not is_strongly_connected(g):
         return
     assert is_aperiodic(g) == (bfs_gcd_loop_oracle(g) == 1)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 9), st.floats(0.0, 1.0))
+@settings(max_examples=120, deadline=None)
+def test_bfs_levels_match_per_arc_oracle(seed, self_loops, n, keep):
+    # A random subgraph on the first n nodes, so unreached nodes occur too.
+    g = random_digraph(seed, n_max=9, extra=0.8, self_loops=self_loops)
+    n = min(n, g.node_count)
+    rng = np.random.default_rng(seed)
+    sub = (g.src < n) & (g.dst < n) & (rng.random(g.arc_count) < keep)
+    g = WeightedGraph.from_arrays(n, g.src[sub], g.dst[sub], g.weight[sub], directed=True)
+    start = int(rng.integers(n))
+    order = np.lexsort((g.src, g.dst))
+    reverse_ptr = np.searchsorted(g.dst[order], np.arange(n + 1))
+    for row_ptr, dst in ((g._row_ptr, g.dst), (reverse_ptr, g.src[order])):
+        _, expected = bfs_reach_oracle(n, row_ptr, dst, start)
+        assert np.array_equal(graphs._bfs_levels(row_ptr, dst, start), expected)
+
+
+def test_predicates_sweep_twice():
+    g = random_row_stochastic(3)
+    with mock.patch.object(graphs, "_bfs_levels", wraps=graphs._bfs_levels) as sweeps:
+        assert is_aperiodic(g)
+        assert sweeps.call_count == 2
+        consensus_predict(g, np.ones(g.node_count))
+        assert sweeps.call_count == 4
 
 
 # -------------------------------------------------------------- homophily

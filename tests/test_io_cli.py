@@ -347,9 +347,9 @@ def test_readers_construct_through_module_names(tmp_path, monkeypatch):
     calls = []
 
     def recording(cls):
-        def build(*args, **kwargs):
-            calls.append(cls.__name__)
-            return cls(*args, **kwargs)
+        def build(node_count, rows, **kwargs):
+            calls.append((cls.__name__, type(rows)))
+            return cls(node_count, rows, **kwargs)
         return build
 
     monkeypatch.setattr(odyn_io, "WeightedGraph", recording(WeightedGraph))
@@ -357,7 +357,8 @@ def test_readers_construct_through_module_names(tmp_path, monkeypatch):
     g = read_graph_csv(write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,0.5\n"))
     h = read_hypergraph_csv(
         write_text(tmp_path / "h.csv", "node,hyperedge,weight\n0,0,1.0\n1,0,2.0\n"))
-    assert calls == ["WeightedGraph", "Hypergraph"]
+    # Each reader hands its parsed columns over as they are.
+    assert calls == [("WeightedGraph", np.ndarray), ("Hypergraph", np.ndarray)]
     assert g == WeightedGraph(2, [(0, 1, 0.5)])
     assert h.membership_weight.tolist() == [[1.0], [2.0]]
 
