@@ -3,10 +3,12 @@
 Subcommands: simulate, energy, simplify, classify, homophily, sweep.
 Exit codes: 0 success, 2 input error (bad files, bad config), 3 numeric
 failure at runtime (blow-up, iteration caps, operator checks). The env var
-ODYN_LOG (error|warn|info|debug) sets the log level. Every output directory
-receives a manifest.json describing the run that produced it; runs are pure
-functions of their inputs and seed, so re-running a manifest reproduces the
-output files byte for byte.
+ODYN_LOG (error|warn|info|debug) sets the log level. A command computes
+first and creates `--out` only once that has succeeded (sweep, whose runs
+write into it, once its config is read), so exit 2 or 3 leaves no `--out`.
+The directory holds a manifest.json describing the run that produced it.
+Runs are pure functions of their inputs and seed, so re-running a manifest
+reproduces the output files byte for byte.
 """
 
 from __future__ import annotations
@@ -92,12 +94,27 @@ def _setup_logging():
 
 
 def _load_config(path):
+    """The JSON config object, its value types checked.
+
+    Every value is a string, number or boolean, except `runs` (a list of
+    objects whose values follow the same rule) and sweep's `base` and `sweep`.
+    """
     if path is None:
         return {}
     with Path(path).open("r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config JSON must be an object")
+    runs = obj.get("runs", [])
+    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise ValueError("config key 'runs' must be a list of objects")
+    values = [(key, v) for key, v in obj.items() if key not in ("runs", "base", "sweep")]
+    for i, run in enumerate(runs):
+        values += [(f"runs[{i}].{key}", v) for key, v in run.items()]
+    for key, value in values:
+        if not isinstance(value, (str, int, float)):  # bool is an int
+            got = {dict: "an object", list: "an array"}.get(type(value), "null")
+            raise ValueError(f"config key {key!r} must be a string, number or boolean, not {got}")
     return obj
 
 
@@ -120,29 +137,22 @@ def _load_structure(args, cfg):
     return graph, hypergraph
 
 
-def _write_manifest(out, command, args, cfg):
-    inputs = {}
-    for key in ("graph", "hypergraph", "labels", "config"):
-        val = getattr(args, key, None)
-        if val:
-            inputs[key] = str(val)
-    write_json(
-        out / "manifest.json",
-        {
-            "command": command,
-            "inputs": inputs,
-            "config": cfg,
-            "seed": args.seed,
-            "out": str(out),
-            "version": __version__,
-        },
-    )
+def _manifest(args, cfg):
+    inputs = {key: str(val) for key in ("graph", "hypergraph", "labels", "config")
+              if (val := getattr(args, key, None))}
+    return {"command": args.command, "inputs": inputs, "config": cfg, "seed": args.seed,
+            "out": str(Path(args.out)), "version": __version__}
 
 
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _publish(out, files):
+    """Call `writer(out / name, *payload)` for each `{name: (writer, *payload)}`.
+
+    The one place that creates `--out` or writes into it.
+    """
+    for name, (writer, *payload) in files.items():
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        writer(path, *payload)
 
 
 def _initial_state(spec, cfg, seed):
@@ -181,38 +191,34 @@ def _energy_fn(spec):
     return lambda x: dirichlet_energy_graph(g, x)
 
 
-def _run_dynamic(spec, cfg, x0, post_step=None):
+def _run_dynamic(spec, cfg, x0):
     """Shared driver: run the chosen dynamic from x0, return a trajectory."""
     energy_fn = _energy_fn(spec)
     if spec.is_discrete:
         steps = int(cfg.get("steps", 50))
         if "t_end" in cfg:
             steps = int(round(float(cfg["t_end"])))
-        return iterate_map(spec.step_fn(), x0, steps, energy_fn=energy_fn, post_step=post_step)
+        return iterate_map(spec.step_fn(), x0, steps, energy_fn=energy_fn)
     icfg = IntegratorConfig.from_json(cfg)
-    return integrate(spec.rhs_fn(), x0, icfg, energy_fn=energy_fn, post_step=post_step)
+    return integrate(spec.rhs_fn(), x0, icfg, energy_fn=energy_fn)
 
 
-def cmd_simulate(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    graph, hypergraph = _load_structure(args, cfg)
+# Each command computes from (args, cfg, graph, hypergraph) and returns the files
+# it would write, {name: (writer, *payload)}, and its stdout text; `_run` publishes.
+
+
+def cmd_simulate(args, cfg, graph, hypergraph):
     spec = DynamicSpec.from_json(cfg, structure=hypergraph if hypergraph is not None else graph)
-    x0 = _initial_state(spec, cfg, args.seed)
-    out = _out_dir(args)
-    _write_manifest(out, "simulate", args, cfg)
-    traj = _run_dynamic(spec, cfg, x0)
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_state_csv(out / "final_state.csv", traj.final_state)
+    traj = _run_dynamic(spec, cfg, _initial_state(spec, cfg, args.seed))
+    files = {"trajectory.csv": (write_trajectory_csv, traj),
+             "final_state.csv": (write_state_csv, traj.final_state)}
     if traj.energies is not None:
-        write_energy_csv(out / "energy.csv", traj.times, traj.energies, column="t")
-    log.info("simulate wrote %d states to %s", len(traj), out)
-    print(str(out))
-    return 0
+        files["energy.csv"] = (write_energy_csv, traj.times, traj.energies, "t")
+    log.info("simulate recorded %d states", len(traj))
+    return files, str(Path(args.out))
 
 
-def cmd_energy(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    graph, hypergraph = _load_structure(args, cfg)
+def cmd_energy(args, cfg, graph, hypergraph):
     structure = hypergraph if hypergraph is not None else graph
     if structure is None:
         raise ValueError("energy needs --graph or --hypergraph")
@@ -226,16 +232,13 @@ def cmd_energy(args):
         spec = DynamicSpec.from_json(merged, structure=structure)
         arms.append((str(merged.get("name", f"run{i}")), spec, merged,
                      _initial_state(spec, merged, args.seed)))
-    out = _out_dir(args)
-    _write_manifest(out, "energy", args, cfg)
-    summary = {}
-    outputs = []
+    files, summary, outputs = {}, {}, []
+    # One arm is built and run at a time, after every arm's input checks.
     for name, spec, merged, x0 in arms:
-        traj = _run_dynamic(spec, merged, x0)
-        series = EnergySeries.from_trajectory(traj)
+        series = EnergySeries.from_trajectory(_run_dynamic(spec, merged, x0))
         fname = f"energy_{name}.csv"
         column = "step" if spec.is_discrete else "t"
-        write_energy_csv(out / fname, series.steps, series.energy, column=column)
+        files[fname] = (write_energy_csv, series.steps, series.energy, column)
         report = detect_oversmoothing(series)
         e0, e1 = float(series.energy[0]), float(series.energy[-1])
         summary[name] = {
@@ -245,14 +248,11 @@ def cmd_energy(args):
             "file": fname,
         }
         outputs.append(fname)
-    write_json(out / "summary.json", {"runs": summary, "outputs": outputs})
-    print(str(out))
-    return 0
+    files["summary.json"] = (write_json, {"runs": summary, "outputs": outputs})
+    return files, str(Path(args.out))
 
 
-def cmd_simplify(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    graph, _ = _load_structure(args, cfg)
+def cmd_simplify(args, cfg, graph, hypergraph):
     if graph is None:
         raise ValueError("simplify needs --graph")
     influence = InfluenceConfig.from_json(cfg) if "eps1" in cfg else InfluenceConfig(0.0, 1.0)
@@ -264,19 +264,14 @@ def cmd_simplify(args):
         source=str(cfg.get("source", "dynamic-final")),
         feature_dim=int(cfg.get("dim", 20)),
     )
-    out = _out_dir(args)
-    _write_manifest(out, "simplify", args, cfg)
     simplified, report = simplify_network(graph, simplify_cfg, seed=args.seed)
-    write_graph_csv(out / "simplified.csv", simplified)
-    write_json(out / "report.json", report.to_json())
     log.info("simplify kept %d of %d edges", report.edges_after, report.edges_before)
-    print(str(out))
-    return 0
+    files = {"simplified.csv": (write_graph_csv, simplified),
+             "report.json": (write_json, report.to_json())}
+    return files, str(Path(args.out))
 
 
-def cmd_classify(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    graph, _ = _load_structure(args, cfg)
+def cmd_classify(args, cfg, graph, hypergraph):
     if graph is None or not args.labels:
         raise ValueError("classify needs --graph and --labels")
     labels = read_labels_csv(args.labels, node_count=graph.node_count)
@@ -288,94 +283,86 @@ def cmd_classify(args):
     )
     influence = InfluenceConfig.from_json(cfg)
     icfg = IntegratorConfig.from_json(cfg)
-    out = _out_dir(args)
-    _write_manifest(out, "classify", args, cfg)
     result = propagate_labels(graph, labels, influence, icfg)
     predicted = NodeLabels(result.predictions, labels.class_count)
-    write_labels_csv(out / "predictions.csv", predicted)
-    write_json(out / "accuracy.json", result.accuracy)
-    print(json.dumps(result.accuracy, sort_keys=True))
-    return 0
+    files = {"predictions.csv": (write_labels_csv, predicted),
+             "accuracy.json": (write_json, result.accuracy)}
+    return files, json.dumps(result.accuracy, sort_keys=True)
 
 
-def cmd_homophily(args):
-    cfg = _merge_flags(_load_config(args.config), args)
-    graph, _ = _load_structure(args, cfg)
+def cmd_homophily(args, cfg, graph, hypergraph):
     if graph is None or not args.labels:
         raise ValueError("homophily needs --graph and --labels")
     labels = read_labels_csv(args.labels, node_count=graph.node_count)
     value = homophily_level(graph, labels)
+    return {"homophily.json": (write_json, {"homophily": value})}, repr(value)
+
+
+def _run(args):
+    """Load the inputs once, compute, and only then publish `--out` (if given)."""
+    cfg = _merge_flags(_load_config(args.config), args)
+    graph, hypergraph = _load_structure(args, cfg)
+    files, text = args.compute(args, cfg, graph, hypergraph)
     if args.out:
-        out = _out_dir(args)
-        _write_manifest(out, "homophily", args, cfg)
-        write_json(out / "homophily.json", {"homophily": value})
-    print(repr(value))
+        _publish(Path(args.out), {"manifest.json": (write_json, _manifest(args, cfg)), **files})
+    print(text)
     return 0
 
 
-def _sweep_worker(payload):
-    """Run one sweep member in a worker process."""
-    (argv, run_dir) = payload
-    code = main(argv)
-    return str(run_dir), code
-
-
 def cmd_sweep(args):
+    """Fan `simulate` out over one parameter.
+
+    The runs write into `--out`, so it publishes the manifest and their
+    configs before they run, and index.json after.
+    """
     cfg = _load_config(args.config)
-    base = dict(cfg.get("base", {}))
-    sweep = cfg.get("sweep")
-    if not sweep or "param" not in sweep or "values" not in sweep:
-        raise ValueError("sweep config needs {'base': ..., 'sweep': {'param':, 'values':}}")
-    param, values = str(sweep["param"]), list(sweep["values"])
-    out = _out_dir(args)
-    _write_manifest(out, "sweep", args, cfg)
+    base, sweep = cfg.get("base", {}), cfg.get("sweep")
+    if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
+            and isinstance(sweep.get("values"), list)):
+        raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}")
+    param, values = str(sweep["param"]), sweep["values"]
+    names = [f"run_{i:04d}" for i in range(len(values))]
+    out = Path(args.out)
+    configs = {f"{name}/config.json": (write_json, {**base, param: value})
+               for name, value in zip(names, values)}
+    _publish(out, {"manifest.json": (write_json, _manifest(args, cfg)), **configs})
     jobs = []
-    for i, value in enumerate(values):
-        run_cfg = dict(base)
-        run_cfg[param] = value
-        run_dir = out / f"run_{i:04d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        cfg_path = run_dir / "config.json"
-        write_json(cfg_path, run_cfg)
-        argv = ["simulate", "--config", str(cfg_path), "--seed", str(args.seed),
-                "--out", str(run_dir)]
+    for name in names:
+        argv = ["simulate", "--config", str(out / name / "config.json"), "--seed", str(args.seed),
+                "--out", str(out / name)]
         if args.graph:
             argv += ["--graph", str(args.graph)]
         if args.hypergraph:
             argv += ["--hypergraph", str(args.hypergraph)]
-        jobs.append((argv, run_dir))
+        jobs.append(argv)
 
-    results = []
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            codes = list(pool.map(main, jobs))
     else:
-        results = [_sweep_worker(j) for j in jobs]
+        codes = [main(argv) for argv in jobs]
     index = {
         "param": param,
-        "runs": [
-            {"dir": Path(d).name, "value": values[i], "exit_code": code}
-            for i, (d, code) in enumerate(results)
-        ],
+        "runs": [{"dir": name, "value": value, "exit_code": code}
+                 for name, value, code in zip(names, values, codes)],
     }
-    write_json(out / "index.json", index)
-    worst = max((code for _, code in results), default=0)
+    _publish(out, {"index.json": (write_json, index)})
     print(str(out))
-    return worst
+    return max(codes, default=0)
 
 
-def _add_common(p, *, out_required=True):
-    p.add_argument("--graph", help="edge list CSV (src,dst,weight)")
-    p.add_argument("--hypergraph", help="membership CSV (node,hyperedge,weight)")
-    p.add_argument("--labels", help="label CSV (node,label)")
-    p.add_argument("--config", help="flat JSON config for the run")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--out", required=out_required, help="output directory")
-    p.add_argument("--scheme", choices=["euler", "rk4", "dopri5"], help="integrator override")
-    p.add_argument("--t-end", dest="t_end", type=float, help="horizon override")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size (sweep)")
+_FLAGS = {
+    "--graph": {"help": "edge list CSV (src,dst,weight)"},
+    "--hypergraph": {"help": "membership CSV (node,hyperedge,weight)"},
+    "--labels": {"help": "label CSV (node,label)"},
+    "--config": {"help": "flat JSON config for the run"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
+    "--scheme": {"choices": ["euler", "rk4", "dopri5"], "help": "integrator override"},
+    "--t-end": {"dest": "t_end", "type": float, "help": "horizon override"},
+    "--jobs": {"type": int, "default": 1, "help": "worker pool size"},
+}
 
 
 def build_parser():
@@ -385,18 +372,28 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"odyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    overrides = ("--scheme", "--t-end")
+    # Each subcommand registers only the flags it reads.
     specs = [
-        ("simulate", cmd_simulate, "run a dynamic spec, write trajectory and energy CSVs", True),
-        ("energy", cmd_energy, "sweep step counts, write an energy series per config", True),
-        ("simplify", cmd_simplify, "re-score and prune edges through the influence function", True),
-        ("classify", cmd_classify, "semi-supervised labels by anchored dynamics", True),
-        ("homophily", cmd_homophily, "report the homophily level of a labeled graph", False),
-        ("sweep", cmd_sweep, "fan out simulate runs over a parameter grid", True),
+        ("simulate", cmd_simulate, "run a dynamic spec, write trajectory and energy CSVs",
+         ("--hypergraph", *overrides)),
+        ("energy", cmd_energy, "sweep step counts, write an energy series per config",
+         ("--hypergraph", *overrides)),
+        ("simplify", cmd_simplify, "re-score and prune edges through the influence function",
+         overrides),
+        ("classify", cmd_classify, "semi-supervised labels by anchored dynamics",
+         ("--labels", *overrides)),
+        ("homophily", cmd_homophily, "report the homophily level of a labeled graph",
+         ("--labels",)),
+        ("sweep", cmd_sweep, "fan out simulate runs over a parameter grid",
+         ("--hypergraph", "--jobs")),
     ]
-    for name, fn, help_text, out_required in specs:
+    for name, fn, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, out_required=out_required)
-        p.set_defaults(fn=fn)
+        for flag in ("--graph", "--config", "--seed", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--out", required=name != "homophily", help="output directory")
+        p.set_defaults(compute=fn)
     return parser
 
 
@@ -405,7 +402,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return cmd_sweep(args) if args.command == "sweep" else _run(args)
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -289,6 +289,14 @@ def _index_column(values):
         return np.array([v if -(1 << 63) <= v < 1 << 63 else -1 for v in values], dtype=np.int64)
 
 
+def _index(value):
+    """int(value); an infinite index reads -1, out of range, as one beyond 64 bits does."""
+    try:
+        return int(value)
+    except OverflowError:
+        return -1
+
+
 def _triples(rows):
     """(index, index, weight) rows as int64, int64 and float64 columns.
 
@@ -302,8 +310,8 @@ def _triples(rows):
         # allocating the tuples costs about twice the parsing itself.
         a, b, w = [], [], []
         for s, d, x in rows:
-            a.append(int(s))
-            b.append(int(d))
+            a.append(_index(s))
+            b.append(_index(d))
             w.append(float(x))
     return _index_column(a), _index_column(b), np.asarray(w, dtype=np.float64)
 

@@ -189,6 +189,26 @@ def test_index_beyond_64_bits_is_out_of_range():
             assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_infinite_index_is_out_of_range(inf):
+    # An infinite index raises what an out-of-range index (-1) raises there,
+    # as it already did through from_arrays.
+    calls = [
+        lambda i: WeightedGraph(3, [(i, 0, 1.0)]),
+        lambda i: WeightedGraph(3, [(0, i, 1.0)]),
+        lambda i: WeightedGraph.from_arrays(3, [i], [0], [1.0]),
+        lambda i: Hypergraph(3, [(0, i, 1.0)]),
+        lambda i: Hypergraph(3, [(0, i, 1.0)], edge_count=1),
+        lambda i: Hypergraph(3, [(i, 0, 1.0)]),
+    ]
+    for call in calls:
+        with pytest.raises((ValueError, EmptyGraph)) as expected:
+            call(-1)
+        with pytest.raises(type(expected.value)) as got:
+            call(inf)
+        assert str(got.value) == str(expected.value)
+
+
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 0.0, -1.0, math.nan, math.inf])
 

@@ -564,10 +564,12 @@ def test_fd_on_non_stochastic_graph_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "fd", "directed": True, "init": "uniform",
                         "steps": 3})
+    out = tmp_path / "run"
     code = run_cli("simulate", "--graph", g, "--config", cfg,
-                   "--out", tmp_path / "run")
+                   "--out", out)
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repulsive_blowup_exits_3(tmp_path, triangle_csv, capsys):
@@ -575,11 +577,74 @@ def test_repulsive_blowup_exits_3(tmp_path, triangle_csv, capsys):
                        {"kind": "odnet-discrete", "eps1": 0.6, "eps2": 0.9,
                         "nu": -50.0, "mode": "attract-repulse",
                         "init": "uniform", "steps": 400})
+    out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
-                       "--out", tmp_path / "run")
+                       "--out", out)
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Node 0 is in both hyperedges, so the hgnn kernel's rows do not sum to one.
+IRREGULAR_HYPERGRAPH = "node,hyperedge,weight\n0,0,1.0\n1,0,1.0\n0,1,1.0\n2,1,1.0\n"
+HGNN_ARM = {"name": "hgnn", "kind": "hypergraph-diffusion", "kernel": "hgnn"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy"])
+def test_unnormalised_hgnn_kernel_exits_3_without_out(tmp_path, capsys, command):
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", dict(HGNN_ARM, t_end=1.0, init="unit", dim=2))
+    out = tmp_path / "run"
+    assert run_cli(command, "--hypergraph", h, "--config", cfg, "--out", out) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_failing_second_arm_leaves_no_out(tmp_path, capsys):
+    # The uniform arm runs to completion; the hgnn arm then fails, and the
+    # first arm's outputs must not be published either.
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "scheme": "rk4", "h": 0.1, "t_end": 1.0, "init": "unit", "dim": 2,
+        "runs": [{"name": "uniform", "kind": "hypergraph-diffusion", "kernel": "uniform"},
+                 HGNN_ARM],
+    })
+    out = tmp_path / "runs"
+    assert run_cli("energy", "--hypergraph", h, "--config", cfg, "--out", out) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("simulate", {"kind": "odnet-continuous", "eps1": 0, "eps2": 1, "t_end": {}}),
+    ("simulate", {"kind": "fd", "steps": [1]}),
+    ("simulate", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "dim": None}),
+    ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": [{"steps": [1]}]}),
+    ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": 5}),
+    ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": "steps", "values": 5}}),
+])
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, triangle_csv, capsys, command, obj):
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((c, "--jobs") for c in ("simulate", "energy", "simplify", "classify", "homophily")),
+    *((c, "--labels") for c in ("simulate", "energy", "simplify", "sweep")),
+    *((c, "--hypergraph") for c in ("simplify", "classify", "homophily")),
+    *((c, f) for c in ("homophily", "sweep") for f in ("--scheme", "--t-end")),
+])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    value = "rk4" if flag == "--scheme" else "1"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, flag, value, "--out", tmp_path / "run")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_energy_command_flags_contracting_arm(tmp_path, triangle_csv, capsys):
