@@ -94,28 +94,36 @@ def _setup_logging():
 
 
 def _load_config(path):
-    """The JSON config object, its value types checked.
-
-    Every value is a string, number or boolean, except `runs` (a list of
-    objects whose values follow the same rule) and sweep's `base` and `sweep`.
-    """
+    """The JSON config object of a run; _check_config checks its values."""
     if path is None:
         return {}
     with Path(path).open("r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config JSON must be an object")
-    runs = obj.get("runs", [])
+    return obj
+
+
+def _check_config(cfg):
+    """cfg, once every value is a string, a finite number or a boolean.
+
+    `runs` is a list of objects whose values follow the same rule; sweep's
+    `base` and `sweep` are checked in each run they fan out to.
+    """
+    runs = cfg.get("runs", [])
     if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
         raise ValueError("config key 'runs' must be a list of objects")
-    values = [(key, v) for key, v in obj.items() if key not in ("runs", "base", "sweep")]
+    values = [(key, v) for key, v in cfg.items() if key not in ("runs", "base", "sweep")]
     for i, run in enumerate(runs):
         values += [(f"runs[{i}].{key}", v) for key, v in run.items()]
     for key, value in values:
         if not isinstance(value, (str, int, float)):  # bool is an int
             got = {dict: "an object", list: "an array"}.get(type(value), "null")
             raise ValueError(f"config key {key!r} must be a string, number or boolean, not {got}")
-    return obj
+        # Refuses NaN, +-inf and integers beyond the float range alike.
+        if not isinstance(value, str) and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    return cfg
 
 
 def _merge_flags(cfg, args):
@@ -300,7 +308,7 @@ def cmd_homophily(args, cfg, graph, hypergraph):
 
 def _run(args):
     """Load the inputs once, compute, and only then publish `--out` (if given)."""
-    cfg = _merge_flags(_load_config(args.config), args)
+    cfg = _check_config(_merge_flags(_load_config(args.config), args))
     graph, hypergraph = _load_structure(args, cfg)
     files, text = args.compute(args, cfg, graph, hypergraph)
     if args.out:
@@ -315,7 +323,7 @@ def cmd_sweep(args):
     The runs write into `--out`, so it publishes the manifest and their
     configs before they run, and index.json after.
     """
-    cfg = _load_config(args.config)
+    cfg = _check_config(_load_config(args.config))
     base, sweep = cfg.get("base", {}), cfg.get("sweep")
     if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
             and isinstance(sweep.get("values"), list)):

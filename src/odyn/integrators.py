@@ -8,6 +8,7 @@ autonomous map state -> state. Error control uses the max norm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        for name in ("h", "rtol", "atol", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.h <= 0.0:
             raise ValueError("step size h must be positive")
         if self.rtol <= 0.0 or self.atol <= 0.0:
@@ -155,17 +159,16 @@ def _error_norm(err, x, rtol, atol):
 def _initial_step(f, x0, cfg):
     """Curvature-based starting step, capped at t_end / 100."""
     cap = cfg.t_end / 100.0
-    scale = cfg.atol + cfg.rtol * np.abs(x0)
     f0 = f(x0)
-    d0 = float(np.max(np.abs(x0) / scale)) if x0.size else 0.0
-    d1 = float(np.max(np.abs(f0) / scale)) if x0.size else 0.0
+    d0 = _error_norm(x0, x0, cfg.rtol, cfg.atol)
+    d1 = _error_norm(f0, x0, cfg.rtol, cfg.atol)
     if d0 < 1e-5 or d1 < 1e-5:
         h_a = 1e-6
     else:
         h_a = 0.01 * d0 / d1
     x1 = x0 + h_a * f0
     f1 = f(x1)
-    d2 = float(np.max(np.abs(f1 - f0) / scale)) / h_a
+    d2 = _error_norm(f1 - f0, x0, cfg.rtol, cfg.atol) / h_a
     if max(d1, d2) <= 1e-15:
         h_b = max(1e-6, h_a * 1e-3)
     else:
@@ -173,9 +176,58 @@ def _initial_step(f, x0, cfg):
     return min(cap, h_b)
 
 
-def _check_finite(x, t):
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(f"state left the finite range after t = {t:.6g}", last_time=t)
+def _check_finite(t, *arrays):
+    """Raise unless every array is finite.
+
+    t is the start time of the step that produced the arrays, or None for
+    the initial state.
+    """
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
+    if t is None:
+        raise ValueError("initial state must be finite")
+    raise NonFiniteState(f"state left the finite range after t = {t:.6g}", last_time=t)
+
+
+class _Recorder:
+    """The one accept-and-record path of integrate() and iterate_map().
+
+    start() records the initial state; accept() checks a step's result,
+    applies post_step and records it; finish() builds the Trajectory. Every
+    recorded state is a copy, with its energy when energy_fn is given.
+    """
+
+    def __init__(self, energy_fn, post_step):
+        self.energy_fn = energy_fn
+        self.post_step = post_step
+        self.times = []
+        self.states = []
+        self.energies = [] if energy_fn else None
+
+    def _record(self, t, x):
+        self.times.append(t)
+        self.states.append(x.copy())
+        if self.energy_fn:
+            self.energies.append(self.energy_fn(x))
+        return x
+
+    def start(self, x0):
+        """Record x0 at t = 0 and return it as the first step's start state."""
+        x = np.array(x0, dtype=np.float64)
+        _check_finite(None, x)
+        return self._record(0.0, x)
+
+    def accept(self, t_start, t, x):
+        """Record x, reached at t by a step from t_start; return the next start state."""
+        _check_finite(t_start, x)
+        if self.post_step is not None:
+            x = np.array(self.post_step(x), dtype=np.float64)
+        return self._record(t, x)
+
+    def finish(self, **meta):
+        energies = np.array(self.energies) if self.energies is not None else None
+        return Trajectory(times=np.array(self.times), states=self.states, energies=energies,
+                          meta=meta)
 
 
 def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
@@ -191,81 +243,53 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     NonFiniteState when the state blows up; the message carries the last
     finite time.
     """
-    x = np.array(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial state must be finite")
-    times = [0.0]
-    states = [x.copy()]
-    energies = [energy_fn(x)] if energy_fn else None
-    err_norms = []
-
-    def record(t, x):
-        times.append(t)
-        states.append(x.copy())
-        if energy_fn:
-            energies.append(energy_fn(x))
-
+    rec = _Recorder(energy_fn, post_step)
+    x = rec.start(x0)
+    t = 0.0
     if cfg.scheme in ("euler", "rk4"):
         step = euler_step if cfg.scheme == "euler" else rk4_step
-        n_full = int(np.floor(cfg.t_end / cfg.h + 1e-12))
+        # Counted in floats: a huge t_end / h must meet max_steps, not int().
+        n_full = float(np.floor(cfg.t_end / cfg.h + 1e-12))
         remainder = cfg.t_end - n_full * cfg.h
         if remainder < 1e-12 * cfg.t_end:
             remainder = 0.0
         n_total = n_full + (1 if remainder else 0)
         if n_total > cfg.max_steps:
-            raise StepLimitExceeded(f"{n_total} fixed steps exceed max_steps = {cfg.max_steps}")
-        t = 0.0
+            raise StepLimitExceeded(f"{n_total:.0f} fixed steps exceed max_steps = {cfg.max_steps}")
+        n_full, n_total = int(n_full), int(n_total)
         for k in range(n_total):
             h = cfg.h if k < n_full else remainder
-            x_new = step(rhs, x, h)
-            _check_finite(x_new, t)
-            t = cfg.t_end if k == n_total - 1 else t + h
-            if post_step is not None:
-                x_new = np.array(post_step(x_new), dtype=np.float64)
-            x = x_new
-            record(t, x)
-    else:
-        t = 0.0
-        h = _initial_step(rhs, x, cfg)
-        k1 = None
-        attempts = 0
-        while t < cfg.t_end - 1e-12 * cfg.t_end:
-            h = min(h, cfg.t_end - t)
-            attempts += 1
-            if attempts > cfg.max_steps:
-                raise StepLimitExceeded(
-                    f"dopri5 exceeded max_steps = {cfg.max_steps} at t = {t:.6g}"
-                )
-            x_new, err, k_last = dopri5_step(rhs, x, h, k1=k1)
-            if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(err)):
-                raise NonFiniteState(
-                    f"state left the finite range after t = {t:.6g}", last_time=t
-                )
-            norm = _error_norm(err, x, cfg.rtol, cfg.atol)
-            if norm <= 1.0:
-                t = t + h
-                if post_step is not None:
-                    x_new = np.array(post_step(x_new), dtype=np.float64)
-                    k1 = None
-                else:
-                    k1 = k_last
-                x = x_new
-                record(t, x)
-                err_norms.append(norm)
-                factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
-            else:
-                k1 = None
-                factor = SAFETY * norm ** -0.2
-            h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
+            t_next = cfg.t_end if k == n_total - 1 else t + h
+            x = rec.accept(t, t_next, step(rhs, x, h))
+            t = t_next
+        return rec.finish()
 
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        energies=np.array(energies) if energies is not None else None,
-    )
-    if cfg.scheme == "dopri5":
-        traj.meta["error_norms"] = np.array(err_norms)
-    return traj
+    h = _initial_step(rhs, x, cfg)
+    k1 = None
+    attempts = 0
+    err_norms = []
+    while t < cfg.t_end - 1e-12 * cfg.t_end:
+        h = min(h, cfg.t_end - t)
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise StepLimitExceeded(
+                f"dopri5 exceeded max_steps = {cfg.max_steps} at t = {t:.6g}"
+            )
+        x_new, err, k_last = dopri5_step(rhs, x, h, k1=k1)
+        # Every attempt, a rejected one too, stops the run when it blows up.
+        _check_finite(t, x_new, err)
+        norm = _error_norm(err, x, cfg.rtol, cfg.atol)
+        if norm <= 1.0:
+            x = rec.accept(t, t + h, x_new)
+            t = t + h
+            k1 = k_last if post_step is None else None
+            err_norms.append(norm)
+            factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
+        else:
+            k1 = None
+            factor = SAFETY * norm ** -0.2
+        h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
+    return rec.finish(error_norms=np.array(err_norms))
 
 
 def iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):
@@ -275,23 +299,8 @@ def iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    x = np.array(x0, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial state must be finite")
-    times = [0.0]
-    states = [x.copy()]
-    energies = [energy_fn(x)] if energy_fn else None
+    rec = _Recorder(energy_fn, post_step)
+    x = rec.start(x0)
     for k in range(int(n_steps)):
-        x = np.asarray(step_fn(x), dtype=np.float64)
-        _check_finite(x, float(k))
-        if post_step is not None:
-            x = np.array(post_step(x), dtype=np.float64)
-        times.append(float(k + 1))
-        states.append(x.copy())
-        if energy_fn:
-            energies.append(energy_fn(x))
-    return Trajectory(
-        times=np.array(times),
-        states=states,
-        energies=np.array(energies) if energies is not None else None,
-    )
+        x = rec.accept(float(k), float(k + 1), np.asarray(step_fn(x), dtype=np.float64))
+    return rec.finish()

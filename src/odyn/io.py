@@ -72,27 +72,36 @@ def _records(path, fh):
         raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}", line=reader.line_num) from exc
 
 
-def _read_rows(path, header, types):
-    """Parse a CSV with an exact expected header; errors carry line numbers."""
+def _read_rows(path, header, types=None):
+    """Parse a CSV into tuples of typed fields; errors carry line numbers.
+
+    With a header, the first row must match it exactly and `types` gives
+    each field's parser. With header=None there is no header row: the first
+    row fixes the width, and every field is a float.
+    """
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = _records(path, fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}", line=1)
-        if [c.strip() for c in got] != header:
-            raise CsvFormatError(
-                f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(got)!r}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
+        if header is not None:
+            try:
+                got = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file, expected header {','.join(header)}", line=1)
+            if [c.strip() for c in got] != header:
+                raise CsvFormatError(
+                    f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(got)!r}",
+                    line=1,
+                )
+        width = None if header is None else len(header)
+        for lineno, row in enumerate(reader, start=1 if header is None else 2):
             if not row:
                 continue
-            if len(row) != len(header):
+            if width is None:
+                width, types = len(row), [float] * len(row)
+            if len(row) != width:
                 raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}",
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}",
                     line=lineno,
                 )
             try:
@@ -198,26 +207,9 @@ def write_labels_csv(path, labels):
 
 def read_state_csv(path):
     """Load a plain numeric CSV matrix (one row per node, no header)."""
-    path = Path(path)
-    rows = []
-    width = None
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(_records(path, fh), start=1):
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}",
-                    line=lineno,
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {lineno}: {exc}", line=lineno) from exc
+    rows = _read_rows(path, None)
     if not rows:
-        raise CsvFormatError(f"{path}: empty state matrix", line=1)
+        raise CsvFormatError(f"{Path(path)}: empty state matrix", line=1)
     return np.array(rows)
 
 

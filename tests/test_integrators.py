@@ -4,8 +4,12 @@ Convergence orders are measured against x' = -x whose flow is known in
 closed form, so every expected value below is independent arithmetic.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odyn import (
     IntegratorConfig,
@@ -17,6 +21,7 @@ from odyn import (
     iterate_map,
     rk4_step,
 )
+from odyn.integrators import FACTOR_MAX, FACTOR_MIN, SAFETY, _error_norm
 
 
 def decay(x):
@@ -48,6 +53,13 @@ def test_config_validation():
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("name", ["h", "rtol", "atol", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        IntegratorConfig(**{name: value})
 
 
 def test_config_json_round_trip():
@@ -116,6 +128,13 @@ def test_step_limit_enforced_upfront_for_fixed_steps():
         integrate(decay, np.array([1.0]), cfg)
 
 
+def test_fixed_step_count_beyond_any_integer_meets_the_step_limit():
+    # t_end / h overflows to inf; the count is refused before int() sees it.
+    cfg = IntegratorConfig(scheme="rk4", h=1e-10, t_end=1e300)
+    with pytest.raises(StepLimitExceeded, match="inf fixed steps exceed max_steps = 100000"):
+        integrate(decay, np.array([1.0]), cfg)
+
+
 # --------------------------------------------------------------- dopri5
 
 
@@ -166,6 +185,15 @@ def test_dopri5_step_function_error_estimate():
     assert x5[0] == pytest.approx(np.exp(-0.1), abs=1e-9)
     assert abs(err[0]) < 1e-8
     assert k7[0] == pytest.approx(-x5[0], abs=1e-12)  # last stage at the new point
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_dopri5_runs_an_empty_state(shape):
+    # Like euler and rk4: the scaled max norm of an empty array is 0.
+    traj = integrate(decay, np.zeros(shape), IntegratorConfig())
+    assert traj.times[-1] == 1.0
+    assert all(state.shape == shape for state in traj.states)
+    assert traj.meta["error_norms"].tolist() == [0.0] * (len(traj) - 1)
 
 
 def test_dopri5_step_budget():
@@ -270,3 +298,214 @@ def test_integration_is_deterministic():
     b = integrate(oscillator, np.array([1.0, 0.0]), cfg)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.final_state, b.final_state)
+
+
+# ---------------------------------------------------------------- oracles
+# The per-loop recording each run used before the shared recorder: every
+# loop checked, clamped, copied, scored and packed its states itself. The
+# recorder must give the same bits and the same failures.
+
+
+def oracle_initial_step(f, x0, cfg):
+    cap = cfg.t_end / 100.0
+    scale = cfg.atol + cfg.rtol * np.abs(x0)
+    f0 = f(x0)
+    d0 = float(np.max(np.abs(x0) / scale)) if x0.size else 0.0
+    d1 = float(np.max(np.abs(f0) / scale)) if x0.size else 0.0
+    if d0 < 1e-5 or d1 < 1e-5:
+        h_a = 1e-6
+    else:
+        h_a = 0.01 * d0 / d1
+    x1 = x0 + h_a * f0
+    f1 = f(x1)
+    d2 = float(np.max(np.abs(f1 - f0) / scale)) / h_a
+    if max(d1, d2) <= 1e-15:
+        h_b = max(1e-6, h_a * 1e-3)
+    else:
+        h_b = (0.01 / max(d1, d2)) ** 0.2
+    return min(cap, h_b)
+
+
+def oracle_check_finite(x, t):
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState(f"state left the finite range after t = {t:.6g}", last_time=t)
+
+
+def oracle_integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
+    x = np.array(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
+    times = [0.0]
+    states = [x.copy()]
+    energies = [energy_fn(x)] if energy_fn else None
+    err_norms = []
+
+    def record(t, x):
+        times.append(t)
+        states.append(x.copy())
+        if energy_fn:
+            energies.append(energy_fn(x))
+
+    if cfg.scheme in ("euler", "rk4"):
+        step = euler_step if cfg.scheme == "euler" else rk4_step
+        n_full = int(np.floor(cfg.t_end / cfg.h + 1e-12))
+        remainder = cfg.t_end - n_full * cfg.h
+        if remainder < 1e-12 * cfg.t_end:
+            remainder = 0.0
+        n_total = n_full + (1 if remainder else 0)
+        if n_total > cfg.max_steps:
+            raise StepLimitExceeded(f"{n_total} fixed steps exceed max_steps = {cfg.max_steps}")
+        t = 0.0
+        for k in range(n_total):
+            h = cfg.h if k < n_full else remainder
+            x_new = step(rhs, x, h)
+            oracle_check_finite(x_new, t)
+            t = cfg.t_end if k == n_total - 1 else t + h
+            if post_step is not None:
+                x_new = np.array(post_step(x_new), dtype=np.float64)
+            x = x_new
+            record(t, x)
+    else:
+        t = 0.0
+        h = oracle_initial_step(rhs, x, cfg)
+        k1 = None
+        attempts = 0
+        while t < cfg.t_end - 1e-12 * cfg.t_end:
+            h = min(h, cfg.t_end - t)
+            attempts += 1
+            if attempts > cfg.max_steps:
+                raise StepLimitExceeded(
+                    f"dopri5 exceeded max_steps = {cfg.max_steps} at t = {t:.6g}"
+                )
+            x_new, err, k_last = dopri5_step(rhs, x, h, k1=k1)
+            if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(err)):
+                raise NonFiniteState(
+                    f"state left the finite range after t = {t:.6g}", last_time=t
+                )
+            norm = _error_norm(err, x, cfg.rtol, cfg.atol)
+            if norm <= 1.0:
+                t = t + h
+                if post_step is not None:
+                    x_new = np.array(post_step(x_new), dtype=np.float64)
+                    k1 = None
+                else:
+                    k1 = k_last
+                x = x_new
+                record(t, x)
+                err_norms.append(norm)
+                factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
+            else:
+                k1 = None
+                factor = SAFETY * norm ** -0.2
+            h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
+
+    traj_meta = {"error_norms": np.array(err_norms)} if cfg.scheme == "dopri5" else {}
+    return (np.array(times), states,
+            np.array(energies) if energies is not None else None, traj_meta)
+
+
+def oracle_iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    x = np.array(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
+    times = [0.0]
+    states = [x.copy()]
+    energies = [energy_fn(x)] if energy_fn else None
+    for k in range(int(n_steps)):
+        x = np.asarray(step_fn(x), dtype=np.float64)
+        oracle_check_finite(x, float(k))
+        if post_step is not None:
+            x = np.array(post_step(x), dtype=np.float64)
+        times.append(float(k + 1))
+        states.append(x.copy())
+        if energy_fn:
+            energies.append(energy_fn(x))
+    return (np.array(times), states,
+            np.array(energies) if energies is not None else None, {})
+
+
+def outcome(run):
+    """(times, states, energies, meta) of a run, or its exception's signature."""
+    try:
+        with np.errstate(all="ignore"):
+            result = run()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), getattr(exc, "last_time", None)
+    if not isinstance(result, tuple):
+        result = (result.times, result.states, result.energies, result.meta)
+    return result
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def recorded_runs(draw):
+    """A scheme or "map", its grid, a state, an rhs and the recording hooks."""
+    scheme = draw(st.sampled_from(["euler", "rk4", "dopri5", "map"]))
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(n,), (n, draw(st.integers(1, 3)))]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-2.0, 2.0, shape)
+    blowup = draw(st.sampled_from([None, "square", "explode"]))
+    if blowup == "square":
+        # x' = x^2 (or the map x -> 3 x^2) leaves the float range in finite time
+        rate = draw(st.floats(0.5, 4.0))
+        x0 = np.abs(x0) + 0.5
+        rhs = (lambda x: rate * x * x) if scheme != "map" else (lambda x: 3.0 * rate * x * x)
+    elif blowup == "explode":
+        # a growth rate so large that a stage overflows before the step is judged
+        rhs = lambda x: 1e150 * x  # noqa: E731
+    else:
+        a = rng.uniform(-1.0, 1.0, (n, n)) - 2.0 * np.eye(n)
+        rhs = (lambda x: a @ x) if scheme != "map" else (lambda x: 0.3 * (a @ x))
+    energy_fn = draw(st.sampled_from([None, lambda x: float(np.sum(x * x))]))
+    post_step = None
+    if draw(st.booleans()):
+        anchor = x0[0].copy()
+
+        def post_step(x):
+            y = x.copy()
+            y[0] = anchor
+            return y
+
+    if scheme == "map":
+        return scheme, (rhs, x0, draw(st.integers(0, 40)), energy_fn, post_step)
+    h = draw(st.floats(0.01, 0.5))
+    steps = draw(st.integers(1, 60))
+    # On the grid, half a step off it, or anywhere in between.
+    frac = draw(st.sampled_from([0.0, 0.5, draw(st.floats(0.0, 1.0))]))
+    cfg = IntegratorConfig(scheme=scheme, h=h, t_end=h * (steps + frac),
+                           rtol=draw(st.sampled_from([1e-3, 1e-6])),
+                           atol=draw(st.sampled_from([1e-6, 1e-9])),
+                           max_steps=draw(st.integers(1, 200)))
+    return scheme, (rhs, x0, cfg, energy_fn, post_step)
+
+
+@given(recorded_runs())
+@settings(max_examples=300, deadline=None)
+def test_recorder_matches_per_loop_oracle(run):
+    scheme, args = run
+    new, old = (iterate_map, oracle_iterate_map) if scheme == "map" else (integrate, oracle_integrate)
+    got, want = outcome(lambda: new(*args)), outcome(lambda: old(*args))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    times, states, energies, meta = got
+    assert_bits_equal(times, want[0])
+    assert len(states) == len(want[1])
+    for a, b in zip(states, want[1]):
+        assert_bits_equal(a, b)
+    assert (energies is None) == (want[2] is None)
+    if energies is not None:
+        assert_bits_equal(energies, want[2])
+    assert meta.keys() == want[3].keys()
+    for key in meta:
+        assert_bits_equal(meta[key], want[3][key])

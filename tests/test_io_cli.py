@@ -342,6 +342,65 @@ def test_labels_reader_matches_row_loop(tmp_path, rows, node_count):
     assert read_labels_csv(path, node_count=node_count).labels.tolist() == expected.tolist()
 
 
+def state_reader_oracle(path):
+    """The row loop read_state_csv had of its own: the first row fixes the width."""
+    path = Path(path)
+    rows = []
+    width = None
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(odyn_io._records(path, fh), start=1):
+            if not row:
+                continue
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}",
+                    line=lineno,
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}: line {lineno}: {exc}", line=lineno) from exc
+    if not rows:
+        raise CsvFormatError(f"{path}: empty state matrix", line=1)
+    return np.array(rows)
+
+
+@st.composite
+def state_csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["row", "row", "row", "short", "long", "blank", "spaces"]))
+        if shape == "blank":
+            lines.append("")
+        elif shape == "spaces":
+            lines.append(" " * draw(st.integers(1, 3)))
+        else:
+            n = width + {"row": 0, "short": -1, "long": 1}[shape]
+            lines.append(",".join(draw(_field(np.float64)) for _ in range(n)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_state_reader_matches_row_loop(tmp_path, data):
+    path = tmp_path / "x.csv"
+    path.write_bytes(data.draw(state_csv_texts()).encode("utf-8"))
+    try:
+        expected = state_reader_oracle(path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as got:
+            read_state_csv(path)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    got = read_state_csv(path)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_readers_construct_through_module_names(tmp_path, monkeypatch):
     # perfbench's traced run rebinds these two names to time the builds.
     calls = []
@@ -630,6 +689,58 @@ def test_config_value_of_wrong_json_type_exits_2(tmp_path, triangle_csv, capsys,
     assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+DISCRETE = '"kind": "odnet-discrete", "eps1": 0, "eps2": 1'
+CONTINUOUS = '"kind": "odnet-continuous", "eps1": 0, "eps2": 1'
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", f'{{{DISCRETE}, "steps": 1e400}}', "steps"),
+    ("simulate", f'{{{DISCRETE}, "steps": Infinity}}', "steps"),
+    ("simulate", f'{{{DISCRETE}, "dim": 1e400}}', "dim"),
+    ("simulate", f'{{{DISCRETE}, "t_end": -Infinity}}', "t_end"),
+    ("simulate", f'{{{CONTINUOUS}, "scheme": "rk4", "t_end": 1e400}}', "t_end"),
+    ("simulate", f'{{{CONTINUOUS}, "scheme": "euler", "t_end": Infinity}}', "t_end"),
+    ("simulate", f'{{{CONTINUOUS}, "scheme": "rk4", "max_steps": 1e400}}', "max_steps"),
+    ("simulate", f'{{{CONTINUOUS}, "lambda": NaN}}', "lambda"),
+    ("energy", f'{{{DISCRETE}, "runs": [{{"name": "a"}}, {{"steps": Infinity}}]}}',
+     "runs[1].steps"),
+    ("simplify", '{"dim": 1e400}', "dim"),
+    ("classify", '{"eps1": 0, "eps2": 1, "max_steps": 1e400}', "max_steps"),
+], ids=["steps-1e400", "steps-inf", "dim", "discrete-t_end", "rk4-t_end", "euler-t_end",
+        "max_steps", "lambda-nan", "energy-runs", "simplify-dim", "classify-max_steps"])
+def test_config_number_must_be_finite(tmp_path, triangle_csv, capsys, command, text, key):
+    cfg = write_text(tmp_path / "cfg.json", text)
+    labels = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,1\n2,0\n")
+    out = tmp_path / "run"
+    extra = ("--labels", labels) if command == "classify" else ()
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert f"{key!r} must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, value", [("rk4", "inf"), ("dopri5", "nan"), ("dopri5", "inf")])
+def test_t_end_flag_must_be_finite(tmp_path, triangle_csv, capsys, scheme, value):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-continuous", "eps1": 0, "eps2": 1,
+                                              "scheme": scheme})
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out,
+                   "--t-end", value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'t_end' must be a finite number" in err
+    assert not out.exists()
+
+
+def test_fixed_step_count_beyond_any_integer_exits_3(tmp_path, triangle_csv, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-continuous", "eps1": 0, "eps2": 1,
+                                              "scheme": "rk4", "t_end": 1e300, "h": 1e-10})
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == 3
+    assert "numeric failure: inf fixed steps exceed max_steps" in capsys.readouterr().err
     assert not out.exists()
 
 
