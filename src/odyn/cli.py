@@ -206,6 +206,11 @@ def _run_dynamic(spec, cfg, x0):
         steps = int(cfg.get("steps", 50))
         if "t_end" in cfg:
             steps = int(round(float(cfg["t_end"])))
+        # The continuous kinds' step budget, checked the same way.
+        limit = cfg.get("max_steps", IntegratorConfig.max_steps)
+        budget = IntegratorConfig(max_steps=limit).max_steps
+        if steps > budget:
+            raise StepLimitExceeded(f"{steps} discrete steps exceed max_steps = {budget}")
         return iterate_map(spec.step_fn(), x0, steps, energy_fn=energy_fn)
     icfg = IntegratorConfig.from_json(cfg)
     return integrate(spec.rhs_fn(), x0, icfg, energy_fn=energy_fn)

@@ -482,8 +482,12 @@ def generate_sbm(block_sizes, p_in, p_out, seed=0):
     total = n * (n - 1) // 2
     p_max = max(p_in, p_out)
     src, dst = [rows[:0]], [rows[:0]]
+    # Every slab is drawn into one buffer: a fresh slab each time keeps two
+    # alive at the swap, and where the allocator puts them moved the peak
+    # RSS by a whole slab from run to run.
+    slab = np.empty(min(_SBM_SLAB, total))
     for start in range(0, total, _SBM_SLAB):
-        u = rng.random(min(_SBM_SLAB, total - start))
+        u = rng.random(out=slab[:total - start])
         cand = np.flatnonzero(u < p_max)
         flat = cand + start
         i = np.searchsorted(row_start, flat, side="right") - 1

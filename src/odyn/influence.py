@@ -30,6 +30,9 @@ STATIC = "static-normalized-adjacency"
 DYNAMIC = "dynamic-cosine"
 _KIND_ALIASES = {"static": STATIC, "dynamic": DYNAMIC, STATIC: STATIC, DYNAMIC: DYNAMIC}
 
+# Pairs per gather in similarity_dynamic.
+_PAIR_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class InfluenceConfig:
@@ -137,10 +140,10 @@ def similarity_static(g):
     that exist. Returned array is aligned with g.src / g.dst.
     """
     d = g.weighted_out_degree()
-    touched = np.union1d(g.src, g.dst)
-    if np.any(d[touched] <= 0.0):
+    d_src, d_dst = d[g.src], d[g.dst]
+    if np.any(d_src <= 0.0) or np.any(d_dst <= 0.0):
         raise ZeroDegree("node with an arc has zero weighted degree")
-    s = g.weight / np.sqrt(d[g.src] * d[g.dst])
+    s = g.weight / np.sqrt(d_src * d_dst)
     return np.clip(s, 0.0, 1.0)
 
 
@@ -156,7 +159,13 @@ def similarity_dynamic(x, pairs, temperature=1.0):
     i_idx, j_idx = pairs
     norm = np.linalg.norm(x, axis=1)
     denom = norm[i_idx] * norm[j_idx]
-    dot = np.einsum("...k,...k->...", np.take(x, i_idx, axis=0), np.take(x, j_idx, axis=0))
+    # The row gathers are pairs x d; taking them a block of pairs at a time
+    # keeps them a few MB, and each dot is the same sum over k.
+    dot = np.empty(denom.shape)
+    for lo in range(0, dot.size, _PAIR_BLOCK):
+        hi = lo + _PAIR_BLOCK
+        np.einsum("ik,ik->i", np.take(x, i_idx[lo:hi], axis=0), np.take(x, j_idx[lo:hi], axis=0),
+                  out=dot[lo:hi])
     cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
     s = 0.5 * (cos / temperature + 1.0)
     return np.clip(s, 0.0, 1.0)

@@ -78,8 +78,14 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        # NaN or a fraction would make the step-budget comparisons meaningless.
+        try:
+            integral = self.max_steps == int(self.max_steps)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
     def to_json(self):
         return {
@@ -100,7 +106,7 @@ class IntegratorConfig:
             rtol=float(obj.get("rtol", base.rtol)),
             atol=float(obj.get("atol", base.atol)),
             t_end=float(obj.get("t_end", base.t_end)),
-            max_steps=int(obj.get("max_steps", base.max_steps)),
+            max_steps=obj.get("max_steps", base.max_steps),
         )
 
 

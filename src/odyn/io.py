@@ -2,7 +2,9 @@
 
 All files are UTF-8, comma separated, LF line endings, with a header row.
 Floats are written with repr so a write/read round trip is exact. Rows are
-emitted in a canonical sorted order, which makes outputs byte-stable.
+emitted in a canonical sorted order, which makes outputs byte-stable, and
+joined into text one fixed-size block at a time, so a writer's strings stay
+bounded however long the file is.
 
 The graph, hypergraph and label readers parse a file's body into columns in
 one C pass (np.loadtxt). Whatever that pass rejects is re-read by the row
@@ -49,6 +51,10 @@ _HYPERGRAPH_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("wei
 _LABELS_DTYPE = np.dtype([("node", np.int64), ("label", np.int64)])
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+# Rows joined per write: large enough that the per-block overhead is noise,
+# small enough that the block's strings are a few MB at most.
+_ROW_BLOCK = 1 << 14
 
 
 def _fmt(v):
@@ -135,9 +141,15 @@ def _read_columns(path, header, dtype):
     return np.array(_read_rows(path, header, types), dtype=dtype)
 
 
-def _edge_rows(*columns):
-    """Rows of Python scalars from matching 1-d arrays."""
-    return zip(*(c.tolist() for c in columns))
+def _write_rows(fh, lines, *columns):
+    """Write the rows of matching arrays (one row per index along axis 0).
+
+    For each block of _ROW_BLOCK rows, lines gets every column's block as
+    Python scalars (.tolist()) and returns the block's text lines, which are
+    written with one join.
+    """
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        fh.write("".join(lines(*(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))))
 
 
 def read_graph_csv(path, directed=False, node_count=None):
@@ -160,7 +172,8 @@ def write_graph_csv(path, g):
     src, dst, w = g.undirected_pairs()
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(GRAPH_HEADER) + "\n")
-        fh.write("".join([f"{s},{d},{v!r}\n" for s, d, v in _edge_rows(src, dst, w)]))
+        _write_rows(fh, lambda s, d, w: [f"{a},{b},{v!r}\n" for a, b, v in zip(s, d, w)],
+                    src, dst, w)
 
 
 def read_hypergraph_csv(path, node_count=None, edge_count=None):
@@ -177,7 +190,8 @@ def write_hypergraph_csv(path, h):
         fh.write(",".join(HYPERGRAPH_HEADER) + "\n")
         W = h._weights
         edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
-        fh.write("".join([f"{n},{e},{w!r}\n" for n, e, w in _edge_rows(W.indices, edges, W.data)]))
+        _write_rows(fh, lambda n, e, w: [f"{a},{b},{v!r}\n" for a, b, v in zip(n, e, w)],
+                    W.indices, edges, W.data)
 
 
 def read_labels_csv(path, node_count=None, class_count=None):
@@ -202,7 +216,8 @@ def read_labels_csv(path, node_count=None, class_count=None):
 def write_labels_csv(path, labels):
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LABELS_HEADER) + "\n")
-        fh.write("".join([f"{n},{lab}\n" for n, lab in enumerate(labels.labels.tolist())]))
+        _write_rows(fh, lambda n, y: [f"{a},{b}\n" for a, b in zip(n, y)],
+                    np.arange(len(labels.labels)), labels.labels)
 
 
 def read_state_csv(path):
@@ -214,10 +229,12 @@ def read_state_csv(path):
 
 
 def write_state_csv(path, x):
+    """Write a state matrix, one row per node; a 1-d state is one row."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2:
+        raise ValueError("state must be a vector or an N x d matrix")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for row in x:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, lambda rows: [",".join(map(repr, r)) + "\n" for r in rows], x)
 
 
 def write_trajectory_csv(path, traj):
@@ -229,10 +246,12 @@ def write_trajectory_csv(path, traj):
             state = np.atleast_2d(np.asarray(state, dtype=np.float64).T).T
             if state.shape != shape:
                 shape = state.shape
-                keys = [f"{node},{j}," for node in range(shape[0]) for j in range(shape[1])]
+                # An object array: its blocks' .tolist() hands back these strings.
+                keys = np.array([f"{node},{j}," for node in range(shape[0])
+                                 for j in range(shape[1])], dtype=object)
             head = f"{_fmt(t)},"
-            values = map(repr, state.ravel().tolist())
-            fh.write("".join([f"{head}{k}{v}\n" for k, v in zip(keys, values)]))
+            _write_rows(fh, lambda k, v: [f"{head}{a}{b!r}\n" for a, b in zip(k, v)],
+                        keys, state.ravel())
 
 
 def write_energy_csv(path, steps, energy, column="step"):

@@ -112,6 +112,17 @@ def pseudo_features(node_count, dim=20, seed=0):
     return x / norms
 
 
+def _final_state(g, cfg, seed):
+    """Final state of simplify_network's dynamics; the trajectory is dropped here.
+
+    integrate and make_odnet_rhs are called through this module's names,
+    which perfbench's traced run rebinds.
+    """
+    x0 = pseudo_features(g.node_count, cfg.feature_dim, seed)
+    rhs = make_odnet_rhs(g, cfg.influence, SimilaritySpec("static"))
+    return integrate(rhs, x0, cfg.integrator).final_state
+
+
 def simplify_network(g, cfg, seed=0):
     """Re-score edges through the influence function and drop weak ones.
 
@@ -124,13 +135,13 @@ def simplify_network(g, cfg, seed=0):
     The output graph keeps the original node numbering (dropped nodes simply
     have no incident edge left); the report carries the counts.
     """
-    src, dst, _ = g.undirected_pairs()
     if cfg.source == "dynamic-final":
-        x0 = pseudo_features(g.node_count, cfg.feature_dim, seed)
-        rhs = make_odnet_rhs(g, cfg.influence, SimilaritySpec("static"))
-        traj = integrate(rhs, x0, cfg.integrator)
-        s = similarity_dynamic(traj.final_state, (src, dst))
+        # The run's states and operator are gone before the pairs are taken.
+        final_state = _final_state(g, cfg, seed)
+        src, dst, _ = g.undirected_pairs()
+        s = similarity_dynamic(final_state, (src, dst))
     else:
+        src, dst, _ = g.undirected_pairs()
         s_arc = similarity_static(g)
         keep = g.src <= g.dst if not g.directed else slice(None)
         s = s_arc[keep]

@@ -1,10 +1,14 @@
 """Influence profile, similarity measures, and the control term."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odyn.influence as influence
 from odyn import (
     InfluenceConfig,
     OutOfRangeSimilarity,
@@ -208,7 +212,97 @@ def test_static_similarity_zero_degree():
         similarity_static(g)
 
 
+def similarity_static_oracle(g):
+    """similarity_static as it was: the degree check on np.union1d(src, dst)."""
+    d = g.weighted_out_degree()
+    touched = np.union1d(g.src, g.dst)
+    if np.any(d[touched] <= 0.0):
+        raise ZeroDegree("node with an arc has zero weighted degree")
+    s = g.weight / np.sqrt(d[g.src] * d[g.dst])
+    return np.clip(s, 0.0, 1.0)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=12, unique=True))
+    directed = draw(st.booleans())
+    if not directed:
+        pairs = list({(min(i, j), max(i, j)) for i, j in pairs})
+    weights = st.floats(1e-150, 1e150)
+    return WeightedGraph(n, [(i, j, draw(weights)) for i, j in pairs], directed=directed)
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_static_similarity_matches_union1d_oracle(g):
+    try:
+        want = similarity_static_oracle(g)
+    except ZeroDegree:
+        with pytest.raises(ZeroDegree):
+            similarity_static(g)
+        return
+    assert similarity_static(g).tobytes() == want.tobytes()
+
+
+def test_static_similarity_zero_degree_in_arcs_only():
+    # node 2 has only an in-arc; every source has out-weight
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], directed=True)
+    with pytest.raises(ZeroDegree):
+        similarity_static(g)
+
+
 # ------------------------------------------------------ dynamic similarity
+
+
+def similarity_dynamic_oracle(x, pairs, temperature=1.0):
+    """similarity_dynamic as it was: both pairs x d row gathers at once."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[:, None] if x.ndim == 1 else x
+    i_idx, j_idx = pairs
+    norm = np.linalg.norm(x, axis=1)
+    denom = norm[i_idx] * norm[j_idx]
+    dot = np.einsum("...k,...k->...", np.take(x, i_idx, axis=0), np.take(x, j_idx, axis=0))
+    cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
+    s = 0.5 * (cos / temperature + 1.0)
+    return np.clip(s, 0.0, 1.0)
+
+
+@given(st.integers(1, 7), st.integers(1, 6), st.sampled_from([None, 1, 2, 3, 8]),
+       st.integers(0, 40), st.floats(0.05, 4.0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dynamic_similarity_blocks_match_unblocked_oracle(block, n, d, pairs, temperature, data):
+    shape = (n,) if d is None else (n, d)
+    values = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    x = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    index = st.lists(st.integers(0, n - 1), min_size=pairs, max_size=pairs).map(np.array)
+    p = (data.draw(index).astype(np.int64), data.draw(index).astype(np.int64))
+    with mock.patch.object(influence, "_PAIR_BLOCK", block):
+        got = similarity_dynamic(x, p, temperature=temperature)
+    assert got.tobytes() == similarity_dynamic_oracle(x, p, temperature=temperature).tobytes()
+
+
+def test_dynamic_similarity_peak_memory_does_not_follow_the_gathers():
+    # Quadrupling the pairs may grow the pair-sized outputs (a few floats per
+    # pair), but not the two pairs x d row gathers (2 * d * 8 bytes per pair).
+    rng = np.random.default_rng(0)
+    n, d = 500, 16
+    x = rng.standard_normal((n, d))
+
+    def peak(pairs):
+        i, j = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
+        tracemalloc.start()
+        try:
+            similarity_dynamic(x, (i, j))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(influence, "_PAIR_BLOCK", 256):
+        small, large = peak(4096), peak(4 * 4096)
+    assert (large - small) / (3 * 4096) < d * 8
 
 
 def diag_pairs(n):

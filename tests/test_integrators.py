@@ -55,6 +55,17 @@ def test_config_validation():
         IntegratorConfig(max_steps=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, -1, "10", None])
+def test_config_refuses_max_steps_that_is_not_an_integer_of_one_or_more(value):
+    with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+        IntegratorConfig(max_steps=value)
+
+
+def test_config_takes_an_integral_float_max_steps_as_int():
+    assert IntegratorConfig(max_steps=1e5).max_steps == 100_000
+    assert type(IntegratorConfig.from_json({"max_steps": 7.0}).max_steps) is int
+
+
 @pytest.mark.parametrize("name", ["h", "rtol", "atol", "t_end"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_refuses_non_finite_numbers(name, value):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -167,6 +168,11 @@ def test_state_csv_vector_becomes_single_row(tmp_path):
     path = tmp_path / "x.csv"
     write_state_csv(path, np.array([1.5, -2.0, 0.25]))
     assert read_state_csv(path).shape == (1, 3)
+
+
+def test_state_csv_writer_refuses_more_than_two_axes(tmp_path):
+    with pytest.raises(ValueError, match="vector or an N x d matrix"):
+        write_state_csv(tmp_path / "x.csv", np.zeros((2, 3, 1)))
 
 
 def test_state_csv_ragged_rows_rejected(tmp_path):
@@ -444,9 +450,21 @@ def _states(shape):
 TRAJECTORY_SHAPES = st.sampled_from([(4,), (4, 1), (4, 3), (1, 2)])
 
 
-@given(TRAJECTORY_SHAPES, st.integers(1, 4), st.booleans(), st.data())
+# Row blocks small enough that the examples' files span several of them.
+ROW_BLOCKS = st.integers(1, 7)
+
+
+def same_bytes(tmp_path, block, writer, oracle, *payload):
+    """Whether writer, with _ROW_BLOCK patched to block, writes oracle's bytes."""
+    with mock.patch.object(odyn_io, "_ROW_BLOCK", block):
+        writer(tmp_path / "fast.csv", *payload)
+    oracle(tmp_path / "oracle.csv", *payload)
+    return (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@given(TRAJECTORY_SHAPES, st.integers(1, 4), st.booleans(), ROW_BLOCKS, st.data())
 @settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
-def test_trajectory_writer_matches_row_oracle(tmp_path, shape, count, reshape, data):
+def test_trajectory_writer_matches_row_oracle(tmp_path, shape, count, reshape, block, data):
     shapes = [shape] * count
     if reshape:  # the writer keeps its row keys only while the shape holds
         shapes = [data.draw(TRAJECTORY_SHAPES) for _ in range(count)]
@@ -455,9 +473,119 @@ def test_trajectory_writer_matches_row_oracle(tmp_path, shape, count, reshape, d
         times=np.array(data.draw(times)),
         states=[data.draw(_states(s)) for s in shapes],
     )
-    write_trajectory_csv(tmp_path / "fast.csv", traj)
-    trajectory_csv_oracle(tmp_path / "oracle.csv", traj)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert same_bytes(tmp_path, block, write_trajectory_csv, trajectory_csv_oracle, traj)
+
+
+# ------------------------------------ whole-file writers, the row-block oracles
+
+
+def _open(path):
+    return Path(path).open("w", encoding="utf-8", newline="\n")
+
+
+def graph_csv_oracle(path, g):
+    """write_graph_csv as it was: every row in one join."""
+    src, dst, w = g.undirected_pairs()
+    with _open(path) as fh:
+        fh.write("src,dst,weight\n")
+        fh.write("".join([f"{s},{d},{v!r}\n"
+                          for s, d, v in zip(src.tolist(), dst.tolist(), w.tolist())]))
+
+
+def hypergraph_csv_oracle(path, h):
+    """write_hypergraph_csv as it was: every row in one join."""
+    W = h._weights
+    edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
+    with _open(path) as fh:
+        fh.write("node,hyperedge,weight\n")
+        fh.write("".join([f"{n},{e},{w!r}\n"
+                          for n, e, w in zip(W.indices.tolist(), edges.tolist(), W.data.tolist())]))
+
+
+def labels_csv_oracle(path, labels):
+    """write_labels_csv as it was: every row in one join."""
+    with _open(path) as fh:
+        fh.write("node,label\n")
+        fh.write("".join([f"{n},{lab}\n" for n, lab in enumerate(labels.labels.tolist())]))
+
+
+def state_csv_oracle(path, x):
+    """write_state_csv as it was: one write per row, each value through repr(float(v))."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    with _open(path) as fh:
+        for row in x:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+POSITIVE_WEIGHTS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(ROW_BLOCKS, st.integers(1, 8), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_graph_writer_matches_whole_file_oracle(tmp_path, block, n, directed, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=30, unique=True))
+    if not directed:
+        pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    g = WeightedGraph(n, [(i, j, data.draw(POSITIVE_WEIGHTS)) for i, j in pairs],
+                      directed=directed)
+    assert same_bytes(tmp_path, block, write_graph_csv, graph_csv_oracle, g)
+
+
+@given(ROW_BLOCKS, st.integers(1, 6), st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_hypergraph_writer_matches_whole_file_oracle(tmp_path, block, n, edges, data):
+    members = st.sets(st.integers(0, n - 1), min_size=1)
+    rows = [(v, e, data.draw(POSITIVE_WEIGHTS)) for e in range(edges) for v in data.draw(members)]
+    h = Hypergraph(n, rows, edge_count=edges)
+    assert same_bytes(tmp_path, block, write_hypergraph_csv, hypergraph_csv_oracle, h)
+
+
+@given(ROW_BLOCKS, st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_labels_writer_matches_whole_file_oracle(tmp_path, block, classes, data):
+    labels = NodeLabels(np.array(data.draw(st.lists(st.integers(0, classes - 1), max_size=20)),
+                                 dtype=np.int64), classes)
+    assert same_bytes(tmp_path, block, write_labels_csv, labels_csv_oracle, labels)
+
+
+STATE_SHAPES = st.sampled_from([(0,), (0, 2), (3, 0), (1,), (5,), (5, 1), (4, 3), (9, 2)])
+
+
+@given(ROW_BLOCKS, STATE_SHAPES, st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_state_writer_matches_row_oracle(tmp_path, block, shape, data):
+    x = data.draw(_states(shape))
+    assert same_bytes(tmp_path, block, write_state_csv, state_csv_oracle, x)
+
+
+@pytest.mark.parametrize("writer, oracle, payload", [
+    (write_graph_csv, graph_csv_oracle, WeightedGraph(3, [])),
+    (write_graph_csv, graph_csv_oracle, WeightedGraph(3, [], directed=True)),
+    (write_labels_csv, labels_csv_oracle, NodeLabels(np.zeros(0, dtype=np.int64), 1)),
+    (write_state_csv, state_csv_oracle, np.zeros((0, 2))),
+], ids=["graph", "digraph", "labels", "state"])
+def test_row_writers_match_oracles_on_empty_inputs(tmp_path, writer, oracle, payload):
+    assert same_bytes(tmp_path, 3, writer, oracle, payload)
+
+
+def test_graph_writer_peak_memory_does_not_follow_the_file(tmp_path):
+    # A directed graph's pairs are its own arrays, so what the writer holds
+    # is its row text: one block of it, whatever the edge count.
+    def peak(edges):
+        g = WeightedGraph.from_arrays(edges, np.arange(edges), np.arange(1, edges + 1) % edges,
+                                      np.linspace(0.5, 2.0, edges), directed=True)
+        tracemalloc.start()
+        try:
+            write_graph_csv(tmp_path / "g.csv", g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(odyn_io, "_ROW_BLOCK", 256):
+        small, large = peak(4096), peak(4 * 4096)
+    # Joining the whole file holds about 200 bytes per row of these.
+    assert (large - small) / (3 * 4096) < 8
 
 
 # ----------------------------------------------------------------- the CLI
@@ -742,6 +870,30 @@ def test_fixed_step_count_beyond_any_integer_exits_3(tmp_path, triangle_csv, cap
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == 3
     assert "numeric failure: inf fixed steps exceed max_steps" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_discrete_steps_beyond_max_steps_exit_3_before_the_first_step(
+        tmp_path, triangle_csv, capsys, monkeypatch):
+    import odyn.cli as cli
+
+    monkeypatch.setattr(cli, "iterate_map", mock.Mock(side_effect=AssertionError("stepped")))
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1,
+                                              "steps": 1e15, "dim": 1})
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: 1000000000000000 discrete steps exceed max_steps = 100000" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_steps, steps, code", [(4, 4, 0), (4, 5, 3), (2.5, 1, 2), (0, 1, 2)])
+def test_discrete_runs_take_max_steps_from_the_config(tmp_path, triangle_csv, max_steps, steps,
+                                                      code):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1,
+                                              "steps": steps, "dim": 1, "max_steps": max_steps})
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == code
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("command, flag", [
