@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
 from ._state import from_matrix, norm1, to_matrix
-from .dynamics import diffusion_kernel
+from .dynamics import _sparse_kernel
 from .errors import (
     InsufficientData,
     NoConvergence,
@@ -185,6 +185,8 @@ def spectral_gap(h, kernel="uniform"):
     """Smallest positive eigenvalue of the diffusion operator I - K.
 
     Dense symmetric eigendecomposition; refuses hypergraphs above 500 nodes.
+    I - K is formed, tested for symmetry and symmetrized sparse, so the one
+    dense matrix is the symmetrized operator handed to the eigensolver.
     The operator must be symmetric positive semidefinite for the chosen
     kernel (true for the uniform kernel whenever co-membership totals are
     uniform, e.g. vertex-transitive hypergraphs, and for "hgnn" on
@@ -195,11 +197,10 @@ def spectral_gap(h, kernel="uniform"):
             f"spectral_gap dense path refused for {h.node_count} nodes "
             f"(limit {SPECTRAL_DENSE_LIMIT})"
         )
-    K = diffusion_kernel(h, kernel)
-    L = np.eye(h.node_count) - K
-    if not np.allclose(L, L.T, atol=1e-12, rtol=0.0):
+    L = identity(h.node_count, format="csr") - _sparse_kernel(h, kernel)
+    if not np.all(np.abs((L - L.T).data) <= 1e-12):
         raise NotSPD("diffusion operator is not symmetric for this kernel")
-    eigs = np.linalg.eigvalsh(0.5 * (L + L.T))
+    eigs = np.linalg.eigvalsh((0.5 * (L + L.T)).toarray())
     if eigs[0] < -EIGENVALUE_CUTOFF:
         raise NotSPD(f"diffusion operator has negative eigenvalue {eigs[0]:.3e}")
     positive = eigs[eigs > EIGENVALUE_CUTOFF]

@@ -41,8 +41,8 @@ log = logging.getLogger("odyn")
 # Dense N x N (or N x E) views are only materialized up to this node count.
 DENSE_LIMIT = 2000
 
-# Uniforms drawn per slab by generate_sbm (8 MB of doubles).
-_SBM_SLAB = 1 << 20
+# Uniforms drawn per slab by generate_sbm (0.5 MB of doubles).
+_SBM_SLAB = 1 << 16
 
 
 class WeightedGraph:
@@ -83,6 +83,11 @@ class WeightedGraph:
         node_count = int(node_count)
         if node_count < 1:
             raise EmptyGraph("graph needs at least one node")
+        if node_count * node_count >= 1 << 63:
+            raise TooLarge(
+                f"graph of {node_count} nodes refused: its arc keys src * n + dst overflow "
+                f"int64, and its row pointers alone take {8 * (node_count + 1) / 2**30:.1f} GiB"
+            )
         if not directed:
             mirror = src != dst
             src, dst = np.concatenate([src, dst[mirror]]), np.concatenate([dst, src[mirror]])
@@ -94,7 +99,8 @@ class WeightedGraph:
                 raise ValueError("edge target index out of range")
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
                 raise ValueError("edge weights must be finite and strictly positive")
-        order = np.lexsort((dst, src))
+        # Arcs in (src, dst) order: one int64 key each, as n * n < 2**63.
+        order = np.argsort(src * node_count + dst, kind="stable")
         src, dst, w = src[order], dst[order], w[order]
         if src.size > 1:
             dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])

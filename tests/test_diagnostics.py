@@ -4,6 +4,8 @@ Dense Laplacian quadratic forms and literal double sums serve as the
 reference arithmetic for the vectorized energy code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -24,12 +26,14 @@ from odyn import (
     cluster_count,
     consensus_predict,
     detect_oversmoothing,
+    diffusion_kernel,
     dirichlet_energy_graph,
     dirichlet_energy_hypergraph,
     fd_step,
     integrate,
     spectral_gap,
 )
+from odyn.diagnostics import EIGENVALUE_CUTOFF
 
 from conftest import random_row_stochastic
 
@@ -397,6 +401,75 @@ def test_spectral_gap_refuses_asymmetric_operator():
     h = Hypergraph(3, [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0)])
     with pytest.raises(NotSPD):
         spectral_gap(h)
+
+
+def dense_spectral_gap_oracle(h, kernel="uniform"):
+    """spectral_gap with every step dense: I - K, the symmetry test and the
+    symmetrization each build N x N arrays."""
+    K = diffusion_kernel(h, kernel)
+    L = np.eye(h.node_count) - K
+    if not np.allclose(L, L.T, atol=1e-12, rtol=0.0):
+        raise NotSPD("diffusion operator is not symmetric for this kernel")
+    eigs = np.linalg.eigvalsh(0.5 * (L + L.T))
+    if eigs[0] < -EIGENVALUE_CUTOFF:
+        raise NotSPD(f"diffusion operator has negative eigenvalue {eigs[0]:.3e}")
+    positive = eigs[eigs > EIGENVALUE_CUTOFF]
+    if positive.size == 0:
+        raise ValueError("no eigenvalue above the positivity cutoff")
+    return float(positive[0])
+
+
+def node_regular_hypergraph(n, layers, size, seed):
+    """Each layer splits a random permutation into hyperedges of `size`
+    nodes; when size divides n every node is in `layers` hyperedges."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for layer in range(layers):
+        perm = rng.permutation(n)
+        for e in range(n // size):
+            rows += [(int(v), layer * (n // size) + e, 1.0) for v in perm[e * size:(e + 1) * size]]
+    return Hypergraph(n, rows)
+
+
+def gap_outcome(fn, h, kernel):
+    try:
+        return fn(h, kernel).hex()
+    except (NotSPD, ValueError) as exc:
+        return type(exc)
+
+
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "hgnn"]))
+@settings(max_examples=150, deadline=None)
+@example(n=12, layers=2, size=4, seed=0, kernel="hgnn")  # node-regular: a gap
+@example(n=12, layers=1, size=1, seed=0, kernel="uniform")  # K = I: ValueError
+@example(n=13, layers=2, size=4, seed=3, kernel="uniform")  # irregular: NotSPD
+@example(n=12, layers=1, size=4, seed=0, kernel="uniform")  # disconnected: gap per part
+def test_spectral_gap_matches_dense_oracle_bit_for_bit(n, layers, size, seed, kernel):
+    # A size that does not divide n leaves some nodes out of a layer, so
+    # irregular and disconnected cases occur.
+    h = node_regular_hypergraph(n, layers, min(size, n), seed)
+    assert gap_outcome(spectral_gap, h, kernel) == gap_outcome(dense_spectral_gap_oracle, h, kernel)
+
+
+def test_spectral_gap_keeps_one_dense_matrix():
+    # At 400 nodes, only the symmetrized operator is N x N: the traced peak
+    # stays under two N x N arrays of doubles, where the all-dense oracle
+    # holds more than four.
+    n = 400
+    h = node_regular_hypergraph(n, 3, 5, 1)
+
+    def peak(fn):
+        fn(h, "hgnn")  # warm up: first-call allocations are not the path's
+        tracemalloc.start()
+        try:
+            fn(h, "hgnn")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(spectral_gap) < 2 * n * n * 8
+    assert peak(dense_spectral_gap_oracle) > 4 * n * n * 8
 
 
 def test_spectral_gap_too_large():

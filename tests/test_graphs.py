@@ -230,6 +230,56 @@ def test_structured_array_builds_like_its_rows(rows, directed):
     assert WeightedGraph(4, a, directed) == expected
 
 
+def lexsort_build_oracle(src, dst, w, directed):
+    """The arc arrays WeightedGraph._build kept when it sorted with lexsort."""
+    if not directed:
+        mirror = src != dst
+        src, dst = np.concatenate([src, dst[mirror]]), np.concatenate([dst, src[mirror]])
+        w = np.concatenate([w, w[mirror]])
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    if src.size > 1:
+        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        if dup.any():
+            k = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
+    return src, dst, w
+
+
+@given(
+    st.integers(1, 7),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(0.1, 9.0)), max_size=20),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_key_sort_build_matches_lexsort_oracle(n, rows, directed):
+    # Few nodes and many rows: duplicates and self loops are common draws.
+    rows = [(s % n, d % n, x) for s, d, x in rows]
+    src = np.array([r[0] for r in rows], dtype=np.int64)
+    dst = np.array([r[1] for r in rows], dtype=np.int64)
+    w = np.array([r[2] for r in rows], dtype=np.float64)
+    try:
+        expected = lexsort_build_oracle(src, dst, w, directed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            WeightedGraph.from_arrays(n, src, dst, w, directed)
+        assert str(got.value) == str(exc)
+        return
+    g = WeightedGraph.from_arrays(n, src, dst, w, directed)
+    for got, want in zip((g.src, g.dst, g.weight), expected):
+        assert np.array_equal(got, want)
+
+
+def test_node_count_beyond_int64_keys_is_refused():
+    # n * n >= 2**63 first at n = 3037000500; refused before any allocation.
+    assert 3037000499 ** 2 < 1 << 63 <= 3037000500 ** 2
+    for n in (3037000500, 10**12):
+        with pytest.raises(TooLarge):
+            WeightedGraph(n, [(0, 1, 1.0)])
+        with pytest.raises(TooLarge):
+            WeightedGraph.from_arrays(n, [0], [n - 1], [1.0], directed=True)
+
+
 def test_rejects_bad_edges():
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 1, -1.0)])

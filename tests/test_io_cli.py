@@ -1031,7 +1031,9 @@ def test_index_implying_a_size_beyond_memory_exits_2(tmp_path, command):
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
-    assert "iB" in proc.stderr  # numpy's message names the size, e.g. "7.28 TiB"
+    # The message names the size: numpy's (e.g. "7.28 TiB") for the hypergraph,
+    # the TooLarge refusal of WeightedGraph (in GiB) for the graph.
+    assert "iB" in proc.stderr
     assert not out.exists()
 
 
