@@ -20,16 +20,11 @@ from .diagnostics import (
 )
 from .dynamics import (
     DynamicSpec,
-    diffusion_kernel,
     fd_step,
     hk_step,
-    hypergraph_diffusion_rhs,
-    hypergraph_odnet_rhs,
     make_hypergraph_diffusion_rhs,
     make_hypergraph_odnet_rhs,
     make_odnet_rhs,
-    odnet_discrete_step,
-    odnet_rhs,
 )
 from .errors import (
     CsvFormatError,
@@ -65,7 +60,6 @@ from .graphs import (
 from .influence import (
     InfluenceConfig,
     SimilaritySpec,
-    control_term,
     phi,
     similarity_dynamic,
     similarity_static,
@@ -107,7 +101,6 @@ from .presets import (
     cooccurrence_fixture,
     influence_preset,
     planted_two_block_fixture,
-    preset_horizon,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

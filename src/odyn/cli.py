@@ -328,6 +328,8 @@ def cmd_sweep(args):
     The runs write into `--out`, so it publishes the manifest and their
     configs before they run, and index.json after.
     """
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _check_config(_load_config(args.config))
     base, sweep = cfg.get("base", {}), cfg.get("sweep")
     if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
@@ -349,10 +351,11 @@ def cmd_sweep(args):
             argv += ["--hypergraph", str(args.hypergraph)]
         jobs.append(argv)
 
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(main, jobs))
     else:
         codes = [main(argv) for argv in jobs]
@@ -374,7 +377,7 @@ _FLAGS = {
     "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
     "--scheme": {"choices": ["euler", "rk4", "dopri5"], "help": "integrator override"},
     "--t-end": {"dest": "t_end", "type": float, "help": "horizon override"},
-    "--jobs": {"type": int, "default": 1, "help": "worker pool size"},
+    "--jobs": {"type": int, "default": 1, "help": "worker processes, capped at runs and CPUs"},
 }
 
 

@@ -11,10 +11,10 @@ each pair's weight multiplied by its shared-hyperedge count, which is exact
 because phi depends only on the pair. Averaging consensus and hypergraph
 diffusion are plain CSR matvecs.
 
-Discrete maps advance one step per call; *_rhs functions evaluate the
-continuous-time right-hand side, so one unit Euler step of a rhs reproduces
-the matching discrete map. make_* builders return closures over the built
-operator; the one-shot functions build and apply it once.
+Discrete maps advance one step per call. make_*_rhs builders return
+closures over the built operator that evaluate the continuous-time
+right-hand side; one unit Euler step of the influence rhs is the discrete
+influence map.
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_stati
 __all__ = [
     "fd_step",
     "hk_step",
-    "odnet_rhs",
-    "odnet_discrete_step",
     "make_odnet_rhs",
-    "hypergraph_odnet_rhs",
     "make_hypergraph_odnet_rhs",
-    "diffusion_kernel",
-    "hypergraph_diffusion_rhs",
     "make_hypergraph_diffusion_rhs",
     "DynamicSpec",
     "KINDS",
@@ -159,18 +154,9 @@ def _coupling_rhs(g, cfg, sim, count=1.0):
 
 
 def make_odnet_rhs(g, cfg, sim=SimilaritySpec()):
-    """Closure for odnet_rhs; static similarities are frozen at build time."""
+    """Closure for the continuous-time influence dynamics: coupling plus
+    confining control. Static similarities are frozen at build time."""
     return _coupling_rhs(g, cfg, sim)
-
-
-def odnet_rhs(g, x, cfg, sim=SimilaritySpec()):
-    """Continuous-time influence dynamics: coupling plus confining control."""
-    return make_odnet_rhs(g, cfg, sim)(x)
-
-
-def odnet_discrete_step(g, x, cfg, sim=SimilaritySpec()):
-    """One discrete influence step; equals a unit Euler step of odnet_rhs."""
-    return np.asarray(x, dtype=np.float64) + odnet_rhs(g, x, cfg, sim)
 
 
 def make_hypergraph_odnet_rhs(h, cfg, sim=SimilaritySpec()):
@@ -185,33 +171,20 @@ def make_hypergraph_odnet_rhs(h, cfg, sim=SimilaritySpec()):
     return _coupling_rhs(g, cfg, sim, count)
 
 
-def hypergraph_odnet_rhs(h, x, cfg, sim=SimilaritySpec()):
-    """One-shot evaluation of the hypergraph influence rhs."""
-    return make_hypergraph_odnet_rhs(h, cfg, sim)(x)
-
-
 # -- hypergraph diffusion -------------------------------------------------
 
 
-def diffusion_kernel(h, kind="uniform"):
-    """Dense diffusion kernel K with rows summing to one.
+def _sparse_kernel(h, kind):
+    """Diffusion kernel K as a CSR matrix with sorted indices and no stored zeros.
 
     "uniform" spreads each node's unit mass evenly over its co-memberships:
     K_ij = C_ij / sum_j C_ij with C the shared-hyperedge count matrix
     (diagonal included). "hgnn" is the degree-normalized incidence product
     Dv^-1/2 H W De^-1 H^T Dv^-1/2 with unit hyperedge weights; its rows only
     sum to one on node-regular hypergraphs, and callers enforce that. Nodes
-    in no hyperedge keep their state via K_ii = 1. Refused (TooLarge) above
-    DENSE_LIMIT nodes; the diffusion rhs uses the sparse kernel instead.
+    in no hyperedge keep their state via K_ii = 1. Sorted indices make K @ x
+    add each row's terms in column order.
     """
-    dense_guard(h.node_count, "dense diffusion kernel")
-    return _sparse_kernel(h, kind).toarray()
-
-
-def _sparse_kernel(h, kind):
-    """diffusion_kernel as a CSR matrix with sorted indices and no stored zeros,
-    so K @ x adds each row's terms in the same order as a CSR copy of the
-    dense kernel would."""
     if kind == "uniform":
         K = h._co_membership_csr()
         t = np.asarray(K.sum(axis=1)).ravel()
@@ -246,11 +219,6 @@ def make_hypergraph_diffusion_rhs(h, kernel="uniform"):
         return K @ x - x
 
     return rhs
-
-
-def hypergraph_diffusion_rhs(h, x, kernel="uniform"):
-    """One-shot evaluation of the hypergraph diffusion rhs."""
-    return make_hypergraph_diffusion_rhs(h, kernel)(x)
 
 
 # -- declarative run description ------------------------------------------

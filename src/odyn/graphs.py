@@ -2,9 +2,8 @@
 
 Graphs are stored sparsely as arc arrays keyed by source node; an undirected
 graph keeps two mirrored arcs per edge so every per-node scan is a contiguous
-slice. A hypergraph keeps one sparse N x E membership-weight matrix. Dense
-matrix views are produced on demand for small graphs only. All containers
-are immutable after construction and safe to share.
+slice. A hypergraph keeps one sparse N x E membership-weight matrix. All
+containers are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ __all__ = [
 
 log = logging.getLogger("odyn")
 
-# Dense N x N (or N x E) views are only materialized up to this node count.
+# hk_step and cluster_count refuse their dense d > 1 paths above this many rows.
 DENSE_LIMIT = 2000
 
 # Uniforms drawn per slab by generate_sbm (0.5 MB of doubles).
@@ -151,13 +150,6 @@ class WeightedGraph:
         n = self.node_count
         return csr_matrix((data, self.dst, self._row_ptr), shape=(n, n))
 
-    def dense_weights(self):
-        """Dense weight matrix view; guarded by the dense-path limit."""
-        dense_guard(self.node_count, "dense weight view")
-        m = np.zeros((self.node_count, self.node_count))
-        m[self.src, self.dst] = self.weight
-        return m
-
     def undirected_pairs(self):
         """Canonical (i, j, w) arrays with i <= j, each logical edge once."""
         if self.directed:
@@ -241,31 +233,21 @@ class Hypergraph:
         W = self._weights
         return csc_matrix((np.ones(W.nnz), W.indices, W.indptr), shape=W.shape).tocsr()
 
-    @property
-    def incidence(self):
-        """Dense bool N x E membership matrix; guarded by the dense-path limit."""
-        return self.membership_weight > 0.0
-
-    @property
-    def membership_weight(self):
-        """Dense N x E membership weights; guarded by the dense-path limit."""
-        dense_guard(self.node_count, "dense N x E membership view")
-        return self._weights.toarray()
-
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""
         W = self._weights
         return W.indices[W.indptr[e] : W.indptr[e + 1]]
 
     def _co_membership_csr(self):
-        """Sparse (CSR) form of co_membership, C = H H^T."""
-        H = self._incidence_csr()
-        return H @ H.T
+        """Shared-hyperedge counts C = H H^T in canonical CSR form.
 
-    def co_membership(self):
-        """Dense count matrix C with C[i, j] = number of shared hyperedges."""
-        dense_guard(self.node_count, "dense co-membership")
-        return self._co_membership_csr().toarray()
+        H @ H.T leaves rows unsorted, and a lookup C[src, dst] then scans a
+        whole row per pair: O(k^3) for one hyperedge of k members.
+        """
+        H = self._incidence_csr()
+        C = H @ H.T
+        C.sum_duplicates()
+        return C
 
     def clique_expansion(self):
         """Undirected graph over co-membered pairs.

@@ -1,4 +1,4 @@
-"""Bounded-confidence influence weights, similarity measures, state control.
+"""Bounded-confidence influence weights and similarity measures.
 
 The influence function maps a pairwise similarity s in [0, 1] to a coupling
 weight. Below the lower confidence bound the coupling is zero (attract mode)
@@ -21,7 +21,6 @@ __all__ = [
     "phi",
     "similarity_static",
     "similarity_dynamic",
-    "control_term",
 ]
 
 MODES = ("attract", "attract-repulse")
@@ -169,8 +168,3 @@ def similarity_dynamic(x, pairs, temperature=1.0):
     cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
     s = 0.5 * (cos / temperature + 1.0)
     return np.clip(s, 0.0, 1.0)
-
-
-def control_term(cfg, x):
-    """Confining control -lam * x, applied rowwise to the state."""
-    return -cfg.lam * np.asarray(x, dtype=np.float64)

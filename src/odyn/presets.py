@@ -17,7 +17,6 @@ from .influence import InfluenceConfig
 __all__ = [
     "INFLUENCE_PRESETS",
     "influence_preset",
-    "preset_horizon",
     "cooccurrence_fixture",
     "planted_two_block_fixture",
 ]
@@ -46,11 +45,6 @@ def influence_preset(name, lam=0.0):
     if nu < 0.0:
         return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=nu, lam=lam, mode="attract-repulse")
     return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=0.0, lam=lam, mode="attract")
-
-
-def preset_horizon(name):
-    """Published integration horizon for a named preset."""
-    return INFLUENCE_PRESETS[name][2]
 
 
 def cooccurrence_fixture(seed=96):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from odyn import WeightedGraph, normalize_rows
+from odyn.dynamics import _sparse_kernel
+from odyn.graphs import dense_guard
 
 
 def make_ring(n, weight=1.0, directed=True):
@@ -48,6 +50,40 @@ def random_row_stochastic(seed, n_max=12, lazy=0.5):
         merged[(i, i)] = merged.get((i, i), 0.0) + lazy
     edges = [(s, d, w) for (s, d), w in sorted(merged.items())]
     return WeightedGraph(n, edges, directed=True)
+
+
+# -- dense views: oracles for the sparse structures, small inputs only
+
+
+def dense_weights(g):
+    """Dense N x N weight matrix of a graph's arcs."""
+    dense_guard(g.node_count, "dense weight view")
+    m = np.zeros((g.node_count, g.node_count))
+    m[g.src, g.dst] = g.weight
+    return m
+
+
+def membership_weight(h):
+    """Dense N x E membership weights of a hypergraph."""
+    dense_guard(h.node_count, "dense N x E membership view")
+    return h._weights.toarray()
+
+
+def incidence(h):
+    """Dense bool N x E membership matrix of a hypergraph."""
+    return membership_weight(h) > 0.0
+
+
+def co_membership(h):
+    """Dense count matrix C with C[i, j] = number of shared hyperedges."""
+    dense_guard(h.node_count, "dense co-membership")
+    return h._co_membership_csr().toarray()
+
+
+def diffusion_kernel(h, kind="uniform"):
+    """Dense form of the diffusion kernel the hypergraph-diffusion rhs runs on."""
+    dense_guard(h.node_count, "dense diffusion kernel")
+    return _sparse_kernel(h, kind).toarray()
 
 
 @pytest.fixture

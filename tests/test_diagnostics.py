@@ -26,7 +26,6 @@ from odyn import (
     cluster_count,
     consensus_predict,
     detect_oversmoothing,
-    diffusion_kernel,
     dirichlet_energy_graph,
     dirichlet_energy_hypergraph,
     fd_step,
@@ -35,7 +34,7 @@ from odyn import (
 )
 from odyn.diagnostics import EIGENVALUE_CUTOFF
 
-from conftest import random_row_stochastic
+from conftest import dense_weights, diffusion_kernel, random_row_stochastic
 
 
 # ---------------------------------------------------------------- energy
@@ -70,7 +69,7 @@ def test_graph_energy_matches_dense_laplacian_quadratic_form():
     edges = [(i, j, float(rng.uniform(0.2, 2.0)))
              for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.5]
     g = WeightedGraph(8, edges)
-    w = g.dense_weights()
+    w = dense_weights(g)
     lap = np.diag(w.sum(axis=1)) - w
     x = rng.standard_normal((8, 3))
     expected = float(np.trace(x.T @ lap @ x))

@@ -23,7 +23,6 @@ from odyn import (
     TooLarge,
     WeightedGraph,
     consensus_predict,
-    diffusion_kernel,
     generate_sbm,
     homophily_level,
     is_aperiodic,
@@ -33,7 +32,8 @@ from odyn import (
     validate_row_stochastic,
 )
 
-from conftest import make_ring, random_digraph, random_row_stochastic
+from conftest import (co_membership, dense_weights, incidence, make_ring, membership_weight,
+                      random_digraph, random_row_stochastic)
 
 
 # ---------------------------------------------------------------- oracles
@@ -291,20 +291,6 @@ def test_rejects_bad_edges():
         WeightedGraph(0, [])
 
 
-def test_dense_weights_matches_arcs():
-    g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 0.5), (0, 2, 1.0)])
-    w = g.dense_weights()
-    assert w[0, 1] == w[1, 0] == 2.0
-    assert w[1, 2] == w[2, 1] == 0.5
-    assert w.diagonal().tolist() == [0.0, 0.0, 0.0]
-
-
-def test_dense_weights_refuses_large_graphs():
-    g = WeightedGraph(2001, [(0, 1, 1.0)])
-    with pytest.raises(TooLarge):
-        g.dense_weights()
-
-
 def test_undirected_pairs_canonical():
     g = WeightedGraph(3, [(2, 0, 1.0), (1, 2, 2.0), (1, 1, 5.0)])
     s, d, w = g.undirected_pairs()
@@ -333,12 +319,21 @@ def test_hypergraph_incidence_and_comembership():
     h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
     assert h.edge_count == 2
     assert h.members(0).tolist() == [0, 1, 2]
-    c = h.co_membership()
+    c = co_membership(h)
     # C = H H^T with the diagonal kept
     expected = np.array(
         [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 2, 1], [0, 0, 1, 1]], dtype=float
     )
     assert np.array_equal(c, expected)
+
+
+def test_co_membership_csr_is_canonical():
+    # H @ H.T leaves rows unsorted, and a lookup C[src, dst] on an unsorted
+    # row scans the whole row: O(k^3) for one hyperedge of k members.
+    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
+    C = h._co_membership_csr()
+    assert C.has_canonical_format
+    assert all((np.diff(C.indices[lo:hi]) > 0).all() for lo, hi in zip(C.indptr, C.indptr[1:]))
 
 
 def test_hypergraph_rejects_empty_hyperedge():
@@ -396,8 +391,8 @@ def test_hypergraph_validation_matches_loop_oracle(memberships, edge_count):
         assert str(got.value) == str(exc)
         return
     h = Hypergraph(4, memberships, edge_count=edge_count)
-    assert np.array_equal(h.incidence, H)
-    assert np.array_equal(h.membership_weight, M)
+    assert np.array_equal(incidence(h), H)
+    assert np.array_equal(membership_weight(h), M)
 
 
 MEMBERSHIP_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("weight", np.float64)])
@@ -416,8 +411,8 @@ def test_hypergraph_from_structured_array_matches_loop_oracle(memberships, edge_
         assert str(got.value) == str(exc)
         return
     h = Hypergraph(4, a, edge_count=edge_count)
-    assert np.array_equal(h.incidence, H)
-    assert np.array_equal(h.membership_weight, M)
+    assert np.array_equal(incidence(h), H)
+    assert np.array_equal(membership_weight(h), M)
 
 
 def test_clique_expansion_weights():
@@ -429,15 +424,11 @@ def test_clique_expansion_weights():
     assert (0, 2) not in w
 
 
-def test_hypergraph_above_dense_limit_is_sparse_and_refuses_dense_views():
+def test_hypergraph_above_dense_limit_is_sparse():
     n = 2001
     h = Hypergraph(n, [(i, i // 3, 1.0) for i in range(n)])
     assert h.members(666).tolist() == [1998, 1999, 2000]
     assert h.clique_expansion().edge_count == 3 * (n // 3)
-    for view in (lambda: h.incidence, lambda: h.membership_weight, h.co_membership,
-                 lambda: diffusion_kernel(h, "uniform"), lambda: diffusion_kernel(h, "hgnn")):
-        with pytest.raises(TooLarge):
-            view()
 
 
 def test_hypergraph_stores_only_the_sparse_membership_matrix():
@@ -671,7 +662,7 @@ def test_homophily_equals_per_node_loop(seed, self_loops, extra):
 
 def test_homophily_matches_dense_oracle():
     g, labels = generate_sbm([8, 8], 0.9, 0.1, seed=3)
-    dense = g.dense_weights() > 0
+    dense = dense_weights(g) > 0
     fractions = []
     for i in range(16):
         nbrs = [j for j in range(16) if dense[i, j] and j != i]

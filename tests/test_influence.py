@@ -15,11 +15,12 @@ from odyn import (
     SimilaritySpec,
     WeightedGraph,
     ZeroDegree,
-    control_term,
     phi,
     similarity_dynamic,
     similarity_static,
 )
+
+from conftest import dense_weights
 
 CORA = InfluenceConfig(eps1=0.012, eps2=0.40, mu=1.4)
 TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, mode="attract-repulse")
@@ -179,7 +180,7 @@ def test_static_similarity_matches_dense_formula():
             if rng.random() < 0.5:
                 edges.append((i, j, float(rng.uniform(0.1, 3.0))))
     g = WeightedGraph(n, edges)
-    w = g.dense_weights()
+    w = dense_weights(g)
     d = w.sum(axis=1)
     s = similarity_static(g)
     for k, (i, j) in enumerate(zip(g.src.tolist(), g.dst.tolist())):
@@ -358,15 +359,3 @@ def test_dynamic_similarity_scale_invariant():
     assert np.allclose(
         similarity_dynamic(x, pairs), similarity_dynamic(3.7 * x, pairs), atol=1e-12
     )
-
-
-# ----------------------------------------------------------- control term
-
-
-def test_control_term_values():
-    x = np.array([[1.0, -2.0], [0.5, 0.0]])
-    assert np.array_equal(control_term(InfluenceConfig(0.0, 1.0, lam=0.0), x),
-                          np.zeros_like(x))
-    assert np.array_equal(control_term(InfluenceConfig(0.0, 1.0, lam=1.0), x), -x)
-    assert np.array_equal(control_term(InfluenceConfig(0.0, 1.0, lam=0.25), x),
-                          -0.25 * x)

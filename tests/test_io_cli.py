@@ -39,6 +39,8 @@ from odyn import (
 )
 from odyn.cli import main
 
+from conftest import membership_weight
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -128,7 +130,7 @@ def test_hypergraph_csv_round_trip(tmp_path):
     back = read_hypergraph_csv(path)
     assert back.node_count == 4
     assert back.edge_count == 2
-    assert np.array_equal(back.membership_weight, h.membership_weight)
+    assert np.array_equal(membership_weight(back), membership_weight(h))
 
 
 def test_hypergraph_csv_rows_sorted_by_edge_then_node(tmp_path):
@@ -425,7 +427,7 @@ def test_readers_construct_through_module_names(tmp_path, monkeypatch):
     # Each reader hands its parsed columns over as they are.
     assert calls == [("WeightedGraph", np.ndarray), ("Hypergraph", np.ndarray)]
     assert g == WeightedGraph(2, [(0, 1, 0.5)])
-    assert h.membership_weight.tolist() == [[1.0], [2.0]]
+    assert membership_weight(h).tolist() == [[1.0], [2.0]]
 
 
 # ------------------------------------------------- trajectory writer oracle
@@ -1089,6 +1091,59 @@ def test_sweep_parallel_matches_serial(tmp_path, triangle_csv, capsys):
             serial = (outs["serial"] / run / name).read_bytes()
             parallel = (outs["parallel"] / run / name).read_bytes()
             assert serial == parallel, (run, name)
+
+
+def sweep_config(tmp_path):
+    return write_config(tmp_path, "cfg.json", {
+        "base": {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "steps": 3,
+                 "init": "unit", "dim": 2},
+        "sweep": {"param": "eps2", "values": [0.5, 1.0]},
+    })
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_refuses_jobs_below_one(tmp_path, triangle_csv, capsys, jobs):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", sweep_config(tmp_path),
+                   "--out", out, "--jobs", jobs) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, []), (None, [])],
+                         ids=["8-cpus", "1-cpu", "cpus-unknown"])
+def test_sweep_caps_workers_at_runs_and_cpus(tmp_path, triangle_csv, capsys, monkeypatch,
+                                             cpus, pools):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    cfg = sweep_config(tmp_path)
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg,
+                   "--out", tmp_path / "serial", "--jobs", 1) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg,
+                   "--out", tmp_path / "wide", "--jobs", 100000) == 0
+    capsys.readouterr()
+    assert sizes == pools
+    assert ((tmp_path / "wide" / "index.json").read_bytes()
+            == (tmp_path / "serial" / "index.json").read_bytes())
 
 
 def test_console_script_is_installed():
