@@ -103,4 +103,9 @@ from .presets import (
     planted_two_block_fixture,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The imported names; the submodules the imports bind stay out, so that
+# `from odyn import *` cannot rebind a name such as `io`.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -1,4 +1,4 @@
-"""Internal helpers for state matrices.
+"""Internal helpers for state matrices and count-valued parameters.
 
 States are N x d float64 matrices. Scalar per-node states may be passed as
 1-d arrays; these helpers lift them to a single column and remember to
@@ -32,3 +32,18 @@ def norm1(d):
     differs from |d| where d * d under- or overflows.
     """
     return np.sqrt(d * d)
+
+
+def integer(value, name, minimum=1):
+    """value as an int; ValueError naming `name` unless it is a whole number >= minimum.
+
+    4.0 passes as 4. A fraction, NaN or a string is refused rather than
+    truncated, as a step budget or a count compared against it would be wrong.
+    """
+    try:
+        integral = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

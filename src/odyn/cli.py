@@ -7,6 +7,8 @@ ODYN_LOG (error|warn|info|debug) sets the log level. A command computes
 first and creates `--out` only once that has succeeded (sweep, whose runs
 write into it, once its config is read), so exit 2 or 3 leaves no `--out`.
 The directory holds a manifest.json describing the run that produced it.
+simulate and each energy arm use the --graph or --hypergraph their kind runs
+on (odyn.dynamics); an all-to-all kind takes the first given, if any.
 Runs are pure functions of their inputs and seed, so re-running a manifest
 reproduces the output files byte for byte.
 """
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._state import integer
 from .diagnostics import (
     EnergySeries,
     detect_oversmoothing,
@@ -31,7 +34,6 @@ from .diagnostics import (
 )
 from .dynamics import DynamicSpec
 from .errors import (
-    CsvFormatError,
     KernelNotNormalized,
     NoConvergence,
     NonFiniteState,
@@ -42,7 +44,7 @@ from .errors import (
     StepLimitExceeded,
     ZeroDegree,
 )
-from .graphs import NodeLabels, homophily_level, split_masks
+from .graphs import Hypergraph, NodeLabels, WeightedGraph, homophily_level, split_masks
 from .influence import InfluenceConfig
 from .integrators import IntegratorConfig, integrate, iterate_map
 from .io import (
@@ -163,52 +165,52 @@ def _publish(out, files):
         writer(path, *payload)
 
 
-def _initial_state(spec, cfg, seed):
-    """Initial state of a run, checked against the node count it runs on."""
+def _prepare(cfg, graph, hypergraph, seed):
+    """A run's spec, given the structure its kind runs on and checked, and its x0.
+
+    An all-to-all kind keeps the first structure given, if any, for its size."""
+    spec = DynamicSpec.from_json(cfg)
+    runs_on = spec._runs_on or (WeightedGraph, Hypergraph)
+    spec.structure = next((s for s in (graph, hypergraph) if isinstance(s, runs_on)), None)
+    spec._check()
     if spec.structure is not None:
         node_count = spec.structure.node_count
+    elif "node_count" in cfg:
+        node_count = integer(cfg["node_count"], "node_count")
     else:
-        node_count = int(cfg.get("node_count", 0))
-        if node_count < 1:
-            raise ValueError("kind 'hk' without a graph needs config key node_count")
-    kind = cfg.get("init", "unit")
-    dim = int(cfg.get("dim", 20 if kind == "unit" else 1))
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if kind == "unit":
+        raise ValueError(f"kind {spec.kind!r} without a graph needs config key node_count")
+    init = cfg.get("init", "unit")
+    dim = integer(cfg.get("dim", 20 if init == "unit" else 1), "dim")
+    if init == "unit":
         x = pseudo_features(node_count, dim, seed)
-    elif kind == "uniform":
+    elif init == "uniform":
         x = np.random.default_rng(seed).random(node_count)
-    elif kind == "zeros":
+    elif init == "zeros":
         x = np.zeros((node_count, dim))
-    elif kind == "csv":
+    elif init == "csv":
         x = read_state_csv(cfg["state_csv"])
     else:
-        raise ValueError(f"unknown init kind {kind!r}")
+        raise ValueError(f"unknown init kind {init!r}")
     if x.shape[0] != node_count:
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
-    return x
+    return spec, x
 
 
-def _energy_fn(spec):
-    g = spec.structure
-    if g is None:
-        return None
-    if spec.kind.startswith("hypergraph"):
-        return lambda x: dirichlet_energy_hypergraph(g, x)
-    return lambda x: dirichlet_energy_graph(g, x)
+def _energy_fn(g):
+    """The Dirichlet energy on g, picked by its type; None without a structure."""
+    energy = dirichlet_energy_hypergraph if isinstance(g, Hypergraph) else dirichlet_energy_graph
+    return None if g is None else lambda x: energy(g, x)
 
 
 def _run_dynamic(spec, cfg, x0):
     """Shared driver: run the chosen dynamic from x0, return a trajectory."""
-    energy_fn = _energy_fn(spec)
+    energy_fn = _energy_fn(spec.structure)
     if spec.is_discrete:
-        steps = int(cfg.get("steps", 50))
+        steps = integer(cfg.get("steps", 50), "steps", minimum=0)
         if "t_end" in cfg:
             steps = int(round(float(cfg["t_end"])))
         # The continuous kinds' step budget, checked the same way.
-        limit = cfg.get("max_steps", IntegratorConfig.max_steps)
-        budget = IntegratorConfig(max_steps=limit).max_steps
+        budget = integer(cfg.get("max_steps", IntegratorConfig.max_steps), "max_steps")
         if steps > budget:
             raise StepLimitExceeded(f"{steps} discrete steps exceed max_steps = {budget}")
         return iterate_map(spec.step_fn(), x0, steps, energy_fn=energy_fn)
@@ -221,8 +223,8 @@ def _run_dynamic(spec, cfg, x0):
 
 
 def cmd_simulate(args, cfg, graph, hypergraph):
-    spec = DynamicSpec.from_json(cfg, structure=hypergraph if hypergraph is not None else graph)
-    traj = _run_dynamic(spec, cfg, _initial_state(spec, cfg, args.seed))
+    spec, x0 = _prepare(cfg, graph, hypergraph, args.seed)
+    traj = _run_dynamic(spec, cfg, x0)
     files = {"trajectory.csv": (write_trajectory_csv, traj),
              "final_state.csv": (write_state_csv, traj.final_state)}
     if traj.energies is not None:
@@ -232,8 +234,7 @@ def cmd_simulate(args, cfg, graph, hypergraph):
 
 
 def cmd_energy(args, cfg, graph, hypergraph):
-    structure = hypergraph if hypergraph is not None else graph
-    if structure is None:
+    if graph is None and hypergraph is None:
         raise ValueError("energy needs --graph or --hypergraph")
     runs = cfg.get("runs")
     if runs is None:
@@ -242,12 +243,11 @@ def cmd_energy(args, cfg, graph, hypergraph):
     for i, run_cfg in enumerate(runs):
         merged = {k: v for k, v in cfg.items() if k != "runs"}
         merged.update(run_cfg)
-        spec = DynamicSpec.from_json(merged, structure=structure)
-        arms.append((str(merged.get("name", f"run{i}")), spec, merged,
-                     _initial_state(spec, merged, args.seed)))
+        arms.append((str(merged.get("name", f"run{i}")), merged,
+                     *_prepare(merged, graph, hypergraph, args.seed)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
-    for name, spec, merged, x0 in arms:
+    for name, merged, spec, x0 in arms:
         series = EnergySeries.from_trajectory(_run_dynamic(spec, merged, x0))
         fname = f"energy_{name}.csv"
         column = "step" if spec.is_discrete else "t"
@@ -275,7 +275,7 @@ def cmd_simplify(args, cfg, graph, hypergraph):
         weight_cutoff=float(cfg.get("cutoff", 0.05)),
         drop_isolated=bool(cfg.get("drop_isolated", True)),
         source=str(cfg.get("source", "dynamic-final")),
-        feature_dim=int(cfg.get("dim", 20)),
+        feature_dim=integer(cfg.get("dim", 20), "dim"),
     )
     simplified, report = simplify_network(graph, simplify_cfg, seed=args.seed)
     log.info("simplify kept %d of %d edges", report.edges_after, report.edges_before)

@@ -125,7 +125,7 @@ def cluster_count(x, tol):
 
     One-column states are counted from their sorted values in O(N log N);
     wider states build the N x N x d difference tensor and are refused
-    (TooLarge) above DENSE_LIMIT rows.
+    (TooLarge) by dense_guard's row and cell bounds.
     """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
@@ -138,7 +138,7 @@ def cluster_count(x, tol):
         # a gap within tol links the two neighbours.
         s = np.sort(x[:, 0])
         return int(np.count_nonzero(norm1(np.diff(s)) > tol)) + int(s.size > 0)
-    dense_guard(x.shape[0], f"cluster_count dense path in dimension {x.shape[1]}")
+    dense_guard(x.shape[0], f"cluster_count dense path in dimension {x.shape[1]}", x.shape[1])
     from scipy.sparse.csgraph import connected_components  # heavy import, only used here
 
     diff = x[:, None, :] - x[None, :, :]

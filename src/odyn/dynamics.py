@@ -39,14 +39,16 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = (
-    "fd",
-    "hk",
-    "odnet-discrete",
-    "odnet-continuous",
-    "hypergraph-odnet",
-    "hypergraph-diffusion",
-)
+# kind: (structure it runs on, None if all-to-all; needs influence; discrete map)
+_KIND_TABLE = {
+    "fd": (WeightedGraph, False, True),
+    "hk": (None, False, True),
+    "odnet-discrete": (WeightedGraph, True, True),
+    "odnet-continuous": (WeightedGraph, True, False),
+    "hypergraph-odnet": (Hypergraph, True, False),
+    "hypergraph-diffusion": (Hypergraph, False, False),
+}
+KINDS = tuple(_KIND_TABLE)
 
 
 def _averaging_map(g, tolerance=1e-9):
@@ -69,7 +71,7 @@ def hk_step(x, eps):
     Distances are Euclidean over full state rows; the interaction is
     all-to-all, no graph is involved. One-column states run in O(N log N)
     on the sorted values; wider states build the N x N x d difference tensor
-    and are refused (TooLarge) above DENSE_LIMIT rows.
+    and are refused (TooLarge) by dense_guard's row and cell bounds.
     """
     if eps <= 0.0:
         raise ValueError("confidence radius eps must be positive")
@@ -78,7 +80,7 @@ def hk_step(x, eps):
         raise ValueError("hk_step needs a finite state")
     if x.shape[1] == 1:
         return from_matrix(_hk_step_sorted(x[:, 0], eps)[:, None], flat)
-    dense_guard(x.shape[0], f"hk_step dense path in dimension {x.shape[1]}")
+    dense_guard(x.shape[0], f"hk_step dense path in dimension {x.shape[1]}", x.shape[1])
     diff = x[:, None, :] - x[None, :, :]
     within = np.linalg.norm(diff, axis=2) < eps
     counts = within.sum(axis=1)
@@ -228,10 +230,10 @@ def make_hypergraph_diffusion_rhs(h, kernel="uniform"):
 class DynamicSpec:
     """Which update rule to run, on what structure, with which knobs.
 
-    The structure handle (graph or hypergraph) is attached separately from
-    JSON since files are referenced by path in run manifests. hk_radius only
-    applies to kind "hk"; kernel only to "hypergraph-diffusion"; influence
-    and similarity to the odnet kinds.
+    _KIND_TABLE says what each kind runs on and needs; step_fn and rhs_fn
+    check it. The structure is attached apart from JSON, as manifests name
+    files by path; all-to-all hk ignores it. hk_radius only applies to "hk",
+    kernel to "hypergraph-diffusion", similarity to the influence kinds.
     """
 
     kind: str
@@ -247,51 +249,49 @@ class DynamicSpec:
 
     @property
     def is_discrete(self):
-        return self.kind in ("fd", "hk", "odnet-discrete")
+        return _KIND_TABLE[self.kind][2]
 
-    def _need(self, what):
-        if what == "graph" and not isinstance(self.structure, WeightedGraph):
-            raise ValueError(f"kind {self.kind!r} needs a graph")
-        if what == "hypergraph" and not isinstance(self.structure, Hypergraph):
-            raise ValueError(f"kind {self.kind!r} needs a hypergraph")
-        if what == "influence" and self.influence is None:
+    @property
+    def _runs_on(self):
+        """WeightedGraph, Hypergraph, or None for a kind that runs all-to-all."""
+        return _KIND_TABLE[self.kind][0]
+
+    def _check(self, discrete=None):
+        """ValueError unless the kind's structure and influence are there (and form, if given)."""
+        runs_on, needs_influence, is_discrete = _KIND_TABLE[self.kind]
+        if discrete is not None and discrete != is_discrete:
+            form = "discrete step" if discrete else "continuous rhs"
+            raise ValueError(f"kind {self.kind!r} has no {form}")
+        if runs_on is not None and not isinstance(self.structure, runs_on):
+            noun = "graph" if runs_on is WeightedGraph else "hypergraph"
+            raise ValueError(f"kind {self.kind!r} needs a {noun}")
+        if needs_influence and self.influence is None:
             raise ValueError(f"kind {self.kind!r} needs an influence config")
 
     def step_fn(self):
         """Discrete one-step map for the discrete kinds."""
+        self._check(discrete=True)
         if self.kind == "fd":
-            self._need("graph")
             return _averaging_map(self.structure)
         if self.kind == "hk":
             eps = self.hk_radius
             return lambda x: hk_step(x, eps)
-        if self.kind == "odnet-discrete":
-            self._need("graph")
-            self._need("influence")
-            rhs = make_odnet_rhs(self.structure, self.influence, self.similarity)
-            return lambda x: np.asarray(x, dtype=np.float64) + rhs(x)
-        raise ValueError(f"kind {self.kind!r} has no discrete step")
+        rhs = make_odnet_rhs(self.structure, self.influence, self.similarity)
+        return lambda x: np.asarray(x, dtype=np.float64) + rhs(x)
 
     def rhs_fn(self):
         """Continuous right-hand side for the continuous kinds."""
-        if self.kind == "odnet-continuous":
-            self._need("graph")
-            self._need("influence")
-            return make_odnet_rhs(self.structure, self.influence, self.similarity)
-        if self.kind == "hypergraph-odnet":
-            self._need("hypergraph")
-            self._need("influence")
-            return make_hypergraph_odnet_rhs(self.structure, self.influence, self.similarity)
+        self._check(discrete=False)
         if self.kind == "hypergraph-diffusion":
-            self._need("hypergraph")
             return make_hypergraph_diffusion_rhs(self.structure, self.kernel)
-        raise ValueError(f"kind {self.kind!r} has no continuous rhs")
+        make = make_odnet_rhs if self._runs_on is WeightedGraph else make_hypergraph_odnet_rhs
+        return make(self.structure, self.influence, self.similarity)
 
     def to_json(self):
         out = {"kind": self.kind}
         if self.influence is not None:
             out.update(self.influence.to_json())
-        if self.kind in ("odnet-discrete", "odnet-continuous", "hypergraph-odnet"):
+        if _KIND_TABLE[self.kind][1]:
             out["similarity"] = self.similarity.kind
             out["temperature"] = self.similarity.temperature
         if self.kind == "hk":

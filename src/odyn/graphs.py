@@ -9,7 +9,7 @@ containers are immutable after construction and safe to share.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, triu
@@ -37,8 +37,11 @@ __all__ = [
 
 log = logging.getLogger("odyn")
 
-# hk_step and cluster_count refuse their dense d > 1 paths above this many rows.
+# hk_step and cluster_count refuse their dense d > 1 paths above this many rows,
+# or above this many N x N x d cells, as each holds two float64 arrays of them
+# (1.3 GB at the cap: 2000 rows of the CLI's default 20 columns).
 DENSE_LIMIT = 2000
+_DENSE_CELLS = DENSE_LIMIT**2 * 20
 
 # Uniforms drawn per slab by generate_sbm (0.5 MB of doubles).
 _SBM_SLAB = 1 << 16
@@ -263,10 +266,14 @@ class Hypergraph:
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
 
 
-def dense_guard(node_count, what):
-    """Raise TooLarge before a dense path allocates for more than DENSE_LIMIT nodes."""
+def dense_guard(node_count, what, width=1):
+    """Raise TooLarge before a dense path allocates for more than DENSE_LIMIT
+    nodes, or for more than _DENSE_CELLS node x node x width cells."""
     if node_count > DENSE_LIMIT:
         raise TooLarge(f"{what} refused for {node_count} nodes (limit {DENSE_LIMIT})")
+    if node_count * node_count * width > _DENSE_CELLS:
+        raise TooLarge(f"{what} refused for {node_count} x {node_count} x {width} cells "
+                       f"(limit {_DENSE_CELLS})")
 
 
 def _index_column(values):

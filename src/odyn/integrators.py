@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._state import integer
 from .errors import NonFiniteState, StepLimitExceeded
 
 __all__ = [
@@ -78,14 +79,7 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        # NaN or a fraction would make the step-budget comparisons meaningless.
-        try:
-            integral = self.max_steps == int(self.max_steps)
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral or self.max_steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        object.__setattr__(self, "max_steps", int(self.max_steps))
+        object.__setattr__(self, "max_steps", integer(self.max_steps, "max_steps"))
 
     def to_json(self):
         return {

@@ -256,11 +256,11 @@ def write_trajectory_csv(path, traj):
 
 def write_energy_csv(path, steps, energy, column="step"):
     """Two-column energy series; `column` names the abscissa header."""
+    label = (lambda s: str(int(s))) if column == "step" else _fmt
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{column},energy\n")
-        for s, e in zip(np.asarray(steps).tolist(), np.asarray(energy).tolist()):
-            label = str(int(s)) if column == "step" else _fmt(s)
-            fh.write(f"{label},{_fmt(e)}\n")
+        _write_rows(fh, lambda ss, es: [f"{label(s)},{_fmt(e)}\n" for s, e in zip(ss, es)],
+                    np.asarray(steps), np.asarray(energy))
 
 
 def write_json(path, obj):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyMask
-from .graphs import NodeLabels, WeightedGraph
+from .graphs import WeightedGraph
 from .influence import InfluenceConfig, SimilaritySpec, phi, similarity_dynamic, similarity_static
 from .integrators import IntegratorConfig, integrate
 from .dynamics import make_odnet_rhs

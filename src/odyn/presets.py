@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import NodeLabels, WeightedGraph, generate_sbm
+from .graphs import WeightedGraph, generate_sbm
 from .influence import InfluenceConfig
 
 __all__ = [

@@ -10,6 +10,19 @@ from odyn.dynamics import _sparse_kernel
 from odyn.graphs import dense_guard
 
 
+class GuardCalled(Exception):
+    """Raised by refusing_guard where a dense path would allocate."""
+
+
+def refusing_guard(calls):
+    """A dense_guard stand-in that records its arguments in calls and raises
+    GuardCalled, so a wide dense path is tested without allocating."""
+    def guard(*args):
+        calls.append(args)
+        raise GuardCalled
+    return guard
+
+
 def make_ring(n, weight=1.0, directed=True):
     """Directed ring 0 -> 1 -> ... -> n-1 -> 0."""
     return WeightedGraph(n, [(i, (i + 1) % n, weight) for i in range(n)], directed=directed)

@@ -1,29 +1,31 @@
 """The public API: what `import odyn` exports, pinned name by name."""
 
+import ast
+import io
+from pathlib import Path
+
 import odyn
 from odyn import Hypergraph, WeightedGraph
 
 PUBLIC = [
     "ClassifyResult", "CsvFormatError", "DynamicSpec", "EmptyGraph", "EmptyMask",
-    "EnergySeries", "Hypergraph", "INFLUENCE_PRESETS", "InfluenceConfig",
-    "InfluencerLabeling", "InsufficientData", "IntegratorConfig", "InvalidProbability",
-    "KernelNotNormalized", "NoConvergence", "NodeLabels", "NonFiniteState",
-    "NotRowStochastic", "NotSPD", "NotStronglyConnected", "OdynError",
-    "OutOfRangeSimilarity", "OversmoothingReport", "PreconditionFailed", "SimilaritySpec",
-    "SimplifyConfig", "SimplifyReport", "StepLimitExceeded", "TooLarge", "Trajectory",
-    "WeightedGraph", "ZeroDegree", "cluster_count", "consensus_predict",
-    "cooccurrence_fixture", "detect_oversmoothing", "diagnostics", "dirichlet_energy_graph",
-    "dirichlet_energy_hypergraph", "dopri5_step", "dynamics", "errors", "euler_step",
-    "fd_step", "generate_sbm", "graphs", "hk_step", "homophily_level", "influence",
-    "influence_preset", "integrate", "integrators", "io", "is_aperiodic",
-    "is_strongly_connected", "iterate_map", "label_by_degree",
+    "EnergySeries", "Hypergraph", "INFLUENCE_PRESETS", "InfluenceConfig", "InfluencerLabeling",
+    "InsufficientData", "IntegratorConfig", "InvalidProbability", "KernelNotNormalized",
+    "NoConvergence", "NodeLabels", "NonFiniteState", "NotRowStochastic", "NotSPD",
+    "NotStronglyConnected", "OdynError", "OutOfRangeSimilarity", "OversmoothingReport",
+    "PreconditionFailed", "SimilaritySpec", "SimplifyConfig", "SimplifyReport",
+    "StepLimitExceeded", "TooLarge", "Trajectory", "WeightedGraph", "ZeroDegree",
+    "cluster_count", "consensus_predict", "cooccurrence_fixture", "detect_oversmoothing",
+    "dirichlet_energy_graph", "dirichlet_energy_hypergraph", "dopri5_step", "euler_step",
+    "fd_step", "generate_sbm", "hk_step", "homophily_level", "influence_preset", "integrate",
+    "is_aperiodic", "is_strongly_connected", "iterate_map", "label_by_degree",
     "make_hypergraph_diffusion_rhs", "make_hypergraph_odnet_rhs", "make_odnet_rhs",
-    "normalize_rows", "phi", "pipeline", "planted_two_block_fixture", "presets",
-    "propagate_labels", "pseudo_features", "read_graph_csv", "read_hypergraph_csv",
-    "read_labels_csv", "read_state_csv", "rk4_step", "similarity_dynamic",
-    "similarity_static", "simplify_network", "spectral_gap", "split_masks",
-    "validate_row_stochastic", "write_energy_csv", "write_graph_csv", "write_hypergraph_csv",
-    "write_json", "write_labels_csv", "write_state_csv", "write_trajectory_csv",
+    "normalize_rows", "phi", "planted_two_block_fixture", "propagate_labels", "pseudo_features",
+    "read_graph_csv", "read_hypergraph_csv", "read_labels_csv", "read_state_csv", "rk4_step",
+    "similarity_dynamic", "similarity_static", "simplify_network", "spectral_gap",
+    "split_masks", "validate_row_stochastic", "write_energy_csv", "write_graph_csv",
+    "write_hypergraph_csv", "write_json", "write_labels_csv", "write_state_csv",
+    "write_trajectory_csv",
 ]
 
 
@@ -38,3 +40,39 @@ def test_structures_publish_no_dense_views():
                        (Hypergraph, ["incidence", "membership_weight", "co_membership"])):
         for name in names:
             assert not hasattr(cls, name), (cls.__name__, name)
+
+
+def test_star_import_binds_no_submodule():
+    # The submodules stay out of __all__, so a caller's own `io` survives.
+    namespace = {"io": io}
+    exec("from odyn import *", namespace)
+    assert namespace["io"] is io
+    assert "cli" not in namespace and "dynamics" not in namespace
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_modules_import_nothing_they_do_not_use():
+    # __init__.py imports only to re-export, so it is the one module left out.
+    src = Path(odyn.__file__).parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_unused_import_scan_finds_what_is_never_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from __future__ import annotations\nimport os, sys\n"
+                    "from a.b import c, d as e\nx: c = sys.argv\n", encoding="utf-8")
+    assert _unused_imports(path) == [(2, "os"), (3, "e")]

@@ -32,9 +32,12 @@ from odyn import (
     integrate,
     spectral_gap,
 )
+from odyn import diagnostics
 from odyn.diagnostics import EIGENVALUE_CUTOFF
+from odyn.graphs import dense_guard
 
-from conftest import dense_weights, diffusion_kernel, random_row_stochastic
+from conftest import (GuardCalled, dense_weights, diffusion_kernel, random_row_stochastic,
+                      refusing_guard)
 
 
 # ---------------------------------------------------------------- energy
@@ -287,6 +290,18 @@ def test_cluster_count_multidimensional_refuses_above_dense_limit():
     with pytest.raises(TooLarge):
         cluster_count(np.zeros((2001, 2)), 0.1)
     assert cluster_count(np.arange(5000.0), 1.0) == 1  # 1-d is not dense
+
+
+def test_cluster_count_dense_path_guards_its_width(monkeypatch):
+    # The stand-in raises before the N x N x d tensors (13 GB here) exist.
+    calls = []
+    monkeypatch.setattr(diagnostics, "dense_guard", refusing_guard(calls))
+    with pytest.raises(GuardCalled):
+        cluster_count(np.zeros((2000, 200)), 0.1)
+    [(rows, _, width)] = calls
+    assert (rows, width) == (2000, 200)
+    with pytest.raises(TooLarge):
+        dense_guard(*calls[0])  # the real guard refuses what was asked
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

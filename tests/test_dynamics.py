@@ -34,8 +34,11 @@ from odyn import (
     similarity_dynamic,
 )
 
-from conftest import (co_membership, dense_weights, diffusion_kernel, incidence,
-                      membership_weight, random_digraph, random_row_stochastic)
+from odyn import dynamics
+from odyn.graphs import dense_guard
+
+from conftest import (GuardCalled, co_membership, dense_weights, diffusion_kernel, incidence,
+                      membership_weight, random_digraph, random_row_stochastic, refusing_guard)
 
 IDENTITY_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, lam=0.1,
@@ -189,6 +192,18 @@ def test_hk_multidimensional_refuses_above_dense_limit():
     with pytest.raises(TooLarge):
         hk_step(np.zeros((2001, 2)), 0.1)
     assert hk_step(np.zeros(5000), 0.1).tolist() == [0.0] * 5000  # 1-d is not dense
+
+
+def test_hk_dense_path_guards_its_width(monkeypatch):
+    # The stand-in raises before the N x N x d tensors (13 GB here) exist.
+    calls = []
+    monkeypatch.setattr(dynamics, "dense_guard", refusing_guard(calls))
+    with pytest.raises(GuardCalled):
+        hk_step(np.zeros((2000, 200)), 0.1)
+    [(rows, _, width)] = calls
+    assert (rows, width) == (2000, 200)
+    with pytest.raises(TooLarge):
+        dense_guard(*calls[0])  # the real guard refuses what was asked
 
 
 def test_hk_rejects_non_finite_state():
@@ -669,6 +684,50 @@ def test_spec_validation_errors():
                     structure=WeightedGraph(2, [(0, 1, 1.0)])).step_fn()
     with pytest.raises(ValueError):
         DynamicSpec(kind="hk").rhs_fn()  # discrete kind has no rhs
+
+
+SPEC_STRUCTURES = {"graph": WeightedGraph(2, [(0, 1, 1.0)]),
+                   "hypergraph": Hypergraph(2, [(0, 0, 1.0), (1, 0, 1.0)]), None: None}
+
+# Per kind, spelled out apart from the module's table: the structure it runs
+# on (None: all-to-all), whether it needs an influence config, and whether it
+# is a discrete map.
+KIND_FACTS = {
+    "fd": ("graph", False, True),
+    "hk": (None, False, True),
+    "odnet-discrete": ("graph", True, True),
+    "odnet-continuous": ("graph", True, False),
+    "hypergraph-odnet": ("hypergraph", True, False),
+    "hypergraph-diffusion": ("hypergraph", False, False),
+}
+
+
+def test_kinds_are_the_table_of_kinds():
+    assert dynamics.KINDS == tuple(dynamics._KIND_TABLE)
+    assert sorted(dynamics.KINDS) == sorted(KIND_FACTS)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FACTS))
+def test_spec_checks_what_each_kind_runs_on_and_needs(kind):
+    runs_on, needs_influence, discrete = KIND_FACTS[kind]
+    build, other = ("step_fn", "rhs_fn") if discrete else ("rhs_fn", "step_fn")
+    form = "continuous rhs" if discrete else "discrete step"
+    assert DynamicSpec(kind=kind).is_discrete == discrete
+    for name, structure in SPEC_STRUCTURES.items():
+        spec = DynamicSpec(kind=kind, structure=structure, influence=IDENTITY_BAND)
+        with pytest.raises(ValueError, match=f"^kind '{kind}' has no {form}$"):
+            getattr(spec, other)()
+        if runs_on in (None, name):  # all-to-all hk takes any structure, or none
+            assert callable(getattr(spec, build)())
+        else:
+            with pytest.raises(ValueError, match=f"^kind '{kind}' needs a {runs_on}$"):
+                getattr(spec, build)()
+    spec = DynamicSpec(kind=kind, structure=SPEC_STRUCTURES[runs_on])
+    if needs_influence:
+        with pytest.raises(ValueError, match=f"^kind '{kind}' needs an influence config$"):
+            getattr(spec, build)()
+    else:
+        assert callable(getattr(spec, build)())
 
 
 def test_spec_json_round_trip():

@@ -765,3 +765,16 @@ def test_split_masks_keeps_rare_classes_in_train():
     base = NodeLabels(np.array([0] * 20 + [1]), 2)
     nl = split_masks(base, train_frac=0.1, val_frac=0.1, seed=0)
     assert (nl.labels[nl.train] == 1).sum() == 1
+
+
+@pytest.mark.parametrize("rows, width, refused", [
+    (2000, 1, False), (2000, 20, False), (1000, 80, False), (0, 10**9, False),
+    (2001, 1, True), (2000, 21, True), (1000, 81, True), (2000, 200, True),
+])
+def test_dense_guard_bounds_rows_and_cells(rows, width, refused):
+    # Called on its own, so no dense path allocates whatever the bound says.
+    if refused:
+        with pytest.raises(TooLarge, match="probe refused"):
+            graphs.dense_guard(rows, "probe", width)
+    else:
+        graphs.dense_guard(rows, "probe", width)

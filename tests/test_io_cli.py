@@ -25,6 +25,9 @@ from odyn import (
     Hypergraph,
     NodeLabels,
     WeightedGraph,
+    dirichlet_energy_hypergraph,
+    hk_step,
+    pseudo_features,
     read_graph_csv,
     read_hypergraph_csv,
     read_labels_csv,
@@ -519,6 +522,15 @@ def state_csv_oracle(path, x):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def energy_csv_oracle(path, steps, energy, column):
+    """write_energy_csv as it was: one write per row."""
+    with _open(path) as fh:
+        fh.write(f"{column},energy\n")
+        for s, e in zip(np.asarray(steps).tolist(), np.asarray(energy).tolist()):
+            label = str(int(s)) if column == "step" else repr(float(s))
+            fh.write(f"{label},{repr(float(e))}\n")
+
+
 POSITIVE_WEIGHTS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -559,6 +571,19 @@ STATE_SHAPES = st.sampled_from([(0,), (0, 2), (3, 0), (1,), (5,), (5, 1), (4, 3)
 def test_state_writer_matches_row_oracle(tmp_path, block, shape, data):
     x = data.draw(_states(shape))
     assert same_bytes(tmp_path, block, write_state_csv, state_csv_oracle, x)
+
+
+@given(ROW_BLOCKS, st.sampled_from(["step", "t"]), st.integers(0, 12), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_energy_writer_matches_row_oracle(tmp_path, block, column, n, data):
+    if column == "step":  # step numbers, as integers or as the floats a trajectory records
+        dtype = data.draw(st.sampled_from([np.int64, np.float64]))
+        steps = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+                         dtype=dtype)
+    else:
+        steps = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)))
+    energy = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=np.float64)
+    assert same_bytes(tmp_path, block, write_energy_csv, energy_csv_oracle, steps, energy, column)
 
 
 @pytest.mark.parametrize("writer, oracle, payload", [
@@ -803,6 +828,147 @@ def test_energy_failing_second_arm_leaves_no_out(tmp_path, capsys):
     assert run_cli("energy", "--hypergraph", h, "--config", cfg, "--out", out) == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -------------------------------------- the structure each kind runs on
+
+
+HK_RUN = {"kind": "hk", "hk_radius": 0.5, "steps": 12, "init": "unit", "dim": 2}
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy"])
+def test_hk_on_a_hypergraph_records_its_dirichlet_energy(tmp_path, capsys, command):
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", dict(HK_RUN, name="hk"))
+    out = tmp_path / "run"
+    assert run_cli(command, "--hypergraph", h, "--config", cfg, "--out", out) == 0
+    name = "energy.csv" if command == "simulate" else "energy_hk.csv"
+    energy = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 1]
+    states = [pseudo_features(3, 2, seed=0)]
+    for _ in range(12):
+        states.append(hk_step(states[-1], 0.5))
+    if command == "simulate":  # the recorded states are these
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows[:, 3].tolist() == np.ravel(states).tolist()
+    hyper = read_hypergraph_csv(h)
+    assert energy.tolist() == [dirichlet_energy_hypergraph(hyper, x) for x in states]
+    assert energy[0] > 0.0
+
+
+GRAPH_KIND_RUNS = [
+    {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "steps": 4, "init": "unit", "dim": 2},
+    {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0, "scheme": "rk4", "t_end": 1.0,
+     "init": "unit", "dim": 2},
+    {"kind": "fd", "directed": True, "steps": 4, "init": "uniform"},
+]
+# Row stochastic when read directed, for fd.
+LAZY_CYCLE_ROWS = "src,dst,weight\n0,0,0.5\n0,1,0.5\n1,1,0.5\n1,2,0.5\n2,2,0.5\n2,0,0.5\n"
+
+
+@pytest.mark.parametrize("run", GRAPH_KIND_RUNS, ids=lambda run: run["kind"])
+def test_graph_kind_given_both_structures_runs_on_the_graph(tmp_path, capsys, run):
+    g = write_text(tmp_path / "g.csv", LAZY_CYCLE_ROWS)
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", run)
+    assert run_cli("simulate", "--graph", g, "--config", cfg, "--out", tmp_path / "g") == 0
+    assert run_cli("simulate", "--graph", g, "--hypergraph", h, "--config", cfg,
+                   "--out", tmp_path / "both") == 0
+    for name in ("final_state.csv", "trajectory.csv", "energy.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
+
+
+def test_energy_arms_given_both_structures_each_run_on_their_own(tmp_path, capsys, triangle_csv):
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    graph_arm = dict(GRAPH_KIND_RUNS[1], name="graph")
+    hyper_arm = {"name": "hyper", "kind": "hypergraph-diffusion", "scheme": "rk4", "t_end": 1.0,
+                 "init": "unit", "dim": 2}
+    cfg = write_config(tmp_path, "cfg.json", {"runs": [graph_arm, hyper_arm]})
+    assert run_cli("energy", "--graph", triangle_csv, "--hypergraph", h, "--config", cfg,
+                   "--out", tmp_path / "both") == 0
+    for flag, path, arm in (("--graph", triangle_csv, graph_arm), ("--hypergraph", h, hyper_arm)):
+        one = write_config(tmp_path, "one.json", {"runs": [arm]})
+        out = tmp_path / arm["name"]
+        assert run_cli("energy", flag, path, "--config", one, "--out", out) == 0
+        name = f"energy_{arm['name']}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, run, message", [
+    ("simulate", GRAPH_KIND_RUNS[1], "kind 'odnet-continuous' needs a graph"),
+    ("simulate", GRAPH_KIND_RUNS[2], "kind 'fd' needs a graph"),
+    ("simulate", HGNN_ARM, "kind 'hypergraph-diffusion' needs a hypergraph"),
+    ("simulate", {"kind": "hypergraph-odnet", "eps1": 0, "eps2": 1},
+     "kind 'hypergraph-odnet' needs a hypergraph"),
+    ("simulate", HK_RUN, "kind 'hk' without a graph needs config key node_count"),
+    ("energy", HK_RUN, "energy needs --graph or --hypergraph"),
+], ids=["odnet", "fd", "diffusion", "hypergraph-odnet", "hk", "energy"])
+def test_run_without_structure_names_what_its_kind_needs(tmp_path, capsys, command, run,
+                                                        message):
+    cfg = write_config(tmp_path, "cfg.json", run)
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, arm, message", [
+    ("--hypergraph", GRAPH_KIND_RUNS[1], "kind 'odnet-continuous' needs a graph"),
+    ("--graph", HGNN_ARM, "kind 'hypergraph-diffusion' needs a hypergraph"),
+])
+def test_energy_checks_every_arm_before_the_first_runs(tmp_path, capsys, monkeypatch,
+                                                       triangle_csv, flag, arm, message):
+    import odyn.cli as cli
+
+    integrate = mock.Mock(side_effect=AssertionError("an arm ran"))
+    monkeypatch.setattr(cli, "integrate", integrate)
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    first = dict(GRAPH_KIND_RUNS[1] if flag == "--graph" else HGNN_ARM, name="first",
+                 kernel="uniform")
+    cfg = write_config(tmp_path, "cfg.json", {"runs": [first, dict(arm, name="second")]})
+    out = tmp_path / "run"
+    structure = triangle_csv if flag == "--graph" else h
+    assert run_cli("energy", flag, structure, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert integrate.call_count == 0
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ count-valued keys
+
+
+@pytest.mark.parametrize("command, run, message", [
+    ("simulate", {**GRAPH_KIND_RUNS[0], "steps": 2.5}, "steps must be an integer >= 0, got 2.5"),
+    ("simulate", {**GRAPH_KIND_RUNS[0], "steps": "4"}, "steps must be an integer >= 0, got '4'"),
+    ("simulate", {**GRAPH_KIND_RUNS[0], "dim": 2.5}, "dim must be an integer >= 1, got 2.5"),
+    ("simulate", {**HK_RUN, "node_count": 3.7}, "node_count must be an integer >= 1, got 3.7"),
+    ("simulate", {**HK_RUN, "node_count": 0}, "node_count must be an integer >= 1, got 0"),
+    ("energy", {**GRAPH_KIND_RUNS[0], "runs": [{"name": "a"}, {"name": "b", "dim": 1.5}]},
+     "dim must be an integer >= 1, got 1.5"),
+    ("simplify", {"dim": 2.5}, "dim must be an integer >= 1, got 2.5"),
+], ids=["steps", "steps-string", "dim", "node_count", "node_count-0", "energy-dim",
+        "simplify-dim"])
+def test_count_keys_refuse_what_is_not_a_whole_number(tmp_path, triangle_csv, capsys, command,
+                                                      run, message):
+    cfg = write_config(tmp_path, "cfg.json", run)
+    out = tmp_path / "run"
+    graph = () if run.get("kind") == "hk" else ("--graph", triangle_csv)
+    assert run_cli(command, *graph, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_count_keys_take_whole_floats(tmp_path, triangle_csv, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {**GRAPH_KIND_RUNS[0], "steps": 4.0, "dim": 3.0})
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
+                   "--out", tmp_path / "a") == 0
+    assert read_state_csv(tmp_path / "a" / "final_state.csv").shape == (3, 3)
+    assert len((tmp_path / "a" / "energy.csv").read_text().splitlines()) == 1 + 5
+    cfg = write_config(tmp_path, "hk.json", {**HK_RUN, "node_count": 4.0})
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "b") == 0
+    assert read_state_csv(tmp_path / "b" / "final_state.csv").shape == (4, 2)
+    cfg = write_config(tmp_path, "simplify.json", {"dim": 4.0, "t_end": 0.5})
+    assert run_cli("simplify", "--graph", triangle_csv, "--config", cfg,
+                   "--out", tmp_path / "c") == 0
 
 
 @pytest.mark.parametrize("command, obj", [
