@@ -166,7 +166,7 @@ def _publish(out, files):
 
 
 def _prepare(cfg, graph, hypergraph, seed):
-    """A run's spec, given the structure its kind runs on and checked, and its x0.
+    """A run's spec, given its structure and checked; its x0; and its steps or IntegratorConfig.
 
     An all-to-all kind keeps the first structure given, if any, for its size."""
     spec = DynamicSpec.from_json(cfg)
@@ -193,7 +193,16 @@ def _prepare(cfg, graph, hypergraph, seed):
         raise ValueError(f"unknown init kind {init!r}")
     if x.shape[0] != node_count:
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
-    return spec, x
+    if not spec.is_discrete:
+        return spec, x, IntegratorConfig.from_json(cfg)
+    steps = integer(cfg.get("steps", 50), "steps", minimum=0)
+    if "t_end" in cfg:  # a discrete t_end counts steps
+        steps = integer(cfg["t_end"], "t_end", minimum=0)
+    # The continuous kinds' step budget, checked the same way.
+    budget = integer(cfg.get("max_steps", IntegratorConfig.max_steps), "max_steps")
+    if steps > budget:
+        raise StepLimitExceeded(f"{steps} discrete steps exceed max_steps = {budget}")
+    return spec, x, steps
 
 
 def _energy_fn(g):
@@ -202,20 +211,12 @@ def _energy_fn(g):
     return None if g is None else lambda x: energy(g, x)
 
 
-def _run_dynamic(spec, cfg, x0):
-    """Shared driver: run the chosen dynamic from x0, return a trajectory."""
+def _run_dynamic(spec, x0, length):
+    """Shared driver: run the chosen dynamic from x0 for the length _prepare gave."""
     energy_fn = _energy_fn(spec.structure)
     if spec.is_discrete:
-        steps = integer(cfg.get("steps", 50), "steps", minimum=0)
-        if "t_end" in cfg:
-            steps = int(round(float(cfg["t_end"])))
-        # The continuous kinds' step budget, checked the same way.
-        budget = integer(cfg.get("max_steps", IntegratorConfig.max_steps), "max_steps")
-        if steps > budget:
-            raise StepLimitExceeded(f"{steps} discrete steps exceed max_steps = {budget}")
-        return iterate_map(spec.step_fn(), x0, steps, energy_fn=energy_fn)
-    icfg = IntegratorConfig.from_json(cfg)
-    return integrate(spec.rhs_fn(), x0, icfg, energy_fn=energy_fn)
+        return iterate_map(spec.step_fn(), x0, length, energy_fn=energy_fn)
+    return integrate(spec.rhs_fn(), x0, length, energy_fn=energy_fn)
 
 
 # Each command computes from (args, cfg, graph, hypergraph) and returns the files
@@ -223,8 +224,7 @@ def _run_dynamic(spec, cfg, x0):
 
 
 def cmd_simulate(args, cfg, graph, hypergraph):
-    spec, x0 = _prepare(cfg, graph, hypergraph, args.seed)
-    traj = _run_dynamic(spec, cfg, x0)
+    traj = _run_dynamic(*_prepare(cfg, graph, hypergraph, args.seed))
     files = {"trajectory.csv": (write_trajectory_csv, traj),
              "final_state.csv": (write_state_csv, traj.final_state)}
     if traj.energies is not None:
@@ -243,12 +243,12 @@ def cmd_energy(args, cfg, graph, hypergraph):
     for i, run_cfg in enumerate(runs):
         merged = {k: v for k, v in cfg.items() if k != "runs"}
         merged.update(run_cfg)
-        arms.append((str(merged.get("name", f"run{i}")), merged,
+        arms.append((str(merged.get("name", f"run{i}")),
                      *_prepare(merged, graph, hypergraph, args.seed)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
-    for name, merged, spec, x0 in arms:
-        series = EnergySeries.from_trajectory(_run_dynamic(spec, merged, x0))
+    for name, spec, x0, length in arms:
+        series = EnergySeries.from_trajectory(_run_dynamic(spec, x0, length))
         fname = f"energy_{name}.csv"
         column = "step" if spec.is_discrete else "t"
         files[fname] = (write_energy_csv, series.steps, series.energy, column)

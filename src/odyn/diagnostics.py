@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import identity
 
 from ._state import from_matrix, norm1, to_matrix
 from .dynamics import _sparse_kernel
@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .graphs import dense_guard, is_aperiodic, validate_row_stochastic
+from .graphs import _radius_pairs, is_aperiodic, validate_row_stochastic
 
 __all__ = [
     "EnergySeries",
@@ -124,8 +124,8 @@ def cluster_count(x, tol):
     """Number of connected components when rows within distance tol link.
 
     One-column states are counted from their sorted values in O(N log N);
-    wider states build the N x N x d difference tensor and are refused
-    (TooLarge) by dense_guard's row and cell bounds.
+    wider states from the radius pairs of a k-d tree, refused (TooLarge)
+    above graphs._PAIR_LIMIT pairs.
     """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
@@ -138,13 +138,8 @@ def cluster_count(x, tol):
         # a gap within tol links the two neighbours.
         s = np.sort(x[:, 0])
         return int(np.count_nonzero(norm1(np.diff(s)) > tol)) + int(s.size > 0)
-    dense_guard(x.shape[0], f"cluster_count dense path in dimension {x.shape[1]}", x.shape[1])
     from scipy.sparse.csgraph import connected_components  # heavy import, only used here
-
-    diff = x[:, None, :] - x[None, :, :]
-    close = np.linalg.norm(diff, axis=2) <= tol
-    n_comp, _ = connected_components(csr_matrix(close), directed=False)
-    return int(n_comp)
+    return int(connected_components(_radius_pairs(x, tol, strict=False), directed=False)[0])
 
 
 def consensus_predict(g, x0, tolerance=1e-12, max_iterations=100_000):

@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix, diags
 
 from ._state import from_matrix, norm1, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
-from .graphs import Hypergraph, WeightedGraph, dense_guard, validate_row_stochastic
+from .graphs import Hypergraph, WeightedGraph, _radius_pairs, validate_row_stochastic
 from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_static
 
 __all__ = [
@@ -70,8 +70,8 @@ def hk_step(x, eps):
     Every node always hears itself, so the neighborhood is never empty.
     Distances are Euclidean over full state rows; the interaction is
     all-to-all, no graph is involved. One-column states run in O(N log N)
-    on the sorted values; wider states build the N x N x d difference tensor
-    and are refused (TooLarge) by dense_guard's row and cell bounds.
+    on the sorted values; wider states average over the radius pairs of a
+    k-d tree, refused (TooLarge) above graphs._PAIR_LIMIT pairs.
     """
     if eps <= 0.0:
         raise ValueError("confidence radius eps must be positive")
@@ -80,11 +80,8 @@ def hk_step(x, eps):
         raise ValueError("hk_step needs a finite state")
     if x.shape[1] == 1:
         return from_matrix(_hk_step_sorted(x[:, 0], eps)[:, None], flat)
-    dense_guard(x.shape[0], f"hk_step dense path in dimension {x.shape[1]}", x.shape[1])
-    diff = x[:, None, :] - x[None, :, :]
-    within = np.linalg.norm(diff, axis=2) < eps
-    counts = within.sum(axis=1)
-    return from_matrix((within.astype(np.float64) @ x) / counts[:, None], flat)
+    A = _radius_pairs(x, eps, strict=True)
+    return from_matrix((A @ x + x) / (np.diff(A.indptr) + 1.0)[:, None], flat)
 
 
 def _hk_step_sorted(v, eps):
@@ -192,6 +189,7 @@ def _sparse_kernel(h, kind):
         t = np.asarray(K.sum(axis=1)).ravel()
         K.data /= np.repeat(t, np.diff(K.indptr))
     elif kind == "hgnn":
+        h._product_guard("hgnn kernel")
         H = h._incidence_csr()
         dv = np.asarray(H.sum(axis=1)).ravel()
         de = np.asarray(H.sum(axis=0)).ravel()

@@ -62,7 +62,7 @@ class NoConvergence(OdynError):
 
 
 class TooLarge(OdynError):
-    """Problem size exceeds a path's limit (dense views, int64 arc keys)."""
+    """Problem size exceeds a path's limit (node pairs, dense spectra, int64 arc keys)."""
 
 
 class NotSPD(OdynError):

@@ -22,7 +22,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DENSE_LIMIT",
     "WeightedGraph",
     "Hypergraph",
     "NodeLabels",
@@ -37,11 +36,9 @@ __all__ = [
 
 log = logging.getLogger("odyn")
 
-# hk_step and cluster_count refuse their dense d > 1 paths above this many rows,
-# or above this many N x N x d cells, as each holds two float64 arrays of them
-# (1.3 GB at the cap: 2000 rows of the CLI's default 20 columns).
-DENSE_LIMIT = 2000
-_DENSE_CELLS = DENSE_LIMIT**2 * 20
+# Node pairs one call may hold, about 1 GB: radius pairs of hk_step and cluster_count
+# (56 bytes each), or sum |e|^2 for a membership product H @ H.T (85 bytes each).
+_PAIR_LIMIT = 2**24
 
 # Uniforms drawn per slab by generate_sbm (0.5 MB of doubles).
 _SBM_SLAB = 1 << 16
@@ -247,6 +244,7 @@ class Hypergraph:
         H @ H.T leaves rows unsorted, and a lookup C[src, dst] then scans a
         whole row per pair: O(k^3) for one hyperedge of k members.
         """
+        self._product_guard("co-membership counts")
         H = self._incidence_csr()
         C = H @ H.T
         C.sum_duplicates()
@@ -258,22 +256,41 @@ class Hypergraph:
         Edge weight is the sum over shared hyperedges of the product of the
         two membership weights.
         """
+        self._product_guard("clique expansion")
         M = self._weights
         W = triu(M.tocsr() @ M.T, k=1).tocoo()
         return WeightedGraph.from_arrays(self.node_count, W.row, W.col, W.data)
+
+    def _product_guard(self, what):
+        """TooLarge before a product of the memberships with their transpose."""
+        _pair_guard(int(np.square(np.diff(self._weights.indptr)).sum()), f"{what} of a hypergraph")
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
 
 
-def dense_guard(node_count, what, width=1):
-    """Raise TooLarge before a dense path allocates for more than DENSE_LIMIT
-    nodes, or for more than _DENSE_CELLS node x node x width cells."""
-    if node_count > DENSE_LIMIT:
-        raise TooLarge(f"{what} refused for {node_count} nodes (limit {DENSE_LIMIT})")
-    if node_count * node_count * width > _DENSE_CELLS:
-        raise TooLarge(f"{what} refused for {node_count} x {node_count} x {width} cells "
-                       f"(limit {_DENSE_CELLS})")
+def _pair_guard(pairs, what):
+    """Raise TooLarge before `what` holds more than _PAIR_LIMIT node pairs."""
+    if pairs > _PAIR_LIMIT:
+        raise TooLarge(f"{what} refused for {pairs} node pairs (limit {_PAIR_LIMIT})")
+
+
+def _radius_pairs(x, radius, strict):
+    """Symmetric 0/1 CSR matrix linking rows i != j with norm(x_i - x_j) < radius (strict)
+    or <= radius, tested 2^16 pairs at a time; TooLarge above _PAIR_LIMIT ordered pairs,
+    each row with itself. A slightly wider k-d tree ball lets no rounding drop a pair."""
+    from scipy.spatial import cKDTree  # about 0.18 s to import, only used here
+
+    n, d = x.shape
+    tree = cKDTree(x if d else np.zeros((n, 1)))  # no columns: every distance is 0
+    wide = radius * (1.0 + 2.0**-20) + 1e-150
+    _pair_guard(int(tree.query_ball_point(tree.data, wide, return_length=True).sum()),
+                f"pairs within {radius} of {n} rows in dimension {d}")
+    pairs = tree.query_pairs(wide, output_type="ndarray")
+    dist = np.concatenate([np.linalg.norm(x[b[:, 0]] - x[b[:, 1]], axis=1)
+                           for b in np.split(pairs, range(1 << 16, len(pairs), 1 << 16))])
+    i, j = pairs[dist < radius if strict else dist <= radius].T
+    return csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
 def _index_column(values):

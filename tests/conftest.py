@@ -5,22 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from odyn import WeightedGraph, normalize_rows
+from odyn import TooLarge, WeightedGraph, normalize_rows
 from odyn.dynamics import _sparse_kernel
-from odyn.graphs import dense_guard
-
-
-class GuardCalled(Exception):
-    """Raised by refusing_guard where a dense path would allocate."""
-
-
-def refusing_guard(calls):
-    """A dense_guard stand-in that records its arguments in calls and raises
-    GuardCalled, so a wide dense path is tested without allocating."""
-    def guard(*args):
-        calls.append(args)
-        raise GuardCalled
-    return guard
 
 
 def make_ring(n, weight=1.0, directed=True):
@@ -67,10 +53,18 @@ def random_row_stochastic(seed, n_max=12, lazy=0.5):
 
 # -- dense views: oracles for the sparse structures, small inputs only
 
+DENSE_VIEW_ROWS = 2000
+
+
+def dense_view_guard(node_count, what):
+    """TooLarge before a dense view of more than DENSE_VIEW_ROWS nodes is built."""
+    if node_count > DENSE_VIEW_ROWS:
+        raise TooLarge(f"{what} refused for {node_count} nodes (limit {DENSE_VIEW_ROWS})")
+
 
 def dense_weights(g):
     """Dense N x N weight matrix of a graph's arcs."""
-    dense_guard(g.node_count, "dense weight view")
+    dense_view_guard(g.node_count, "dense weight view")
     m = np.zeros((g.node_count, g.node_count))
     m[g.src, g.dst] = g.weight
     return m
@@ -78,7 +72,7 @@ def dense_weights(g):
 
 def membership_weight(h):
     """Dense N x E membership weights of a hypergraph."""
-    dense_guard(h.node_count, "dense N x E membership view")
+    dense_view_guard(h.node_count, "dense N x E membership view")
     return h._weights.toarray()
 
 
@@ -89,13 +83,13 @@ def incidence(h):
 
 def co_membership(h):
     """Dense count matrix C with C[i, j] = number of shared hyperedges."""
-    dense_guard(h.node_count, "dense co-membership")
+    dense_view_guard(h.node_count, "dense co-membership")
     return h._co_membership_csr().toarray()
 
 
 def diffusion_kernel(h, kind="uniform"):
     """Dense form of the diffusion kernel the hypergraph-diffusion rhs runs on."""
-    dense_guard(h.node_count, "dense diffusion kernel")
+    dense_view_guard(h.node_count, "dense diffusion kernel")
     return _sparse_kernel(h, kind).toarray()
 
 

@@ -32,12 +32,10 @@ from odyn import (
     integrate,
     spectral_gap,
 )
-from odyn import diagnostics
+from odyn import graphs
 from odyn.diagnostics import EIGENVALUE_CUTOFF
-from odyn.graphs import dense_guard
 
-from conftest import (GuardCalled, dense_weights, diffusion_kernel, random_row_stochastic,
-                      refusing_guard)
+from conftest import dense_weights, diffusion_kernel, random_row_stochastic
 
 
 # ---------------------------------------------------------------- energy
@@ -264,8 +262,12 @@ def dense_cluster_oracle(x, tol):
     return int(connected_components(csr_matrix(close), directed=False)[0])
 
 
+TINY = 2.225073858507203e-309  # subnormal: TINY * TINY underflows to 0
+
+
 # Values on a 1/8 grid with tolerances that are multiples of 1/8: duplicates
-# and gaps of exactly tol, all exact in binary floating point.
+# and gaps of exactly tol, all exact in binary floating point. Widths above 1
+# take the values row by row and run the k-d tree path.
 @given(
     st.one_of(
         st.tuples(
@@ -276,32 +278,52 @@ def dense_cluster_oracle(x, tol):
                   st.floats(0.0, 0.3)),
     ),
     st.booleans(),
+    st.integers(1, 4),
 )
-@example((np.array([0.0, 2.225073858507203e-309]), 0.0), False)  # d * d underflows
+@example((np.array([0.0, TINY]), 0.0), False, 1)  # d * d underflows
+@example((np.array([0.0, 0.0, 0.375, 0.5]), 0.625), False, 2)  # 3-4-5: distance exactly tol
+@example((np.array([0.0, 0.0, TINY, 0.0, 0.0, TINY]), 0.0), False, 2)  # norm reads 0
+@example((np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), 0.0), False, 2)  # tol 0
+# norm(x_1 - x_0) is tol, but the squared distance rounds above tol * tol:
+# a k-d tree asked for exactly tol drops the pair.
+@example((np.array([0.0, 0.0, 0.5253543224757259, 0.31024187555895566]), 0.6101206319198421),
+         False, 2)
 @settings(max_examples=120, deadline=None)
-def test_cluster_count_one_column_matches_dense_oracle(state, as_column):
+def test_cluster_count_one_column_matches_dense_oracle(state, as_column, width):
     x, tol = state
-    if as_column:
+    if width > 1:
+        x = x[: x.size // width * width].reshape(-1, width)
+    elif as_column:
         x = x[:, None]
     assert cluster_count(x, tol) == dense_cluster_oracle(x, tol)
 
 
-def test_cluster_count_multidimensional_refuses_above_dense_limit():
-    with pytest.raises(TooLarge):
-        cluster_count(np.zeros((2001, 2)), 0.1)
-    assert cluster_count(np.arange(5000.0), 1.0) == 1  # 1-d is not dense
+def test_cluster_count_runs_wide_states_of_any_row_count():
+    # 2001 rows in three clusters sqrt(2) apart.
+    x = np.repeat(np.arange(3.0), 667)[:, None] * np.ones(2)
+    assert cluster_count(x, 0.1) == 3
+    assert cluster_count(np.arange(5000.0), 1.0) == 1
 
 
-def test_cluster_count_dense_path_guards_its_width(monkeypatch):
-    # The stand-in raises before the N x N x d tensors (13 GB here) exist.
-    calls = []
-    monkeypatch.setattr(diagnostics, "dense_guard", refusing_guard(calls))
-    with pytest.raises(GuardCalled):
-        cluster_count(np.zeros((2000, 200)), 0.1)
-    [(rows, _, width)] = calls
-    assert (rows, width) == (2000, 200)
-    with pytest.raises(TooLarge):
-        dense_guard(*calls[0])  # the real guard refuses what was asked
+def test_cluster_count_refuses_more_radius_pairs_than_the_limit_before_holding_them():
+    # 6000 equal rows are 36M pairs: their indices alone would take 576 MB.
+    cluster_count(np.zeros((2, 2)), 0.1)  # warm up: the k-d tree's import is not the path's
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="36000000 node pairs"):
+            cluster_count(np.zeros((6000, 2)), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cluster_count_runs_at_the_pair_limit(monkeypatch):
+    # Pairs are ordered and include each row with itself: n equal rows are n * n.
+    monkeypatch.setattr(graphs, "_PAIR_LIMIT", 16)
+    assert cluster_count(np.ones((4, 2)), 0.0) == 1
+    with pytest.raises(TooLarge, match="25 node pairs"):
+        cluster_count(np.ones((5, 2)), 0.0)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -5,6 +5,8 @@ of each rule, from closed-form flows of small linear systems, and from
 dense eigendecompositions, never from the vectorized code under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,11 +36,10 @@ from odyn import (
     similarity_dynamic,
 )
 
-from odyn import dynamics
-from odyn.graphs import dense_guard
+from odyn import dynamics, graphs
 
-from conftest import (GuardCalled, co_membership, dense_weights, diffusion_kernel, incidence,
-                      membership_weight, random_digraph, random_row_stochastic, refusing_guard)
+from conftest import (co_membership, dense_weights, diffusion_kernel, incidence,
+                      membership_weight, random_digraph, random_row_stochastic)
 
 IDENTITY_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, lam=0.1,
@@ -165,12 +166,20 @@ FLOAT_STATES = st.tuples(
 )
 
 
-@given(st.one_of(GRID_STATES, FLOAT_STATES), st.booleans())
-@example((np.array([0.0, 2.225073858507203e-309]), 1e-320), False)  # d * d underflows
+TINY = 2.225073858507203e-309  # subnormal: TINY * TINY underflows to 0
+
+
+# Widths above 1 take the values row by row and run the k-d tree path.
+@given(st.one_of(GRID_STATES, FLOAT_STATES), st.booleans(), st.integers(1, 4))
+@example((np.array([0.0, TINY]), 1e-320), False, 1)  # d * d underflows
+@example((np.array([0.0, 0.0, 0.375, 0.5]), 0.625), False, 2)  # 3-4-5: distance exactly eps
+@example((np.array([0.0, 0.0, TINY, 0.0, 0.0, TINY]), 1e-320), False, 2)  # norm reads 0
 @settings(max_examples=120, deadline=None)
-def test_hk_one_column_matches_dense_oracle(state, as_column):
+def test_hk_one_column_matches_dense_oracle(state, as_column, width):
     x, eps = state
-    if as_column:
+    if width > 1:
+        x = x[: x.size // width * width].reshape(-1, width)
+    elif as_column:
         x = x[:, None]
     out = hk_step(x, eps)
     assert out.shape == x.shape
@@ -188,22 +197,32 @@ def test_hk_window_uses_the_pairwise_difference():
     assert np.array_equal(out, dense_hk_oracle(x, 0.1))
 
 
-def test_hk_multidimensional_refuses_above_dense_limit():
-    with pytest.raises(TooLarge):
-        hk_step(np.zeros((2001, 2)), 0.1)
-    assert hk_step(np.zeros(5000), 0.1).tolist() == [0.0] * 5000  # 1-d is not dense
+def test_hk_runs_wide_states_of_any_row_count():
+    # 2001 rows in three clusters sqrt(2) apart: each row only hears its own.
+    x = np.repeat(np.arange(3.0), 667)[:, None] * np.ones(2)
+    assert np.array_equal(hk_step(x, 0.1), x)
+    assert hk_step(np.zeros(5000), 0.1).tolist() == [0.0] * 5000
 
 
-def test_hk_dense_path_guards_its_width(monkeypatch):
-    # The stand-in raises before the N x N x d tensors (13 GB here) exist.
-    calls = []
-    monkeypatch.setattr(dynamics, "dense_guard", refusing_guard(calls))
-    with pytest.raises(GuardCalled):
-        hk_step(np.zeros((2000, 200)), 0.1)
-    [(rows, _, width)] = calls
-    assert (rows, width) == (2000, 200)
-    with pytest.raises(TooLarge):
-        dense_guard(*calls[0])  # the real guard refuses what was asked
+def test_hk_refuses_more_radius_pairs_than_the_limit_before_holding_them():
+    # 6000 equal rows are 36M pairs: their indices alone would take 576 MB.
+    hk_step(np.zeros((2, 2)), 0.1)  # warm up: the k-d tree's import is not the path's
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="36000000 node pairs"):
+            hk_step(np.zeros((6000, 2)), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_hk_runs_at_the_pair_limit(monkeypatch):
+    # Pairs are ordered and include each row with itself: n equal rows are n * n.
+    monkeypatch.setattr(graphs, "_PAIR_LIMIT", 16)
+    assert np.array_equal(hk_step(np.ones((4, 2)), 0.1), np.ones((4, 2)))
+    with pytest.raises(TooLarge, match="25 node pairs"):
+        hk_step(np.ones((5, 2)), 0.1)
 
 
 def test_hk_rejects_non_finite_state():

@@ -6,6 +6,7 @@ cycle enumeration) rather than from the library's own traversals.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from odyn import graphs
 from odyn import (
     EmptyGraph,
     Hypergraph,
+    InfluenceConfig,
     InvalidProbability,
     NodeLabels,
     NotStronglyConnected,
@@ -27,10 +29,12 @@ from odyn import (
     homophily_level,
     is_aperiodic,
     is_strongly_connected,
+    make_hypergraph_odnet_rhs,
     normalize_rows,
     split_masks,
     validate_row_stochastic,
 )
+from odyn.dynamics import _sparse_kernel
 
 from conftest import (co_membership, dense_weights, incidence, make_ring, membership_weight,
                       random_digraph, random_row_stochastic)
@@ -767,14 +771,36 @@ def test_split_masks_keeps_rare_classes_in_train():
     assert (nl.labels[nl.train] == 1).sum() == 1
 
 
-@pytest.mark.parametrize("rows, width, refused", [
-    (2000, 1, False), (2000, 20, False), (1000, 80, False), (0, 10**9, False),
-    (2001, 1, True), (2000, 21, True), (1000, 81, True), (2000, 200, True),
-])
-def test_dense_guard_bounds_rows_and_cells(rows, width, refused):
-    # Called on its own, so no dense path allocates whatever the bound says.
-    if refused:
-        with pytest.raises(TooLarge, match="probe refused"):
-            graphs.dense_guard(rows, "probe", width)
-    else:
-        graphs.dense_guard(rows, "probe", width)
+# Every product of a hypergraph's memberships with their transpose.
+HYPERGRAPH_PRODUCTS = {
+    "clique_expansion": lambda h: h.clique_expansion(),
+    "co_membership": lambda h: h._co_membership_csr(),
+    "uniform_kernel": lambda h: _sparse_kernel(h, "uniform"),
+    "hgnn_kernel": lambda h: _sparse_kernel(h, "hgnn"),
+    "hypergraph_odnet_rhs": lambda h: make_hypergraph_odnet_rhs(h, InfluenceConfig(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("product", HYPERGRAPH_PRODUCTS.values(), ids=list(HYPERGRAPH_PRODUCTS))
+def test_hypergraph_products_refuse_a_4097_member_hyperedge_first(product):
+    # 4097^2 pairs, just past 2^24: the product would hold about 1.4 GB.
+    h = Hypergraph(4097, [(i, 0, 1.0) for i in range(4097)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="refused for 16785409 node pairs"):
+            product(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("product", HYPERGRAPH_PRODUCTS.values(), ids=list(HYPERGRAPH_PRODUCTS))
+def test_hypergraph_products_run_at_the_pair_limit(monkeypatch, product):
+    # Hyperedges of 4 members and of 1: 4^2 + 1^2 = 17 pairs, each member with itself too.
+    h = Hypergraph(5, [(i, 0, 1.0) for i in range(4)] + [(4, 1, 1.0)])
+    monkeypatch.setattr(graphs, "_PAIR_LIMIT", 17)
+    product(h)
+    monkeypatch.setattr(graphs, "_PAIR_LIMIT", 16)
+    with pytest.raises(TooLarge, match="refused for 17 node pairs"):
+        product(h)

@@ -698,6 +698,15 @@ def test_simulate_t_end_flag_overrides_discrete_steps(tmp_path, triangle_csv):
     assert len(lines) == 1 + 4 * 3 * 2
 
 
+@pytest.mark.parametrize("t_end", [2.5, 3.5, 0.4])
+def test_simulate_discrete_t_end_must_be_a_whole_number(tmp_path, capsys, t_end):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "hk", "node_count": 6})
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg, "--out", out, "--t-end", t_end) == 2
+    assert capsys.readouterr().err == f"input error: t_end must be an integer >= 0, got {t_end}\n"
+    assert not out.exists()
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path, triangle_csv):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0,
@@ -930,6 +939,29 @@ def test_energy_checks_every_arm_before_the_first_runs(tmp_path, capsys, monkeyp
     assert run_cli("energy", flag, structure, "--config", cfg, "--out", out) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert integrate.call_count == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arm, message", [
+    ({"kind": "odnet-discrete", "steps": 2.5}, "steps must be an integer >= 0, got 2.5"),
+    ({"kind": "odnet-discrete", "steps": 2, "max_steps": 0},
+     "max_steps must be an integer >= 1, got 0"),
+    ({"scheme": "midpoint"}, "scheme must be one of ('euler', 'rk4', 'dopri5')"),
+], ids=["steps", "max_steps", "scheme"])
+def test_energy_checks_every_arms_run_length_before_the_first_runs(
+        tmp_path, capsys, monkeypatch, triangle_csv, arm, message):
+    import odyn.cli as cli
+
+    calls = {name: mock.Mock(side_effect=AssertionError("an arm ran"))
+             for name in ("integrate", "iterate_map")}
+    for name, stand_in in calls.items():
+        monkeypatch.setattr(cli, name, stand_in)
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(GRAPH_KIND_RUNS[1], runs=[{"name": "a"}, dict(arm, name="b")]))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert [stand_in.call_count for stand_in in calls.values()] == [0, 0]
     assert not out.exists()
 
 
@@ -1226,8 +1258,24 @@ def test_energy_runs_hypergraph_arms_above_dense_limit(tmp_path, capsys):
         assert 0.0 < summary["runs"][name]["energy_ratio"] < 1.0
 
 
-def test_cli_import_loads_no_csgraph_linalg_or_multiprocessing():
-    heavy = ["scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "multiprocessing"]
+@pytest.mark.parametrize("command, run", [
+    ("simulate", {"kind": "hypergraph-diffusion", "kernel": "uniform"}),
+    ("simulate", {"kind": "hypergraph-odnet", "eps1": 0.0, "eps2": 1.0}),
+    ("energy", {"runs": [{"name": "a", "kind": "hypergraph-diffusion", "kernel": "hgnn"}]}),
+], ids=["uniform", "hypergraph-odnet", "energy-hgnn"])
+def test_hyperedge_of_4097_members_exits_2_before_any_product(tmp_path, capsys, command, run):
+    rows = "".join(f"{i},0,1.0\n" for i in range(4097))
+    h = write_text(tmp_path / "h.csv", "node,hyperedge,weight\n" + rows)
+    cfg = write_config(tmp_path, "cfg.json", dict(run, scheme="rk4", t_end=1.0, dim=2))
+    out = tmp_path / "run"
+    assert run_cli(command, "--hypergraph", h, "--config", cfg, "--out", out) == 2
+    assert "refused for 16785409 node pairs (limit 16777216)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_csgraph_linalg_spatial_or_multiprocessing():
+    heavy = ["scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.spatial",
+             "multiprocessing"]
     code = f"import sys, odyn.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
