@@ -1,11 +1,15 @@
-"""Internal helpers for state matrices and count-valued parameters.
+"""Internal helpers for state matrices and config values.
 
 States are N x d float64 matrices. Scalar per-node states may be passed as
 1-d arrays; these helpers lift them to a single column and remember to
-flatten the result back.
+flatten the result back. Config values go through one reader per type:
+number, integer (a count), boolean and string.
 """
 
 from __future__ import annotations
+
+import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -37,13 +41,56 @@ def norm1(d):
 def integer(value, name, minimum=1):
     """value as an int; ValueError naming `name` unless it is a whole number >= minimum.
 
-    4.0 passes as 4. A fraction, NaN or a string is refused rather than
-    truncated, as a step budget or a count compared against it would be wrong.
+    4.0 passes as 4. A fraction, NaN, a string or a boolean is refused rather
+    than truncated, as a step budget or a count compared against it would be wrong.
     """
     try:
-        integral = value == int(value)
+        integral = not isinstance(value, bool) and value == int(value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def number(value, name):
+    """value as a float; ValueError naming `name` unless it is a finite number ("nan" is not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN, +-inf, ints beyond float
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def boolean(value, name):
+    """value; ValueError naming `name` unless it is true or false ("false" is a string)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def string(value, name):
+    """value; ValueError naming `name` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+_READERS = {"float": number, "int": integer, "bool": boolean, "str": string}
+
+
+def config_fields(cls, obj, **rename):
+    """{field: value} of dataclass cls read from the config object obj.
+
+    Each field annotated float, int, bool or str is read by that type's reader
+    under its name, or rename[name]. An absent key keeps the field's default;
+    a field without one is a ValueError naming the key. Other fields are the
+    caller's to give.
+    """
+    out = {}
+    for f in fields(cls):
+        read, key = _READERS.get(getattr(f.type, "__name__", f.type)), rename.get(f.name, f.name)
+        if read and key in obj:
+            out[f.name] = read(obj[key], key)
+        elif read and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing config key {key!r}")
+    return out

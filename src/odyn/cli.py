@@ -20,12 +20,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._state import integer
+from ._state import boolean, config_fields, integer, number, string
 from .diagnostics import (
     EnergySeries,
     detect_oversmoothing,
@@ -141,7 +142,7 @@ def _merge_flags(cfg, args):
 def _load_structure(args, cfg):
     graph = hypergraph = None
     if args.graph:
-        graph = read_graph_csv(args.graph, directed=bool(cfg.get("directed", False)))
+        graph = read_graph_csv(args.graph, directed=boolean(cfg.get("directed", False), "directed"))
     if getattr(args, "hypergraph", None):
         hypergraph = read_hypergraph_csv(args.hypergraph)
     return graph, hypergraph
@@ -165,10 +166,11 @@ def _publish(out, files):
         writer(path, *payload)
 
 
-def _prepare(cfg, graph, hypergraph, seed):
+def _prepare(cfg, graph, hypergraph, seed, own=None):
     """A run's spec, given its structure and checked; its x0; and its steps or IntegratorConfig.
 
-    An all-to-all kind keeps the first structure given, if any, for its size."""
+    An all-to-all kind keeps the first structure given, if any, for its size.
+    `own` is the keys the run set itself, if not all of cfg (an energy arm)."""
     spec = DynamicSpec.from_json(cfg)
     runs_on = spec._runs_on or (WeightedGraph, Hypergraph)
     spec.structure = next((s for s in (graph, hypergraph) if isinstance(s, runs_on)), None)
@@ -179,7 +181,7 @@ def _prepare(cfg, graph, hypergraph, seed):
         node_count = integer(cfg["node_count"], "node_count")
     else:
         raise ValueError(f"kind {spec.kind!r} without a graph needs config key node_count")
-    init = cfg.get("init", "unit")
+    init = string(cfg.get("init", "unit"), "init")
     dim = integer(cfg.get("dim", 20 if init == "unit" else 1), "dim")
     if init == "unit":
         x = pseudo_features(node_count, dim, seed)
@@ -188,15 +190,17 @@ def _prepare(cfg, graph, hypergraph, seed):
     elif init == "zeros":
         x = np.zeros((node_count, dim))
     elif init == "csv":
-        x = read_state_csv(cfg["state_csv"])
+        x = read_state_csv(string(cfg["state_csv"], "state_csv"))
     else:
         raise ValueError(f"unknown init kind {init!r}")
     if x.shape[0] != node_count:
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
     if not spec.is_discrete:
         return spec, x, IntegratorConfig.from_json(cfg)
+    own = cfg if own is None else own
     steps = integer(cfg.get("steps", 50), "steps", minimum=0)
-    if "t_end" in cfg:  # a discrete t_end counts steps
+    # A discrete t_end counts steps; it beats steps, unless only the steps are the run's own.
+    if "t_end" in own or ("t_end" in cfg and "steps" not in own):
         steps = integer(cfg["t_end"], "t_end", minimum=0)
     # The continuous kinds' step budget, checked the same way.
     budget = integer(cfg.get("max_steps", IntegratorConfig.max_steps), "max_steps")
@@ -243,8 +247,8 @@ def cmd_energy(args, cfg, graph, hypergraph):
     for i, run_cfg in enumerate(runs):
         merged = {k: v for k, v in cfg.items() if k != "runs"}
         merged.update(run_cfg)
-        arms.append((str(merged.get("name", f"run{i}")),
-                     *_prepare(merged, graph, hypergraph, args.seed)))
+        arms.append((string(merged.get("name", f"run{i}"), "name"),
+                     *_prepare(merged, graph, hypergraph, args.seed, own=run_cfg)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
     for name, spec, x0, length in arms:
@@ -269,14 +273,11 @@ def cmd_simplify(args, cfg, graph, hypergraph):
     if graph is None:
         raise ValueError("simplify needs --graph")
     influence = InfluenceConfig.from_json(cfg) if "eps1" in cfg else InfluenceConfig(0.0, 1.0)
-    simplify_cfg = SimplifyConfig(
-        influence=influence,
-        integrator=IntegratorConfig.from_json({"t_end": 6.0, **cfg}),
-        weight_cutoff=float(cfg.get("cutoff", 0.05)),
-        drop_isolated=bool(cfg.get("drop_isolated", True)),
-        source=str(cfg.get("source", "dynamic-final")),
-        feature_dim=integer(cfg.get("dim", 20), "dim"),
-    )
+    # SimplifyConfig's integrator default (its own t_end) under the config's keys.
+    base = SimplifyConfig(influence)
+    simplify_cfg = replace(
+        base, integrator=replace(base.integrator, **config_fields(IntegratorConfig, cfg)),
+        **config_fields(SimplifyConfig, cfg, weight_cutoff="cutoff", feature_dim="dim"))
     simplified, report = simplify_network(graph, simplify_cfg, seed=args.seed)
     log.info("simplify kept %d of %d edges", report.edges_after, report.edges_before)
     files = {"simplified.csv": (write_graph_csv, simplified),
@@ -288,12 +289,8 @@ def cmd_classify(args, cfg, graph, hypergraph):
     if graph is None or not args.labels:
         raise ValueError("classify needs --graph and --labels")
     labels = read_labels_csv(args.labels, node_count=graph.node_count)
-    labels = split_masks(
-        labels,
-        train_frac=float(cfg.get("train_frac", 1 / 3)),
-        val_frac=float(cfg.get("val_frac", 1 / 3)),
-        seed=args.seed,
-    )
+    fracs = {key: number(cfg[key], key) for key in ("train_frac", "val_frac") if key in cfg}
+    labels = split_masks(labels, seed=args.seed, **fracs)
     influence = InfluenceConfig.from_json(cfg)
     icfg = IntegratorConfig.from_json(cfg)
     result = propagate_labels(graph, labels, influence, icfg)
@@ -335,7 +332,7 @@ def cmd_sweep(args):
     if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
             and isinstance(sweep.get("values"), list)):
         raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}")
-    param, values = str(sweep["param"]), sweep["values"]
+    param, values = string(sweep["param"], "param"), sweep["values"]
     names = [f"run_{i:04d}" for i in range(len(values))]
     out = Path(args.out)
     configs = {f"{name}/config.json": (write_json, {**base, param: value})

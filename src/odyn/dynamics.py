@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from ._state import from_matrix, norm1, to_matrix
+from ._state import config_fields, from_matrix, norm1, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
 from .graphs import Hypergraph, WeightedGraph, _radius_pairs, validate_row_stochastic
-from .influence import SimilaritySpec, phi, similarity_dynamic, similarity_static
+from .influence import InfluenceConfig, SimilaritySpec, phi, similarity_dynamic, similarity_static
 
 __all__ = [
     "fd_step",
@@ -236,7 +236,7 @@ class DynamicSpec:
 
     kind: str
     structure: WeightedGraph | Hypergraph | None = None
-    influence: "InfluenceConfig | None" = None
+    influence: InfluenceConfig | None = None
     similarity: SimilaritySpec = field(default_factory=SimilaritySpec)
     hk_radius: float = 0.1
     kernel: str = "uniform"
@@ -285,36 +285,12 @@ class DynamicSpec:
         make = make_odnet_rhs if self._runs_on is WeightedGraph else make_hypergraph_odnet_rhs
         return make(self.structure, self.influence, self.similarity)
 
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.influence is not None:
-            out.update(self.influence.to_json())
-        if _KIND_TABLE[self.kind][1]:
-            out["similarity"] = self.similarity.kind
-            out["temperature"] = self.similarity.temperature
-        if self.kind == "hk":
-            out["hk_radius"] = self.hk_radius
-        if self.kind == "hypergraph-diffusion":
-            out["kernel"] = self.kernel
-        return out
-
     @classmethod
     def from_json(cls, obj, structure=None):
-        from .influence import InfluenceConfig
-
-        kind = str(obj["kind"])
-        influence = None
-        if "eps1" in obj:
-            influence = InfluenceConfig.from_json(obj)
-        sim = SimilaritySpec(
-            kind=str(obj.get("similarity", "static")),
-            temperature=float(obj.get("temperature", 1.0)),
-        )
-        return cls(
-            kind=kind,
-            structure=structure,
-            influence=influence,
-            similarity=sim,
-            hk_radius=float(obj.get("hk_radius", 0.1)),
-            kernel=str(obj.get("kernel", "uniform")),
-        )
+        """The spec from a flat JSON object: kind required, an influence config if eps1
+        is given, `similarity` and `temperature` for the SimilaritySpec; each absent
+        key keeps its field's default."""
+        influence = InfluenceConfig.from_json(obj) if "eps1" in obj else None
+        similarity = SimilaritySpec(**config_fields(SimilaritySpec, obj, kind="similarity"))
+        return cls(structure=structure, influence=influence, similarity=similarity,
+                   **config_fields(cls, obj))

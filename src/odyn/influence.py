@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._state import to_matrix
+from ._state import config_fields, to_matrix
 from .errors import OutOfRangeSimilarity, ZeroDegree
 
 __all__ = [
@@ -62,26 +62,11 @@ class InfluenceConfig:
             if self.nu > 0.0:
                 raise ValueError("attract-repulse mode needs nu <= 0")
 
-    def to_json(self):
-        return {
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "mu": self.mu,
-            "nu": self.nu,
-            "lambda": self.lam,
-            "mode": self.mode,
-        }
-
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            eps1=float(obj["eps1"]),
-            eps2=float(obj["eps2"]),
-            mu=float(obj.get("mu", 1.0)),
-            nu=float(obj.get("nu", 0.0)),
-            lam=float(obj.get("lambda", 0.0)),
-            mode=str(obj.get("mode", "attract")),
-        )
+        """The config from a flat JSON object: eps1 and eps2 required, `lambda` for
+        lam; each absent key keeps its field's default."""
+        return cls(**config_fields(cls, obj, lam="lambda"))
 
     def with_nu(self, nu):
         """Copy with a different repulsion strength (ablation helper)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._state import integer
+from ._state import config_fields, integer
 from .errors import NonFiniteState, StepLimitExceeded
 
 __all__ = [
@@ -81,27 +81,10 @@ class IntegratorConfig:
             raise ValueError("t_end must be positive")
         object.__setattr__(self, "max_steps", integer(self.max_steps, "max_steps"))
 
-    def to_json(self):
-        return {
-            "scheme": self.scheme,
-            "h": self.h,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "t_end": self.t_end,
-            "max_steps": self.max_steps,
-        }
-
     @classmethod
     def from_json(cls, obj):
-        base = cls()
-        return cls(
-            scheme=str(obj.get("scheme", base.scheme)),
-            h=float(obj.get("h", base.h)),
-            rtol=float(obj.get("rtol", base.rtol)),
-            atol=float(obj.get("atol", base.atol)),
-            t_end=float(obj.get("t_end", base.t_end)),
-            max_steps=obj.get("max_steps", base.max_steps),
-        )
+        """The config from a flat JSON object; each absent key keeps its field's default."""
+        return cls(**config_fields(cls, obj))
 
 
 @dataclass

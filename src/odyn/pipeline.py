@@ -9,7 +9,7 @@ dynamics as a semi-supervised classifier with one-hot anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,13 +71,7 @@ class SimplifyReport:
     cutoff: float
 
     def to_json(self):
-        return {
-            "nodes_before": self.nodes_before,
-            "edges_before": self.edges_before,
-            "nodes_after": self.nodes_after,
-            "edges_after": self.edges_after,
-            "cutoff": self.cutoff,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

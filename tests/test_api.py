@@ -76,3 +76,38 @@ def test_unused_import_scan_finds_what_is_never_read(tmp_path):
     path.write_text("from __future__ import annotations\nimport os, sys\n"
                     "from a.b import c, d as e\nx: c = sys.argv\n", encoding="utf-8")
     assert _unused_imports(path) == [(2, "os"), (3, "e")]
+
+
+def _cast_config_lookups(path):
+    """(line, cast) of each float(), str(), bool() or int() of a cfg/obj lookup.
+
+    A lookup is `cfg.get(...)`, `obj.get(...)`, `cfg[...]` or `obj[...]`; config
+    values go through the typed readers in odyn._state instead.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("float", "str", "bool", "int")):
+            continue
+        for arg in node.args:
+            if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute):
+                target = arg.func.value if arg.func.attr == "get" else None
+            else:
+                target = arg.value if isinstance(arg, ast.Subscript) else None
+            if isinstance(target, ast.Name) and target.id in ("cfg", "obj"):
+                found.append((node.lineno, node.func.id))
+    return found
+
+
+def test_modules_cast_no_config_lookup():
+    src = Path(odyn.__file__).parent
+    found = {path.name: _cast_config_lookups(path) for path in sorted(src.glob("*.py"))}
+    assert {name: casts for name, casts in found.items() if casts} == {}
+
+
+def test_config_cast_scan_finds_each_cast_of_a_lookup(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("a = float(cfg.get('a', 1.0))\nb = str(obj['b'])\nc = bool(cfg['c'])\n"
+                    "d = int(obj.get('d'))\ne = float(x.get('e'))\nf = number(cfg['f'], 'f')\n"
+                    "g = float(value)\nh = str(cfg.items())\n", encoding="utf-8")
+    assert _cast_config_lookups(path) == [(1, "float"), (2, "str"), (3, "bool"), (4, "int")]

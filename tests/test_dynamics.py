@@ -753,11 +753,17 @@ def test_spec_json_round_trip():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     spec = DynamicSpec(kind="odnet-continuous", structure=g, influence=TEXAS,
                        similarity=SimilaritySpec("dynamic", temperature=0.8))
-    blob = spec.to_json()
+    blob = {"kind": "odnet-continuous", "eps1": 0.50, "eps2": 0.80, "mu": 1.0, "nu": -50.0,
+            "lambda": 0.1, "mode": "attract-repulse", "similarity": "dynamic",
+            "temperature": 0.8, "hk_radius": 0.1, "kernel": "uniform"}
     back = DynamicSpec.from_json(blob, structure=g)
+    assert back == spec
     assert back.kind == spec.kind
     assert back.influence == spec.influence
     assert back.similarity == spec.similarity
+    assert DynamicSpec.from_json({"kind": "fd"}) == DynamicSpec(kind="fd")
+    with pytest.raises(ValueError, match="^missing config key 'kind'$"):
+        DynamicSpec.from_json({})
 
     hk = DynamicSpec.from_json({"kind": "hk", "hk_radius": 0.3})
     assert hk.hk_radius == 0.3

