@@ -247,8 +247,14 @@ def cmd_energy(args, cfg, graph, hypergraph):
     for i, run_cfg in enumerate(runs):
         merged = {k: v for k, v in cfg.items() if k != "runs"}
         merged.update(run_cfg)
-        arms.append((string(merged.get("name", f"run{i}"), "name"),
-                     *_prepare(merged, graph, hypergraph, args.seed, own=run_cfg)))
+        name = string(merged.get("name", f"run{i}"), "name")
+        # The name becomes the file stem of energy_<name>.csv inside --out.
+        if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+            raise ValueError(f"energy arm {i} name {name!r} must be a plain file stem: "
+                             "not empty, '.' or '..', and no path separator or NUL")
+        if any(name == arm[0] for arm in arms):
+            raise ValueError(f"energy arm {i} repeats the name {name!r}")
+        arms.append((name, *_prepare(merged, graph, hypergraph, args.seed, own=run_cfg)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
     for name, spec, x0, length in arms:
@@ -272,6 +278,9 @@ def cmd_energy(args, cfg, graph, hypergraph):
 def cmd_simplify(args, cfg, graph, hypergraph):
     if graph is None:
         raise ValueError("simplify needs --graph")
+    given = [key for key in ("eps2", "mu", "nu", "lambda", "mode") if key in cfg]
+    if given and "eps1" not in cfg:
+        raise ValueError(f"simplify reads {', '.join(given)} only with eps1: give eps1 too")
     influence = InfluenceConfig.from_json(cfg) if "eps1" in cfg else InfluenceConfig(0.0, 1.0)
     # SimplifyConfig's integrator default (its own t_end) under the config's keys.
     base = SimplifyConfig(influence)

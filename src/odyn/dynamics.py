@@ -13,8 +13,7 @@ diffusion are plain CSR matvecs.
 
 Discrete maps advance one step per call. make_*_rhs builders return
 closures over the built operator that evaluate the continuous-time
-right-hand side; one unit Euler step of the influence rhs is the discrete
-influence map.
+right-hand side; odnet-discrete is Euler at h = 1 of odnet-continuous.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from ._state import config_fields, from_matrix, norm1, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
 from .graphs import Hypergraph, WeightedGraph, _radius_pairs, validate_row_stochastic
 from .influence import InfluenceConfig, SimilaritySpec, phi, similarity_dynamic, similarity_static
+from .integrators import euler_step
 
 __all__ = [
     "fd_step",
@@ -43,7 +43,7 @@ __all__ = [
 _KIND_TABLE = {
     "fd": (WeightedGraph, False, True),
     "hk": (None, False, True),
-    "odnet-discrete": (WeightedGraph, True, True),
+    "odnet-discrete": (WeightedGraph, True, True),  # Euler at h = 1 of odnet-continuous
     "odnet-continuous": (WeightedGraph, True, False),
     "hypergraph-odnet": (Hypergraph, True, False),
     "hypergraph-diffusion": (Hypergraph, False, False),
@@ -275,7 +275,7 @@ class DynamicSpec:
             eps = self.hk_radius
             return lambda x: hk_step(x, eps)
         rhs = make_odnet_rhs(self.structure, self.influence, self.similarity)
-        return lambda x: np.asarray(x, dtype=np.float64) + rhs(x)
+        return lambda x: euler_step(rhs, x, 1.0)
 
     def rhs_fn(self):
         """Continuous right-hand side for the continuous kinds."""

@@ -128,19 +128,6 @@ class WeightedGraph:
             return self.arc_count
         return self._loops + (self.arc_count - self._loops) // 2
 
-    def out_slice(self, i):
-        """Slice into the arc arrays covering arcs leaving node i."""
-        return slice(self._row_ptr[i], self._row_ptr[i + 1])
-
-    def neighbors(self, i):
-        """Out-neighbor indices of node i, self loops excluded."""
-        d = self.dst[self.out_slice(i)]
-        return d[d != i]
-
-    def degree(self, i):
-        """Unweighted neighbor count of node i (self loops excluded)."""
-        return int(self.neighbors(i).size)
-
     def weighted_out_degree(self):
         """Vector of outgoing weight sums, self loops included."""
         return np.bincount(self.src, weights=self.weight, minlength=self.node_count)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._state import config_fields, integer
-from .errors import NonFiniteState, StepLimitExceeded
+from .errors import NonFiniteState, StepLimitExceeded, TooLarge
 
 __all__ = [
     "IntegratorConfig",
@@ -172,12 +172,17 @@ def _check_finite(t, *arrays):
     raise NonFiniteState(f"state left the finite range after t = {t:.6g}", last_time=t)
 
 
+# Bytes of states one run may record (1 GiB), checked like graphs._PAIR_LIMIT.
+_RECORD_LIMIT = 2**30
+
+
 class _Recorder:
     """The one accept-and-record path of integrate() and iterate_map().
 
     start() records the initial state; accept() checks a step's result,
     applies post_step and records it; finish() builds the Trajectory. Every
-    recorded state is a copy, with its energy when energy_fn is given.
+    recorded state is a copy, with its energy when energy_fn is given, and
+    no state is recorded past _RECORD_LIMIT bytes.
     """
 
     def __init__(self, energy_fn, post_step):
@@ -187,7 +192,14 @@ class _Recorder:
         self.states = []
         self.energies = [] if energy_fn else None
 
+    def guard(self, count, x):
+        """TooLarge unless count recorded states shaped like x fit in _RECORD_LIMIT bytes."""
+        if count * x.nbytes > _RECORD_LIMIT:
+            raise TooLarge(f"trajectory of {count:.0f} states of shape {x.shape} exceeds the "
+                           f"recorded-state limit of {_RECORD_LIMIT} bytes")
+
     def _record(self, t, x):
+        self.guard(len(self.states) + 1, x)
         self.times.append(t)
         self.states.append(x.copy())
         if self.energy_fn:
@@ -213,6 +225,22 @@ class _Recorder:
                           meta=meta)
 
 
+def _fixed_steps(rec, x, step, h, t_end, max_steps):
+    """Record step(x, h) from t = 0 on, the last step shortened to land exactly on t_end."""
+    # Counted in floats: a huge t_end / h must meet max_steps, not int().
+    n_full = float(np.floor(t_end / h + 1e-12))
+    remainder = t_end - n_full * h
+    n_total = n_full + (remainder > 0.0 and remainder >= 1e-12 * t_end)
+    if n_total > max_steps:
+        raise StepLimitExceeded(f"{n_total:.0f} fixed steps exceed max_steps = {max_steps}")
+    rec.guard(n_total + 1, x)
+    t = 0.0
+    for k in range(int(n_total)):
+        t_next = t_end if k == n_total - 1 else t + h
+        x, t = rec.accept(t, t_next, step(x, h if k < n_full else remainder)), t_next
+    return rec.finish()
+
+
 def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     """Advance x' = rhs(x) from t = 0 to cfg.t_end.
 
@@ -222,30 +250,17 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     a replacement (used for semi-supervised clamping); it invalidates FSAL
     reuse for the step that follows.
 
-    Raises StepLimitExceeded when the step budget runs out and
-    NonFiniteState when the state blows up; the message carries the last
-    finite time.
+    Raises StepLimitExceeded when the step budget runs out, TooLarge when
+    the recorded states would pass _RECORD_LIMIT bytes (fixed steps check
+    before the first step) and NonFiniteState when the state blows up; the
+    message carries the last finite time.
     """
     rec = _Recorder(energy_fn, post_step)
     x = rec.start(x0)
     t = 0.0
     if cfg.scheme in ("euler", "rk4"):
         step = euler_step if cfg.scheme == "euler" else rk4_step
-        # Counted in floats: a huge t_end / h must meet max_steps, not int().
-        n_full = float(np.floor(cfg.t_end / cfg.h + 1e-12))
-        remainder = cfg.t_end - n_full * cfg.h
-        if remainder < 1e-12 * cfg.t_end:
-            remainder = 0.0
-        n_total = n_full + (1 if remainder else 0)
-        if n_total > cfg.max_steps:
-            raise StepLimitExceeded(f"{n_total:.0f} fixed steps exceed max_steps = {cfg.max_steps}")
-        n_full, n_total = int(n_full), int(n_total)
-        for k in range(n_total):
-            h = cfg.h if k < n_full else remainder
-            t_next = cfg.t_end if k == n_total - 1 else t + h
-            x = rec.accept(t, t_next, step(rhs, x, h))
-            t = t_next
-        return rec.finish()
+        return _fixed_steps(rec, x, lambda x, h: step(rhs, x, h), cfg.h, cfg.t_end, cfg.max_steps)
 
     h = _initial_step(rhs, x, cfg)
     k1 = None
@@ -278,12 +293,10 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
 def iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):
     """Iterate a discrete-time map, recording every step as time 0, 1, ...
 
-    The same recording conventions as integrate() apply.
+    integrate()'s fixed-step loop at h = 1 up to int(n_steps), with no step budget.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     rec = _Recorder(energy_fn, post_step)
-    x = rec.start(x0)
-    for k in range(int(n_steps)):
-        x = rec.accept(float(k), float(k + 1), np.asarray(step_fn(x), dtype=np.float64))
-    return rec.finish()
+    return _fixed_steps(rec, rec.start(x0), lambda x, h: np.asarray(step_fn(x), dtype=np.float64),
+                        1.0, float(int(n_steps)), math.inf)

@@ -51,6 +51,25 @@ def random_row_stochastic(seed, n_max=12, lazy=0.5):
     return WeightedGraph(n, edges, directed=True)
 
 
+# -- per-node views of a graph's arcs, for loops that check the vectorised code
+
+
+def out_slice(g, i):
+    """Slice into g's arc arrays covering arcs leaving node i."""
+    return slice(g._row_ptr[i], g._row_ptr[i + 1])
+
+
+def neighbors(g, i):
+    """Out-neighbor indices of node i, self loops excluded."""
+    d = g.dst[out_slice(g, i)]
+    return d[d != i]
+
+
+def degree(g, i):
+    """Unweighted neighbor count of node i (self loops excluded)."""
+    return int(neighbors(g, i).size)
+
+
 # -- dense views: oracles for the sparse structures, small inputs only
 
 DENSE_VIEW_ROWS = 2000

@@ -35,8 +35,8 @@ def test_public_api_is_pinned():
 
 
 def test_structures_publish_no_dense_views():
-    # Dense views live in the tests as oracles (conftest.py), not on the structures.
-    for cls, names in ((WeightedGraph, ["dense_weights"]),
+    # Dense and per-node views live in the tests as oracles (conftest.py), not on the structures.
+    for cls, names in ((WeightedGraph, ["dense_weights", "out_slice", "neighbors", "degree"]),
                        (Hypergraph, ["incidence", "membership_weight", "co_membership"])):
         for name in names:
             assert not hasattr(cls, name), (cls.__name__, name)

@@ -23,6 +23,7 @@ from odyn import (
     SimilaritySpec,
     TooLarge,
     WeightedGraph,
+    dirichlet_energy_graph,
     fd_step,
     generate_sbm,
     hk_step,
@@ -32,6 +33,7 @@ from odyn import (
     make_hypergraph_odnet_rhs,
     make_odnet_rhs,
     phi,
+    pseudo_features,
     rk4_step,
     similarity_dynamic,
 )
@@ -269,6 +271,31 @@ def test_odnet_zero_coupling_keeps_state():
     assert make_odnet_rhs(g, cfg)(x).tolist() == [0.0, 0.0, 0.0]
     step = DynamicSpec(kind="odnet-discrete", structure=g, influence=cfg).step_fn()
     assert step(x).tolist() == x.tolist()
+
+
+@pytest.mark.parametrize("similarity", ["static", "dynamic"])
+@pytest.mark.parametrize("cfg", [
+    InfluenceConfig(eps1=0.1, eps2=0.6, mu=1.5, lam=0.05),
+    InfluenceConfig(eps1=0.3, eps2=0.7, mu=1.2, nu=-0.3, lam=0.05, mode="attract-repulse"),
+], ids=["attract", "attract-repulse"])
+def test_odnet_discrete_is_euler_at_unit_step_of_odnet_continuous(cfg, similarity):
+    g, _ = generate_sbm([30, 30, 30, 30], 0.15, 0.01, seed=3)
+    x0 = pseudo_features(120, 5, seed=4)
+
+    def spec(kind):
+        return DynamicSpec(kind, structure=g, influence=cfg, similarity=SimilaritySpec(similarity))
+
+    def energy(x):
+        return dirichlet_energy_graph(g, x)
+
+    discrete = iterate_map(spec("odnet-discrete").step_fn(), x0, 7, energy_fn=energy)
+    continuous = integrate(spec("odnet-continuous").rhs_fn(), x0,
+                           IntegratorConfig("euler", h=1.0, t_end=7.0), energy_fn=energy)
+    for a, b in [(discrete.times, continuous.times), (discrete.energies, continuous.energies),
+                 *zip(discrete.states, continuous.states)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert len(discrete) == len(continuous) == 8
+    assert discrete.energies[-1] != discrete.energies[0]  # the states moved
 
 
 def test_odnet_control_only_when_graph_is_silent():

@@ -5,6 +5,7 @@ closed form, so every expected value below is independent arithmetic.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from odyn import (
     IntegratorConfig,
     NonFiniteState,
     StepLimitExceeded,
+    TooLarge,
     dopri5_step,
     euler_step,
     integrate,
     iterate_map,
     rk4_step,
 )
+from odyn import integrators
 from odyn.integrators import FACTOR_MAX, FACTOR_MIN, SAFETY, _error_norm
 
 
@@ -294,6 +297,18 @@ def test_iterate_map_detects_blowup():
         iterate_map(lambda x: x * 1e200, np.array([1.0]), 5)
 
 
+@pytest.mark.parametrize("n_steps, times", [(0, [0.0]), (2.5, [0.0, 1.0, 2.0])])
+def test_iterate_map_truncates_a_fractional_step_count(n_steps, times):
+    traj = iterate_map(lambda x: x + 1.0, np.array([0.0]), n_steps)
+    assert traj.times.tolist() == times
+    assert [s[0] for s in traj.states] == times
+
+
+def test_iterate_map_refuses_a_negative_step_count():
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        iterate_map(lambda x: x, np.array([0.0]), -1)
+
+
 def test_matrix_states_supported():
     x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     cfg = IntegratorConfig(scheme="rk4", h=0.1, t_end=1.0)
@@ -311,6 +326,37 @@ def test_integration_is_deterministic():
     b = integrate(oscillator, np.array([1.0, 0.0]), cfg)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.final_state, b.final_state)
+
+
+# ---------------------------------------------------- recorded-state budget
+
+TEN_STATES = 10 * 3 * 8  # bytes of ten recorded states of shape (3,)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rhs, t_end: integrate(rhs, np.ones(3), IntegratorConfig("euler", h=0.1, t_end=t_end)),
+    lambda rhs, t_end: integrate(rhs, np.ones(3), IntegratorConfig("rk4", h=0.1, t_end=t_end)),
+    lambda rhs, t_end: iterate_map(rhs, np.ones(3), round(10 * t_end)),
+], ids=["euler", "rk4", "map"])
+def test_fixed_steps_refuse_states_over_the_budget_before_the_first_step(monkeypatch, run):
+    monkeypatch.setattr(integrators, "_RECORD_LIMIT", TEN_STATES)
+    rhs = mock.Mock(side_effect=lambda x: -0.5 * x)
+    with pytest.raises(TooLarge) as err:
+        run(rhs, 1.0)
+    assert str(err.value) == ("trajectory of 11 states of shape (3,) exceeds the "
+                              "recorded-state limit of 240 bytes")
+    assert rhs.call_count == 0
+    assert len(run(rhs, 0.9)) == 10  # ten states fit
+
+
+def test_dopri5_refuses_states_over_the_budget_as_it_records(monkeypatch):
+    cfg = IntegratorConfig("dopri5", t_end=5.0)
+    assert len(integrate(decay, np.ones(3), cfg)) > 10
+    monkeypatch.setattr(integrators, "_RECORD_LIMIT", TEN_STATES)
+    rhs = mock.Mock(side_effect=decay)
+    with pytest.raises(TooLarge, match=r"^trajectory of 11 states of shape \(3,\) exceeds"):
+        integrate(rhs, np.ones(3), cfg)
+    assert rhs.call_count > 0  # it ran until the eleventh state
 
 
 # ---------------------------------------------------------------- oracles

@@ -26,6 +26,7 @@ from odyn import (
     NodeLabels,
     WeightedGraph,
     dirichlet_energy_hypergraph,
+    generate_sbm,
     hk_step,
     pseudo_features,
     read_graph_csv,
@@ -42,7 +43,7 @@ from odyn import (
 )
 from odyn.cli import main
 
-from conftest import membership_weight
+from conftest import degree, membership_weight
 
 
 def run_cli(*argv):
@@ -88,7 +89,7 @@ def test_graph_csv_node_count_inference_and_padding(tmp_path):
     assert read_graph_csv(path).node_count == 6
     padded = read_graph_csv(path, node_count=9)
     assert padded.node_count == 9
-    assert padded.degree(8) == 0
+    assert degree(padded, 8) == 0
 
 
 def test_graph_csv_header_mismatch_blames_line_one(tmp_path):
@@ -978,6 +979,85 @@ def test_energy_arms_own_steps_beat_an_inherited_t_end(tmp_path, capsys, triangl
     rows = (out / "energy_d.csv").read_text().splitlines()
     assert rows[0] == "step,energy" and len(rows) == 1 + 13
     assert (out / "energy_c.csv").read_text().splitlines()[-1].startswith("1.0,")
+
+
+def test_energy_arm_name_cannot_write_outside_out(tmp_path, capsys, triangle_csv):
+    # energy_x/../../escaped.csv under deep/out is deep/escaped.csv.
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(GRAPH_KIND_RUNS[0], runs=[{"name": "x/../../escaped"}]))
+    out = tmp_path / "deep" / "out"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: energy arm 0 name 'x/../../escaped' must be a plain file stem: "
+        "not empty, '.' or '..', and no path separator or NUL\n")
+    assert not (tmp_path / "deep" / "escaped.csv").exists()
+    assert not out.exists()
+
+
+# Opening a path with a NUL fails only after manifest.json is written, so it is refused first.
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\0b"],
+                         ids=["empty", "dot", "dotdot", "slash", "nul"])
+def test_energy_checks_every_arm_name_before_the_first_runs(tmp_path, capsys, monkeypatch,
+                                                            triangle_csv, name):
+    import odyn.cli as cli
+
+    monkeypatch.setattr(cli, "iterate_map", mock.Mock(side_effect=AssertionError("an arm ran")))
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(GRAPH_KIND_RUNS[0], runs=[{"name": "ok"}, {"name": name}]))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: energy arm 1 name {name!r} must be a plain file stem")
+    assert cli.iterate_map.call_count == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs, name", [
+    ([{"name": "a"}, {"name": "a", "eps2": 0.5}], "a"),
+    ([{"name": "run1"}, {}], "run1"),  # the second arm's default name
+], ids=["given", "default"])
+def test_energy_arms_may_not_share_a_name(tmp_path, capsys, triangle_csv, runs, name):
+    cfg = write_config(tmp_path, "cfg.json", dict(GRAPH_KIND_RUNS[0], runs=runs))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: energy arm 1 repeats the name {name!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("eps2", 0.5), ("mu", 2.0), ("nu", -0.5),
+                                        ("lambda", 0.1), ("mode", "attract-repulse")])
+def test_simplify_influence_keys_need_eps1(tmp_path, capsys, triangle_csv, key, value):
+    cfg = write_config(tmp_path, "cfg.json", {"source": "static", key: value})
+    out = tmp_path / "run"
+    assert run_cli("simplify", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: simplify reads {key} only with eps1: give eps1 too\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [
+    {"kind": "odnet-continuous", "scheme": "euler", "h": 1e-4, "t_end": 1.0},
+    {"kind": "odnet-discrete", "steps": 7000},
+], ids=["euler", "discrete"])
+def test_run_over_the_recorded_state_budget_exits_2_before_the_first_step(
+        tmp_path, capsys, monkeypatch, run):
+    # 10001 states of 1000 x 20 doubles are 1.6 GB, past the 1 GiB budget.
+    import odyn.dynamics as dynamics
+    import odyn.integrators as integrators
+
+    for module in (integrators, dynamics):
+        monkeypatch.setattr(module, "euler_step", mock.Mock(side_effect=AssertionError("step")))
+    g, _ = generate_sbm([250] * 4, 0.02, 0.001, seed=0)
+    path = tmp_path / "g.csv"
+    write_graph_csv(path, g)
+    cfg = write_config(tmp_path, "cfg.json", dict(run, eps1=0.0, eps2=1.0, dim=20))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", path, "--config", cfg, "--out", out) == 2
+    states = 10001 if run["kind"] == "odnet-continuous" else 7001
+    assert capsys.readouterr().err == (
+        f"input error: trajectory of {states} states of shape (1000, 20) exceeds the "
+        "recorded-state limit of 1073741824 bytes\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ count-valued keys

@@ -24,7 +24,7 @@ from odyn import (
     split_masks,
 )
 
-from conftest import random_digraph
+from conftest import degree, random_digraph
 
 WIDE_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 
@@ -209,7 +209,7 @@ def label_by_degree_loop_oracle(g, low, high):
     """The per-node loop over degree(i) that label_by_degree replaces."""
     names = []
     for i in range(g.node_count):
-        d = g.degree(i)
+        d = degree(g, i)
         names.append("weak" if d < low else "medium" if d <= high else "strong")
     return tuple(names)
 
