@@ -38,6 +38,7 @@ from .errors import (
     NotRowStochastic,
     NotSPD,
     NotStronglyConnected,
+    NumericFailure,
     OdynError,
     OutOfRangeSimilarity,
     PreconditionFailed,

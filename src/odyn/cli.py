@@ -2,7 +2,7 @@
 
 Subcommands: simulate, energy, simplify, classify, homophily, sweep.
 Exit codes: 0 success, 2 input error (bad files, bad config), 3 numeric
-failure at runtime (blow-up, iteration caps, operator checks). The env var
+failure at runtime (a NumericFailure: blow-up, step caps, operator checks). The env var
 ODYN_LOG (error|warn|info|debug) sets the log level. A command computes
 first and creates `--out` only once that has succeeded (sweep, whose runs
 write into it, once its config is read), so exit 2 or 3 leaves no `--out`.
@@ -34,17 +34,7 @@ from .diagnostics import (
     dirichlet_energy_hypergraph,
 )
 from .dynamics import DynamicSpec
-from .errors import (
-    KernelNotNormalized,
-    NoConvergence,
-    NonFiniteState,
-    NotRowStochastic,
-    NotSPD,
-    OdynError,
-    OutOfRangeSimilarity,
-    StepLimitExceeded,
-    ZeroDegree,
-)
+from .errors import NumericFailure, OdynError, StepLimitExceeded
 from .graphs import Hypergraph, NodeLabels, WeightedGraph, homophily_level, split_masks
 from .influence import InfluenceConfig
 from .integrators import IntegratorConfig, integrate, iterate_map
@@ -69,17 +59,6 @@ from .pipeline import (
 
 log = logging.getLogger("odyn")
 
-NUMERIC_ERRORS = (
-    NonFiniteState,
-    StepLimitExceeded,
-    NoConvergence,
-    NotRowStochastic,
-    KernelNotNormalized,
-    NotSPD,
-    ZeroDegree,
-    OutOfRangeSimilarity,
-)
-
 LOG_LEVELS = {
     "error": logging.ERROR,
     "warn": logging.WARNING,
@@ -100,10 +79,12 @@ def _load_config(path):
     """The JSON config object of a run; _check_config checks its values."""
     if path is None:
         return {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"config {path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError("config JSON must be an object")
+        raise ValueError(f"config {path}: JSON must be an object")
     return obj
 
 
@@ -190,6 +171,8 @@ def _prepare(cfg, graph, hypergraph, seed, own=None):
     elif init == "zeros":
         x = np.zeros((node_count, dim))
     elif init == "csv":
+        if "state_csv" not in cfg:
+            raise ValueError("missing config key 'state_csv'")
         x = read_state_csv(string(cfg["state_csv"], "state_csv"))
     else:
         raise ValueError(f"unknown init kind {init!r}")
@@ -240,14 +223,16 @@ def cmd_simulate(args, cfg, graph, hypergraph):
 def cmd_energy(args, cfg, graph, hypergraph):
     if graph is None and hypergraph is None:
         raise ValueError("energy needs --graph or --hypergraph")
-    runs = cfg.get("runs")
-    if runs is None:
-        runs = [dict(cfg, name=cfg.get("name", "run"))]
+    runs = cfg.get("runs", [{"name": cfg.get("name", "run")}])  # one arm: the whole config
+    if not runs:
+        raise ValueError("config key 'runs' must list at least one arm")
     arms = []
     for i, run_cfg in enumerate(runs):
         merged = {k: v for k, v in cfg.items() if k != "runs"}
         merged.update(run_cfg)
         name = string(merged.get("name", f"run{i}"), "name")
+        if "directed" in run_cfg:  # --graph is read once, for every arm
+            raise ValueError(f"energy arm {i} ({name!r}) sets 'directed': set it at the top level")
         # The name becomes the file stem of energy_<name>.csv inside --out.
         if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
             raise ValueError(f"energy arm {i} name {name!r} must be a plain file stem: "
@@ -339,8 +324,9 @@ def cmd_sweep(args):
     cfg = _check_config(_load_config(args.config))
     base, sweep = cfg.get("base", {}), cfg.get("sweep")
     if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
-            and isinstance(sweep.get("values"), list)):
-        raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}")
+            and isinstance(sweep.get("values"), list) and sweep["values"]):
+        raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}"
+                         " with at least one value")
     param, values = string(sweep["param"], "param"), sweep["values"]
     names = [f"run_{i:04d}" for i in range(len(values))]
     out = Path(args.out)
@@ -425,12 +411,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return cmd_sweep(args) if args.command == "sweep" else _run(args)
-    except NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     # MemoryError: an input such as node index 10**12 implies arrays that cannot
     # fit; numpy's message names the size.
-    except (OdynError, OSError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (OdynError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,11 +2,18 @@
 
 Every anticipated failure raises a named subclass of OdynError so callers
 (and the CLI) can map error classes to exit codes without string matching.
+A NumericFailure (CLI exit 3) is the dynamics or an operator failing at
+runtime; every other OdynError is bad input (exit 2).
 """
 
 
 class OdynError(Exception):
     """Base class for all engine errors."""
+
+
+class NumericFailure(OdynError):
+    """Base class of NonFiniteState, StepLimitExceeded, NoConvergence, NotRowStochastic,
+    KernelNotNormalized, NotSPD, ZeroDegree and OutOfRangeSimilarity."""
 
 
 class EmptyGraph(OdynError):
@@ -21,27 +28,27 @@ class NotStronglyConnected(OdynError):
     """Predicate or solver requires a strongly connected graph."""
 
 
-class NotRowStochastic(OdynError):
+class NotRowStochastic(NumericFailure):
     """Weights must sum to one along every row."""
 
 
-class ZeroDegree(OdynError):
+class ZeroDegree(NumericFailure):
     """A node with zero weighted degree reached a normalized quantity."""
 
 
-class OutOfRangeSimilarity(OdynError):
+class OutOfRangeSimilarity(NumericFailure):
     """Similarity values must lie in [0, 1]."""
 
 
-class KernelNotNormalized(OdynError):
+class KernelNotNormalized(NumericFailure):
     """Hypergraph kernel rows must sum to one."""
 
 
-class StepLimitExceeded(OdynError):
+class StepLimitExceeded(NumericFailure):
     """Integrator ran out of its step budget."""
 
 
-class NonFiniteState(OdynError):
+class NonFiniteState(NumericFailure):
     """State left the representable range (blow-up)."""
 
     def __init__(self, message, last_time=None):
@@ -57,7 +64,7 @@ class PreconditionFailed(OdynError):
     """A structural precondition does not hold; message names the check."""
 
 
-class NoConvergence(OdynError):
+class NoConvergence(NumericFailure):
     """Iterative solver hit its iteration cap before the tolerance."""
 
 
@@ -65,7 +72,7 @@ class TooLarge(OdynError):
     """Problem size exceeds a path's limit (node pairs, dense spectra, int64 arc keys)."""
 
 
-class NotSPD(OdynError):
+class NotSPD(NumericFailure):
     """Operator is not symmetric positive semidefinite."""
 
 

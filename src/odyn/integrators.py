@@ -32,9 +32,8 @@ SAFETY = 0.9
 FACTOR_MIN = 0.2
 FACTOR_MAX = 5.0
 
-# Dormand-Prince 5(4) tableau. B holds the fifth-order weights, E the
-# difference against the embedded fourth-order solution.
-DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau, without stage times: the rhs is autonomous.
+# B holds the fifth-order weights, E the difference against the embedded fourth-order solution.
 DP_A = (
     (),
     (1 / 5,),

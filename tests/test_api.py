@@ -12,8 +12,9 @@ PUBLIC = [
     "EnergySeries", "Hypergraph", "INFLUENCE_PRESETS", "InfluenceConfig", "InfluencerLabeling",
     "InsufficientData", "IntegratorConfig", "InvalidProbability", "KernelNotNormalized",
     "NoConvergence", "NodeLabels", "NonFiniteState", "NotRowStochastic", "NotSPD",
-    "NotStronglyConnected", "OdynError", "OutOfRangeSimilarity", "OversmoothingReport",
-    "PreconditionFailed", "SimilaritySpec", "SimplifyConfig", "SimplifyReport",
+    "NotStronglyConnected", "NumericFailure", "OdynError", "OutOfRangeSimilarity",
+    "OversmoothingReport", "PreconditionFailed", "SimilaritySpec", "SimplifyConfig",
+    "SimplifyReport",
     "StepLimitExceeded", "TooLarge", "Trajectory", "WeightedGraph", "ZeroDegree",
     "cluster_count", "consensus_predict", "cooccurrence_fixture", "detect_oversmoothing",
     "dirichlet_energy_graph", "dirichlet_energy_hypergraph", "dopri5_step", "euler_step",

@@ -6,6 +6,7 @@ writers are pinned down to exact text, not just parseable text.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import odyn.errors as odyn_errors
 import odyn.io as odyn_io
 from odyn import (
     CsvFormatError,
@@ -740,10 +742,23 @@ def test_bad_header_exits_2(tmp_path, capsys):
 
 def test_invalid_config_json_exits_2(tmp_path, triangle_csv, capsys):
     cfg = write_text(tmp_path / "cfg.json", "{not json")
+    out = tmp_path / "run"
     code = run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
-                   "--out", tmp_path / "run")
+                   "--out", out)
     assert code == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_that_is_not_an_object_names_the_file(tmp_path, triangle_csv, capsys, command):
+    cfg = write_text(tmp_path / "cfg.json", "[1, 2]")
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: config {cfg}: JSON must be an object\n"
+    assert not out.exists()
 
 
 def test_unknown_kind_exits_2(tmp_path, triangle_csv, capsys):
@@ -766,6 +781,17 @@ def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
         assert code == 2
         assert "input error:" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_init_csv_without_state_csv_names_the_missing_key(tmp_path, triangle_csv, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
+                        "init": "csv", "steps": 12})
+    for command in ("simulate", "energy"):
+        out = tmp_path / command
+        assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == "input error: missing config key 'state_csv'\n"
         assert not out.exists()
 
 
@@ -808,6 +834,53 @@ def test_repulsive_blowup_exits_3(tmp_path, triangle_csv, capsys):
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _error_classes(cls=odyn_errors.OdynError):
+    """Every class in odyn.errors below cls, walking __subclasses__() down."""
+    for sub in cls.__subclasses__():
+        if sub.__module__ == odyn_errors.__name__:
+            yield sub
+            yield from _error_classes(sub)
+
+
+# The CLI's exit 3: NumericFailure and exactly these eight below it.
+NUMERIC_FAILURES = {"NumericFailure", "NonFiniteState", "StepLimitExceeded", "NoConvergence",
+                    "NotRowStochastic", "KernelNotNormalized", "NotSPD", "ZeroDegree",
+                    "OutOfRangeSimilarity"}
+
+
+def test_numeric_failures_are_the_named_classes():
+    classes = {cls.__name__: cls for cls in _error_classes()}
+    assert classes == {name: cls for name, cls in vars(odyn_errors).items()
+                       if isinstance(cls, type) and issubclass(cls, odyn_errors.OdynError)
+                       and cls is not odyn_errors.OdynError}
+    assert {name for name, cls in classes.items()
+            if issubclass(cls, odyn_errors.NumericFailure)} == NUMERIC_FAILURES
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_has_its_exit_code(tmp_path, triangle_csv, capsys, monkeypatch, cls):
+    import odyn.cli as cli
+
+    def compute(args, cfg, graph, hypergraph):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_simulate", compute)
+    out = tmp_path / "run"
+    code, prefix = (3, "numeric failure") if cls.__name__ in NUMERIC_FAILURES else (2, "input error")
+    assert run_cli("simulate", "--graph", triangle_csv, "--out", out) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+    assert not out.exists()
+
+
+def test_readme_exit_codes_name_the_numeric_failures():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Exit codes:"))
+    named = {word for word in re.findall(r"`(\w+)`", paragraph)
+             if isinstance(getattr(odyn_errors, word, None), type)}
+    assert named == NUMERIC_FAILURES
 
 
 # Node 0 is in both hyperedges, so the hgnn kernel's rows do not sum to one.
@@ -1021,6 +1094,53 @@ def test_energy_arms_may_not_share_a_name(tmp_path, capsys, triangle_csv, runs, 
     out = tmp_path / "run"
     assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
     assert capsys.readouterr().err == f"input error: energy arm 1 repeats the name {name!r}\n"
+    assert not out.exists()
+
+
+DIRECTED_CYCLE = "src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n"
+FD_ARM = {"name": "a", "kind": "fd", "init": "uniform", "steps": 12}
+
+
+def test_energy_arm_may_not_set_directed(tmp_path, capsys):
+    # The graph is read once for every arm, so an arm's own directed would be ignored.
+    g = write_text(tmp_path / "g.csv", DIRECTED_CYCLE)
+    cfg = write_config(tmp_path, "cfg.json", {"runs": [dict(FD_ARM, directed=True)]})
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", g, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: energy arm 0 ('a') sets 'directed': set it at the top level\n")
+    assert not out.exists()
+    cfg = write_config(tmp_path, "top.json", {"directed": True, "runs": [FD_ARM]})
+    assert run_cli("energy", "--graph", g, "--config", cfg, "--out", out) == 0
+    assert (out / "energy_a.csv").exists()
+
+
+def test_energy_checks_every_arms_directed_before_the_first_runs(tmp_path, capsys, monkeypatch,
+                                                                 triangle_csv):
+    import odyn.cli as cli
+
+    monkeypatch.setattr(cli, "iterate_map", mock.Mock(side_effect=AssertionError("an arm ran")))
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(GRAPH_KIND_RUNS[0], runs=[{"name": "ok"}, {"directed": False}]))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("input error: energy arm 1 ('run1') sets 'directed'")
+    assert cli.iterate_map.call_count == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("energy", dict(GRAPH_KIND_RUNS[0], runs=[]), "config key 'runs' must list at least one arm"),
+    ("sweep", {"base": GRAPH_KIND_RUNS[0], "sweep": {"param": "eps2", "values": []}},
+     "with at least one value"),
+], ids=["energy", "sweep"])
+def test_command_that_would_run_nothing_exits_2(tmp_path, capsys, triangle_csv, command, obj,
+                                                message):
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.endswith(f"{message}\n")
     assert not out.exists()
 
 
