@@ -78,19 +78,24 @@ def string(value, name):
 _READERS = {"float": number, "int": integer, "bool": boolean, "str": string}
 
 
+def config_keys(cls, **rename):
+    """{rename.get(name, name): reader} for each float, int, bool and str field of cls."""
+    return {rename.get(f.name, f.name): read for f in fields(cls)
+            if (read := _READERS.get(getattr(f.type, "__name__", f.type)))}
+
+
 def config_fields(cls, obj, **rename):
     """{field: value} of dataclass cls read from the config object obj.
 
-    Each field annotated float, int, bool or str is read by that type's reader
-    under its name, or rename[name]. An absent key keeps the field's default;
-    a field without one is a ValueError naming the key. Other fields are the
-    caller's to give.
+    Each field in config_keys(cls, **rename) is read by its type's reader under
+    its name, or rename[name]. An absent key keeps the field's default; a field
+    without one is a ValueError naming the key. Other fields are the caller's to give.
     """
-    out = {}
+    out, readers = {}, config_keys(cls, **rename)
     for f in fields(cls):
-        read, key = _READERS.get(getattr(f.type, "__name__", f.type)), rename.get(f.name, f.name)
-        if read and key in obj:
-            out[f.name] = read(obj[key], key)
-        elif read and f.default is MISSING and f.default_factory is MISSING:
+        key = rename.get(f.name, f.name)
+        if key in readers and key in obj:
+            out[f.name] = readers[key](obj[key], key)
+        elif key in readers and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing config key {key!r}")
     return out

@@ -16,6 +16,7 @@ reproduces the output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._state import boolean, config_fields, integer, number, string
+from ._state import boolean, config_fields, config_keys, integer, number, string
 from .diagnostics import (
     EnergySeries,
     detect_oversmoothing,
@@ -36,7 +37,7 @@ from .diagnostics import (
 from .dynamics import DynamicSpec
 from .errors import NumericFailure, OdynError, StepLimitExceeded
 from .graphs import Hypergraph, NodeLabels, WeightedGraph, homophily_level, split_masks
-from .influence import InfluenceConfig
+from .influence import InfluenceConfig, SimilaritySpec
 from .integrators import IntegratorConfig, integrate, iterate_map
 from .io import (
     read_graph_csv,
@@ -88,36 +89,63 @@ def _load_config(path):
     return obj
 
 
-def _check_config(cfg):
-    """cfg, once every value is a string, a finite number or a boolean.
-
-    `runs` is a list of objects whose values follow the same rule; sweep's
-    `base` and `sweep` are checked in each run they fan out to.
-    """
-    runs = cfg.get("runs", [])
-    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+def _arms(value, key):
+    """energy's runs: a non-empty list of objects."""
+    if not isinstance(value, list) or not all(isinstance(run, dict) for run in value):
         raise ValueError("config key 'runs' must be a list of objects")
-    values = [(key, v) for key, v in cfg.items() if key not in ("runs", "base", "sweep")]
-    for i, run in enumerate(runs):
-        values += [(f"runs[{i}].{key}", v) for key, v in run.items()]
-    for key, value in values:
-        if not isinstance(value, (str, int, float)):  # bool is an int
-            got = {dict: "an object", list: "an array"}.get(type(value), "null")
-            raise ValueError(f"config key {key!r} must be a string, number or boolean, not {got}")
-        # Refuses NaN, +-inf and integers beyond the float range alike.
-        if not isinstance(value, str) and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    if not value:
+        raise ValueError("config key 'runs' must list at least one arm")
+    return value
+
+
+def _sweep_part(value, key):
+    """sweep's base (an object) or sweep (an object with a non-empty list of values)."""
+    if not isinstance(value, dict) or key == "sweep" and not (
+            isinstance(value.get("values"), list) and value["values"]):
+        raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}"
+                         " with at least one value")
+    return value
+
+
+# Each command's config keys and their readers; the dataclasses give their fields' keys.
+_SHARED = {**config_keys(InfluenceConfig, lam="lambda"), **config_keys(IntegratorConfig),
+           "directed": boolean}
+_RUN = {**_SHARED, **config_keys(DynamicSpec), **config_keys(SimilaritySpec, kind="similarity"),
+        "node_count": integer, "init": string, "dim": integer, "state_csv": string,
+        "steps": lambda value, key: integer(value, key, minimum=0)}
+KEYS = {"simulate": _RUN, "energy": {**_RUN, "runs": _arms, "name": string},
+        "simplify": {**_SHARED, **config_keys(SimplifyConfig, weight_cutoff="cutoff",
+                                              feature_dim="dim")},
+        "classify": {**_SHARED, "train_frac": number, "val_frac": number},
+        "homophily": {"directed": boolean}, "sweep": {"base": _sweep_part, "sweep": _sweep_part}}
+_KNOWN = sorted(set().union(*KEYS.values()))
+
+
+def _check_config(cfg, command):
+    """cfg, once each key in it and in each energy arm passes its reader in KEYS[command];
+    a key only other commands read is ignored with a warning, any other is refused."""
+    keys = KEYS[command]
+    arms = _arms(cfg["runs"], "runs") if "runs" in cfg and "runs" in keys else []
+    for i, obj in enumerate([cfg, *arms], start=-1):
+        if i >= 0 and (own := [key for key in ("directed", "runs") if key in obj]):
+            name = string(obj.get("name", cfg.get("name", f"run{i}")), "name")
+            raise ValueError(f"energy arm {i} ({name!r}) sets {own[0]!r}: set it at the top level")
+        for key, value in obj.items():
+            if key in keys:
+                keys[key](value, key)
+            elif key in _KNOWN:
+                log.warning("config key %r is not read by %s; ignored", key, command)
+            else:
+                close = difflib.get_close_matches(key, _KNOWN, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ValueError(f"unknown config key {key!r}{hint}")
     return cfg
 
 
 def _merge_flags(cfg, args):
     """Apply flag overrides on top of the config file (flags win)."""
-    cfg = dict(cfg)
-    if getattr(args, "scheme", None):
-        cfg["scheme"] = args.scheme
-    if getattr(args, "t_end", None) is not None:
-        cfg["t_end"] = args.t_end
-    return cfg
+    flags = {key: getattr(args, key, None) for key in ("scheme", "t_end")}
+    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _load_structure(args, cfg):
@@ -224,15 +252,10 @@ def cmd_energy(args, cfg, graph, hypergraph):
     if graph is None and hypergraph is None:
         raise ValueError("energy needs --graph or --hypergraph")
     runs = cfg.get("runs", [{"name": cfg.get("name", "run")}])  # one arm: the whole config
-    if not runs:
-        raise ValueError("config key 'runs' must list at least one arm")
     arms = []
     for i, run_cfg in enumerate(runs):
-        merged = {k: v for k, v in cfg.items() if k != "runs"}
-        merged.update(run_cfg)
-        name = string(merged.get("name", f"run{i}"), "name")
-        if "directed" in run_cfg:  # --graph is read once, for every arm
-            raise ValueError(f"energy arm {i} ({name!r}) sets 'directed': set it at the top level")
+        merged = {k: v for k, v in {**cfg, **run_cfg}.items() if k != "runs"}
+        name = merged.get("name", f"run{i}")
         # The name becomes the file stem of energy_<name>.csv inside --out.
         if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
             raise ValueError(f"energy arm {i} name {name!r} must be a plain file stem: "
@@ -304,7 +327,7 @@ def cmd_homophily(args, cfg, graph, hypergraph):
 
 def _run(args):
     """Load the inputs once, compute, and only then publish `--out` (if given)."""
-    cfg = _check_config(_merge_flags(_load_config(args.config), args))
+    cfg = _check_config(_merge_flags(_load_config(args.config), args), args.command)
     graph, hypergraph = _load_structure(args, cfg)
     files, text = args.compute(args, cfg, graph, hypergraph)
     if args.out:
@@ -321,13 +344,10 @@ def cmd_sweep(args):
     """
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = _check_config(_load_config(args.config))
-    base, sweep = cfg.get("base", {}), cfg.get("sweep")
-    if not (isinstance(base, dict) and isinstance(sweep, dict) and "param" in sweep
-            and isinstance(sweep.get("values"), list) and sweep["values"]):
-        raise ValueError("sweep config needs {'base': {...}, 'sweep': {'param':, 'values': [...]}}"
-                         " with at least one value")
-    param, values = string(sweep["param"], "param"), sweep["values"]
+    cfg = _check_config(_load_config(args.config), "sweep")
+    base, sweep = cfg.get("base", {}), _sweep_part(cfg.get("sweep"), "sweep")
+    param, values = string(sweep.get("param"), "param"), sweep["values"]
+    _check_config({**base, param: values[0]}, "simulate")  # each run's config, before --out
     names = [f"run_{i:04d}" for i in range(len(values))]
     out = Path(args.out)
     configs = {f"{name}/config.json": (write_json, {**base, param: value})

@@ -244,6 +244,10 @@ class DynamicSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        if self.kernel not in ("uniform", "hgnn"):
+            raise ValueError(f"kernel must be 'uniform' or 'hgnn', got {self.kernel!r}")
+        if not self.hk_radius > 0.0:
+            raise ValueError(f"hk_radius must be positive, got {self.hk_radius!r}")
 
     @property
     def is_discrete(self):

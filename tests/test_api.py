@@ -112,3 +112,42 @@ def test_config_cast_scan_finds_each_cast_of_a_lookup(tmp_path):
                     "d = int(obj.get('d'))\ne = float(x.get('e'))\nf = number(cfg['f'], 'f')\n"
                     "g = float(value)\nh = str(cfg.items())\n", encoding="utf-8")
     assert _cast_config_lookups(path) == [(1, "float"), (2, "str"), (3, "bool"), (4, "int")]
+
+
+def _literal_key_reads(path):
+    """(line, key) of each string-literal key read: `x.get("k", ...)`, `x["k"]` or `"k" in x`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            key = node.args[0] if node.func.attr == "get" and node.args else None
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            key = node.left
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            found.append((node.lineno, key.value))
+    return sorted(found)
+
+
+# Literal keys cli.py reads that are not config keys: the log level's
+# environment variable and the two fields of sweep's `sweep` object.
+NOT_CONFIG_KEYS = {"ODYN_LOG", "param", "values"}
+
+
+def test_every_config_key_the_cli_reads_is_in_its_schema():
+    import odyn.cli as cli
+
+    reads = _literal_key_reads(Path(cli.__file__))
+    declared = set().union(*cli.KEYS.values())
+    assert [(line, key) for line, key in reads if key not in declared | NOT_CONFIG_KEYS] == []
+    assert {key for _, key in reads} >= NOT_CONFIG_KEYS | {"eps1", "node_count", "state_csv"}
+
+
+def test_key_read_scan_finds_each_literal_key(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("a = cfg.get('a', 1)\nb = run['b']\nc = 'c' in cfg\nd = 'd' not in x\n"
+                    "cfg['e'] = 1\nf = cfg.get(key)\ng = x[0]\nh = x.items('h')\n",
+                    encoding="utf-8")
+    assert _literal_key_reads(path) == [(1, "a"), (2, "b"), (3, "c"), (4, "d")]

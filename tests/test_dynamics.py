@@ -5,6 +5,7 @@ of each rule, from closed-form flows of small linear systems, and from
 dense eigendecompositions, never from the vectorized code under test.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -796,6 +797,19 @@ def test_spec_json_round_trip():
     assert hk.hk_radius == 0.3
     diff = DynamicSpec.from_json({"kind": "hypergraph-diffusion", "kernel": "hgnn"})
     assert diff.kernel == "hgnn"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "hypergraph-diffusion", "kernel": "laplacian"},
+     "kernel must be 'uniform' or 'hgnn', got 'laplacian'"),
+    ({"kind": "hk", "hk_radius": 0.0}, "hk_radius must be positive, got 0.0"),
+    ({"kind": "hk", "hk_radius": -0.5}, "hk_radius must be positive, got -0.5"),
+    ({"kind": "hk", "hk_radius": float("nan")}, "hk_radius must be positive, got nan"),
+], ids=["kernel", "radius-0", "radius-negative", "radius-nan"])
+def test_spec_refuses_an_unknown_kernel_or_a_radius_not_positive(kwargs, message):
+    # Refused when the spec is built, before any operator or step.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynamicSpec(**kwargs)
 
 
 def test_spec_runs_inside_iterate_map():

@@ -1249,8 +1249,7 @@ CONTINUOUS = '"kind": "odnet-continuous", "eps1": 0, "eps2": 1'
     ("simulate", f'{{{CONTINUOUS}, "scheme": "euler", "t_end": Infinity}}', "t_end"),
     ("simulate", f'{{{CONTINUOUS}, "scheme": "rk4", "max_steps": 1e400}}', "max_steps"),
     ("simulate", f'{{{CONTINUOUS}, "lambda": NaN}}', "lambda"),
-    ("energy", f'{{{DISCRETE}, "runs": [{{"name": "a"}}, {{"steps": Infinity}}]}}',
-     "runs[1].steps"),
+    ("energy", f'{{{DISCRETE}, "runs": [{{"name": "a"}}, {{"steps": Infinity}}]}}', "steps"),
     ("simplify", '{"dim": 1e400}', "dim"),
     ("classify", '{"eps1": 0, "eps2": 1, "max_steps": 1e400}', "max_steps"),
 ], ids=["steps-1e400", "steps-inf", "dim", "discrete-t_end", "rk4-t_end", "euler-t_end",
@@ -1262,8 +1261,7 @@ def test_config_number_must_be_finite(tmp_path, triangle_csv, capsys, command, t
     extra = ("--labels", labels) if command == "classify" else ()
     assert run_cli(command, "--graph", triangle_csv, "--config", cfg, *extra, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "Traceback" not in err
-    assert f"{key!r} must be a finite number" in err
+    assert re.fullmatch(f"input error: {key} must be [^\n]*, got (-?inf|nan)\n", err)
     assert not out.exists()
 
 
@@ -1275,7 +1273,7 @@ def test_t_end_flag_must_be_finite(tmp_path, triangle_csv, capsys, scheme, value
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out,
                    "--t-end", value) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "'t_end' must be a finite number" in err
+    assert err == f"input error: t_end must be a finite number, got {float(value)!r}\n"
     assert not out.exists()
 
 
@@ -1332,6 +1330,133 @@ def test_every_config_key_refuses_a_value_of_the_wrong_type(tmp_path, triangle_c
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {key} must be ") and err.endswith(f", got {value!r}\n")
     assert not out.exists()
+
+
+# ------------------------------------------------------------ the config schema
+
+
+@pytest.mark.parametrize("command, obj, key, close", [
+    ("simulate", dict(GRAPH_KIND_RUNS[1], lamda=2.0), "lamda", "lambda"),
+    ("simplify", {"source": "static", "cutof": 0.9}, "cutof", "cutoff"),
+    ("energy", dict(GRAPH_KIND_RUNS[1], runs=[{"name": "a"}, {"name": "b", "lamda": 2.0}]),
+     "lamda", "lambda"),
+    ("sweep", {"base": GRAPH_KIND_RUNS[1], "sweep": {"param": "lamda", "values": [2.0]}},
+     "lamda", "lambda"),
+], ids=["simulate", "simplify", "energy-arm", "sweep-param"])
+def test_unknown_config_key_exits_2_naming_the_closest_key(tmp_path, triangle_csv, capsys,
+                                                           command, obj, key, close):
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: unknown config key {key!r}; did you mean {close!r}?\n")
+    assert not out.exists()
+
+
+def test_unknown_config_key_without_a_close_one_is_named_alone(tmp_path, triangle_csv, capsys):
+    cfg = write_config(tmp_path, "cfg.json", dict(GRAPH_KIND_RUNS[1], zzz=1))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == "input error: unknown config key 'zzz'\n"
+    assert not out.exists()
+
+
+def test_a_key_only_other_commands_read_is_ignored_with_one_warning(tmp_path, triangle_csv,
+                                                                    capsys, caplog):
+    plain = write_config(tmp_path, "plain.json", GRAPH_KIND_RUNS[1])
+    named = write_config(tmp_path, "named.json", dict(GRAPH_KIND_RUNS[1], name="a"))
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", plain,
+                   "--out", tmp_path / "plain") == 0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="odyn"):
+        assert run_cli("simulate", "--graph", triangle_csv, "--config", named,
+                       "--out", tmp_path / "named") == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "config key 'name' is not read by simulate; ignored"]
+    for name in ("trajectory.csv", "final_state.csv", "energy.csv"):
+        assert (tmp_path / "named" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_energy_arm_may_not_set_runs(tmp_path, capsys, triangle_csv):
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(GRAPH_KIND_RUNS[0], runs=[{"name": "a", "runs": [{"name": "b"}]}]))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: energy arm 0 ('a') sets 'runs': set it at the top level\n")
+    assert not out.exists()
+
+
+def test_sweep_checks_its_first_run_as_simulate_before_out(tmp_path, capsys, triangle_csv):
+    cfg = write_config(tmp_path, "cfg.json", {"base": dict(GRAPH_KIND_RUNS[0], steps=2.5),
+                                              "sweep": {"param": "eps2", "values": [0.5]}})
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == "input error: steps must be an integer >= 0, got 2.5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs, stand_in, message", [
+    ([{"name": "a", "kind": "hypergraph-diffusion"},
+      {"name": "b", "kind": "hypergraph-diffusion", "kernel": "laplacian"}],
+     "integrate", "kernel must be 'uniform' or 'hgnn', got 'laplacian'"),
+    ([{"name": "a", "kind": "fd"}, {"name": "b", "kind": "hk", "hk_radius": 0}],
+     "iterate_map", "hk_radius must be positive, got 0.0"),
+], ids=["kernel", "hk_radius"])
+def test_energy_checks_every_arms_kernel_and_radius_before_the_first_runs(
+        tmp_path, capsys, monkeypatch, runs, stand_in, message):
+    import odyn.cli as cli
+
+    monkeypatch.setattr(cli, stand_in, mock.Mock(side_effect=AssertionError("an arm ran")))
+    g = write_text(tmp_path / "g.csv", LAZY_CYCLE_ROWS)
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", {"directed": True, "runs": runs})
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", g, "--hypergraph", h, "--config", cfg,
+                   "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert getattr(cli, stand_in).call_count == 0
+    assert not out.exists()
+
+
+def test_energy_arms_own_keys_beat_the_command_line_flags(tmp_path, capsys, triangle_csv):
+    # The flags beat the top level; an arm's own scheme or t_end beats both.
+    base = {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0, "h": 0.1, "init": "unit",
+            "dim": 2}
+    arms = {"inherits": ({}, "euler", 1.0), "own_t_end": ({"t_end": 2.0}, "euler", 2.0),
+            "own_scheme": ({"scheme": "rk4"}, "rk4", 1.0)}
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        base, scheme="dopri5", t_end=3.0, runs=[dict(own, name=name) for name, (own, _, _)
+                                                 in arms.items()]))
+    out = tmp_path / "flags"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--t-end", "1.0",
+                   "--scheme", "euler", "--out", out) == 0
+    for name, (_, scheme, t_end) in arms.items():
+        alone = write_config(tmp_path, f"{name}.json",
+                             dict(base, scheme=scheme, t_end=t_end, runs=[{"name": name}]))
+        assert run_cli("energy", "--graph", triangle_csv, "--config", alone,
+                       "--out", tmp_path / name) == 0
+        fname = f"energy_{name}.csv"
+        assert (out / fname).read_bytes() == (tmp_path / name / fname).read_bytes(), name
+        assert (out / fname).read_text().splitlines()[-1].startswith(f"{t_end!r},")
+    capsys.readouterr()
+
+
+def test_readme_key_table_matches_the_schema():
+    import odyn.cli as cli
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| key | type | default | read by |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        table.update({key: set(cells[3].split(", ")) for key in re.findall(r"`(\w+)`", cells[0])})
+    schema = {key: {command for command, keys in cli.KEYS.items() if key in keys}
+              for key in set().union(*cli.KEYS.values())}
+    assert table == schema
 
 
 def test_fixed_step_count_beyond_any_integer_exits_3(tmp_path, triangle_csv, capsys):
