@@ -136,10 +136,14 @@ def _check_config(cfg, command):
             elif key in _KNOWN:
                 log.warning("config key %r is not read by %s; ignored", key, command)
             else:
-                close = difflib.get_close_matches(key, _KNOWN, n=1)
-                hint = f"; did you mean {close[0]!r}?" if close else ""
-                raise ValueError(f"unknown config key {key!r}{hint}")
+                raise ValueError(f"unknown config key {key!r}{_closest(key, _KNOWN)}")
     return cfg
+
+
+def _closest(key, known):
+    """'; did you mean ...?' naming the known key closest to `key`, or ''."""
+    close = difflib.get_close_matches(key, known, n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def _merge_flags(cfg, args):
@@ -347,6 +351,10 @@ def cmd_sweep(args):
     cfg = _check_config(_load_config(args.config), "sweep")
     base, sweep = cfg.get("base", {}), _sweep_part(cfg.get("sweep"), "sweep")
     param, values = string(sweep.get("param"), "param"), sweep["values"]
+    if param in _KNOWN and param not in _RUN:  # simulate's keys; every run would be the same
+        readers = ", ".join(command for command, keys in KEYS.items() if param in keys)
+        raise ValueError(f"sweep param {param!r} is read by {readers}, not simulate"
+                         f"{_closest(param, _RUN)}")
     _check_config({**base, param: values[0]}, "simulate")  # each run's config, before --out
     names = [f"run_{i:04d}" for i in range(len(values))]
     out = Path(args.out)

@@ -40,8 +40,11 @@ log = logging.getLogger("odyn")
 # (56 bytes each), or sum |e|^2 for a membership product H @ H.T (85 bytes each).
 _PAIR_LIMIT = 2**24
 
-# Uniforms drawn per slab by generate_sbm (0.5 MB of doubles).
-_SBM_SLAB = 1 << 16
+# Gaps drawn at most per chunk by generate_sbm (0.5 MB of doubles).
+_GAP_CHUNK = 1 << 16
+
+# Node pairs generate_sbm refuses in one block pair: float64 positions are exact below it.
+_BLOCK_PAIR_LIMIT = 1 << 53
 
 
 class WeightedGraph:
@@ -183,16 +186,20 @@ class Hypergraph:
         edge_count = int(edge_count)
         if edge_count < 1:
             raise EmptyGraph("hypergraph needs at least one hyperedge")
+        if node_count * edge_count >= 1 << 63:
+            raise TooLarge(f"hypergraph of {node_count} nodes and {edge_count} hyperedges refused: "
+                           "its membership keys edge * n + node overflow int64")
         bad_node = (nodes < 0) | (nodes >= node_count)
         bad_edge = (edges < 0) | (edges >= edge_count)
         bad_weight = ~(np.isfinite(w) & (w > 0.0))
-        # Sorted by hyperedge, then node; the sort is stable, so a membership
-        # is a duplicate when it follows an equal pair.
-        order = np.lexsort((nodes, edges))
-        edge_of, node_of = edges[order], nodes[order]
-        same = (edge_of[1:] == edge_of[:-1]) & (node_of[1:] == node_of[:-1])
+        # Sorted by hyperedge, then node, on one int64 key per membership; an
+        # out-of-range one keys -1, so it meets no valid one. The sort is
+        # stable, so a membership is a duplicate when it follows an equal key.
+        key = np.where(bad_node | bad_edge, -1, edges * node_count + nodes)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         dup = np.zeros(w.size, dtype=bool)
-        dup[order[1:][same]] = True
+        dup[order[1:][key[1:] == key[:-1]]] = True
         bad = np.flatnonzero(bad_node | bad_edge | bad_weight | dup)
         if bad.size:
             k = bad[0]
@@ -210,7 +217,7 @@ class Hypergraph:
         self.node_count = node_count
         self.edge_count = edge_count
         ptr = np.concatenate([[0], np.cumsum(sizes)])
-        W = csc_matrix((w[order], node_of, ptr), shape=(node_count, edge_count))
+        W = csc_matrix((w[order], nodes[order], ptr), shape=(node_count, edge_count))
         for a in (W.data, W.indices, W.indptr):
             a.setflags(write=False)
         self._weights = W
@@ -460,8 +467,10 @@ def homophily_level(g, labels):
 def generate_sbm(block_sizes, p_in, p_out, seed=0):
     """Sample an undirected stochastic block model with unit weights.
 
-    Returns (graph, labels) where labels are block indices. The draw is a
-    pure function of the seed.
+    Each pair i < j is an edge with probability p_in inside a block and
+    p_out across blocks, independently. Returns (graph, labels) where labels
+    are block indices. The draw is a pure function of the seed, and it takes
+    O(N + edges) time and memory.
     """
     for p in (p_in, p_out):
         if not (0.0 <= p <= 1.0):
@@ -469,34 +478,61 @@ def generate_sbm(block_sizes, p_in, p_out, seed=0):
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("block sizes must be positive")
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    n = int(labels.size)
-    rng = np.random.default_rng(seed)
-    # One uniform per pair i < j in row-major (triu) order, drawn in slabs of
-    # flat pair indices: PCG64 yields the same doubles in pieces as in one
-    # call, so the graph matches the all-pairs draw while memory stays
-    # O(slab + edges). Row i's pairs start at flat index row_start[i].
-    rows = np.arange(n, dtype=np.int64)
-    row_start = rows * (n - 1) - rows * (rows - 1) // 2
-    total = n * (n - 1) // 2
-    p_max = max(p_in, p_out)
-    src, dst = [rows[:0]], [rows[:0]]
-    # Every slab is drawn into one buffer: a fresh slab each time keeps two
-    # alive at the swap, and where the allocator puts them moved the peak
-    # RSS by a whole slab from run to run.
-    slab = np.empty(min(_SBM_SLAB, total))
-    for start in range(0, total, _SBM_SLAB):
-        u = rng.random(out=slab[:total - start])
-        cand = np.flatnonzero(u < p_max)
-        flat = cand + start
-        i = np.searchsorted(row_start, flat, side="right") - 1
-        j = flat - row_start[i] + i + 1
-        keep = u[cand] < np.where(labels[i] == labels[j], p_in, p_out)
-        src.append(i[keep])
-        dst.append(j[keep])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    g = WeightedGraph.from_arrays(n, src, dst, np.ones(src.size), directed=False)
-    return g, NodeLabels(labels, len(sizes))
+    src, dst = _sbm_edges(np.random.default_rng(seed), sizes, p_in, p_out)
+    g = WeightedGraph.from_arrays(sum(sizes), src, dst, np.ones(src.size), directed=False)
+    return g, NodeLabels(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+
+
+def _sbm_edges(rng, sizes, p_in, p_out):
+    """(src, dst) of the kept pairs i < j, drawn block pair by block pair.
+
+    Its own function, so that no per-block array outlives the draw.
+    """
+    blocks = [(a, b) for a in range(len(sizes)) for b in range(a, len(sizes))]
+    pairs = [sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b] for a, b in blocks]
+    if max(pairs) >= _BLOCK_PAIR_LIMIT:
+        raise TooLarge(f"stochastic block model refused: {max(pairs)} node pairs in one block pair "
+                       f"(limit {_BLOCK_PAIR_LIMIT - 1})")
+    starts = np.cumsum([0, *sizes])
+    src, dst = [], []
+    for (a, b), m in zip(blocks, pairs):
+        k = _bernoulli_positions(rng, m, p_in if a == b else p_out)
+        if a == b:  # pair k in row-major (triu) order: row i has row_start[i] <= k
+            rows = np.arange(sizes[a], dtype=np.int64)
+            row_start = rows * (sizes[a] - 1) - rows * (rows - 1) // 2
+            i = np.searchsorted(row_start, k, side="right") - 1
+            j = k - row_start[i] + i + 1
+        else:
+            i, j = np.divmod(k, sizes[b])
+        src.append(starts[a] + i)
+        dst.append(starts[b] + j)
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _bernoulli_positions(rng, m, p):
+    """Sorted positions in [0, m), each kept with probability p independently.
+
+    Jumps from kept position to kept position (Batagelj and Brandes 2005):
+    for E a standard exponential draw, ceil(E / -log(1 - p)) has the gap's
+    geometric law, so time and memory are O(kept), not O(m). Positions are
+    exact in float64 for m < 2^53.
+    """
+    if p == 1.0:
+        return np.arange(m, dtype=np.int64)
+    if p == 0.0 or m == 0:
+        return np.zeros(0, np.int64)
+    rate = -np.log1p(-p)
+    kept, last = [], -1.0
+    # A tiny p gives gaps past the float range: inf, beyond every position.
+    with np.errstate(over="ignore"):
+        while last < m - 1:
+            want = (m - 1 - last) * p  # kept positions expected in the rest
+            size = int(min(_GAP_CHUNK, want + 4.0 * want**0.5 + 16.0))
+            gaps = np.maximum(np.ceil(rng.standard_exponential(size) / rate), 1.0)
+            pos = last + np.cumsum(gaps)
+            kept.append(pos[pos < m])
+            last = pos[-1]
+    return np.concatenate(kept).astype(np.int64)
 
 
 def normalize_rows(g):

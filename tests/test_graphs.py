@@ -7,6 +7,7 @@ cycle enumeration) rather than from the library's own traversals.
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -420,6 +421,14 @@ def test_hypergraph_from_structured_array_matches_loop_oracle(memberships, edge_
     assert np.array_equal(membership_weight(h), M)
 
 
+def test_hypergraph_refuses_membership_keys_past_int64():
+    # One int64 key edge * n + node per membership sorts them: n * E < 2^63.
+    h = Hypergraph(1 << 62, [(5, 0, 2.0), (0, 0, 1.0)], edge_count=1)
+    assert h.members(0).tolist() == [0, 5]
+    with pytest.raises(TooLarge, match="4611686018427387904 nodes and 2 hyperedges refused"):
+        Hypergraph(1 << 62, [(0, 0, 1.0)], edge_count=2)
+
+
 def test_clique_expansion_weights():
     h = Hypergraph(3, [(0, 0, 2.0), (1, 0, 3.0), (1, 1, 1.0), (2, 1, 1.0)])
     g = h.clique_expansion()
@@ -699,30 +708,108 @@ def test_sbm_degenerate_probabilities():
     assert full.edge_count == 6  # complete graph on 4 nodes
 
 
-@given(
-    st.lists(st.integers(1, 9), min_size=1, max_size=4),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 40),
-)
-@settings(max_examples=60, deadline=None)
-def test_sbm_matches_triu_oracle(sizes, p_in, p_out, seed, slab):
-    # Small slabs cut rows in the middle, so every row-offset mapping is used.
-    with mock.patch.object(graphs, "_SBM_SLAB", slab):
-        g, labels = generate_sbm(sizes, p_in, p_out, seed=seed)
-    iu, ju = triu_sbm_oracle(sizes, p_in, p_out, seed)
-    expected = WeightedGraph(sum(sizes), zip(iu.tolist(), ju.tolist(), [1.0] * iu.size))
-    assert g == expected
-    assert labels.labels.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
-
-
-def test_sbm_matches_triu_oracle_across_default_slabs():
-    # 1600 nodes are 1.28M pairs: more than one default slab.
-    g, _ = generate_sbm([900, 700], 0.01, 0.002, seed=9)
-    iu, ju = triu_sbm_oracle([900, 700], 0.01, 0.002, 9)
+def block_pair_counts(g, labels):
+    """{(a, b): edges between blocks a <= b} of an undirected graph."""
     src, dst, _ = g.undirected_pairs()
-    assert np.array_equal(src, iu) and np.array_equal(dst, ju)
+    a, b = labels.labels[src], labels.labels[dst]
+    return {(x, y): int(np.count_nonzero((a == x) & (b == y)))
+            for x in range(labels.class_count) for y in range(x, labels.class_count)}
+
+
+def block_pairs(sizes):
+    """{(a, b): candidate node pairs between blocks a <= b}."""
+    return {(a, b): sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            for a in range(len(sizes)) for b in range(a, len(sizes))}
+
+
+def assert_sbm_counts_plausible(sizes, p_in, p_out, seed):
+    # Each block pair's edge count within 6 sd + 1 of its mean.
+    g, labels = generate_sbm(sizes, p_in, p_out, seed=seed)
+    counts = block_pair_counts(g, labels)
+    for (a, b), m in block_pairs(sizes).items():
+        p = p_in if a == b else p_out
+        assert abs(counts[a, b] - m * p) <= 6.0 * (m * p * (1.0 - p)) ** 0.5 + 1.0, (a, b)
+
+
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), PROBABILITY, PROBABILITY,
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sbm_draws_distinct_canonical_pairs(sizes, p_in, p_out, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        src, dst = graphs._sbm_edges(np.random.default_rng(seed), sizes, p_in, p_out)
+        g, labels = generate_sbm(sizes, p_in, p_out, seed=seed)
+        again, _ = generate_sbm(sizes, p_in, p_out, seed=seed)
+    n = sum(sizes)
+    assert np.all(src < dst) and np.unique(src * n + dst).size == src.size
+    i, j, _ = g.undirected_pairs()
+    assert np.array_equal(np.sort(src * n + dst), i * n + j)
+    assert g == again
+    assert labels.labels.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
+    counts = block_pair_counts(g, labels)
+    for (a, b), m in block_pairs(sizes).items():
+        p = p_in if a == b else p_out
+        if p in (0.0, 1.0):
+            assert counts[a, b] == p * m, (a, b)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda seed: generate_sbm([3, 3], 0.3, 0.1, seed=seed)[0].undirected_pairs()[:2],
+    lambda seed: triu_sbm_oracle([3, 3], 0.3, 0.1, seed),
+], ids=["generate_sbm", "triu_oracle"])
+def test_sbm_pair_frequencies_match_their_probabilities(sampler):
+    runs = 2000
+    hits = np.zeros((6, 6))
+    for seed in range(runs):
+        i, j = sampler(seed)
+        hits[i, j] += 1
+    assert hits[np.tril_indices(6)].sum() == 0
+    iu, ju = np.triu_indices(6, k=1)
+    inside = (iu < 3) == (ju < 3)
+    p = np.where(inside, 0.3, 0.1)
+    assert np.all(np.abs(hits[iu, ju] / runs - p) <= 5.0 * np.sqrt(p * (1.0 - p) / runs))
+    # Pooled over the 6 pairs inside the blocks and the 9 across, 5 sd is tighter.
+    for pooled, q in ((inside, 0.3), (~inside, 0.1)):
+        trials = runs * int(pooled.sum())
+        freq = hits[iu, ju][pooled].sum() / trials
+        assert abs(freq - q) <= 5.0 * np.sqrt(q * (1.0 - q) / trials)
+
+
+def test_sbm_block_edge_counts_match_their_means():
+    assert_sbm_counts_plausible([900, 700], 0.01, 0.002, 9)
+
+
+def test_sbm_draws_ten_billion_pairs_by_their_edges():
+    assert_sbm_counts_plausible([100_000] * 2, 2e-5, 1e-6, 0)
+
+
+def test_sbm_peak_memory_holds_no_per_pair_array():
+    generate_sbm([10], 0.5, 0.5)  # lazy set-up out of the traced call
+    tracemalloc.start()
+    try:
+        g, _ = generate_sbm([6000], 0.03, 0.03, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = 6000 * 5999 // 2
+    assert g.edge_count > 0.02 * pairs
+    assert peak < 8 * pairs  # 137 MiB
+
+
+def test_sbm_refuses_a_block_pair_past_exact_float_positions(monkeypatch):
+    # At p = 0 nothing is drawn, and a block of 2^40 nodes cannot be allocated:
+    # without the refusal this is a MemoryError at once, not a long run.
+    with pytest.raises(TooLarge, match="refused: 604462909806764831539200 node pairs"):
+        generate_sbm([1 << 40], 0.0, 0.0)
+    monkeypatch.setattr(graphs, "_BLOCK_PAIR_LIMIT", 10)
+    generate_sbm([4, 2], 1.0, 1.0)  # 6, 1 and 8 pairs
+    with pytest.raises(TooLarge, match="10 node pairs in one block pair"):
+        generate_sbm([5], 1.0, 1.0)  # 10 pairs in the block
+    with pytest.raises(TooLarge, match="10 node pairs in one block pair"):
+        generate_sbm([2, 5], 0.0, 1.0)  # 10 pairs across
 
 
 def test_sbm_rejects_bad_probability():

@@ -1353,6 +1353,25 @@ def test_unknown_config_key_exits_2_naming_the_closest_key(tmp_path, triangle_cs
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param, message", [
+    ("cutoff", "'cutoff' is read by simplify, not simulate"),
+    ("name", "'name' is read by energy, not simulate"),
+    ("sweep", "'sweep' is read by sweep, not simulate; did you mean 'steps'?"),
+])
+def test_sweep_refuses_a_param_simulate_does_not_read(tmp_path, triangle_csv, capsys, caplog,
+                                                      param, message):
+    # Each run would ignore the key and write the same files.
+    cfg = write_config(tmp_path, "cfg.json", {
+        "base": {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "steps": 3, "dim": 2},
+        "sweep": {"param": param, "values": [0.1, 0.5, 0.9]}})
+    out = tmp_path / "sweep"
+    with caplog.at_level("WARNING", logger="odyn"):
+        assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: sweep param {message}\n"
+    assert not caplog.records
+    assert not out.exists()
+
+
 def test_unknown_config_key_without_a_close_one_is_named_alone(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json", dict(GRAPH_KIND_RUNS[1], zzz=1))
     out = tmp_path / "run"
