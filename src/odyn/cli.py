@@ -217,8 +217,8 @@ def _prepare(cfg, graph, hypergraph, seed, own=None):
     # A discrete t_end counts steps; it beats steps, unless only the steps are the run's own.
     if "t_end" in own or ("t_end" in cfg and "steps" not in own):
         steps = integer(cfg["t_end"], "t_end", minimum=0)
-    # The continuous kinds' step budget, checked the same way.
-    budget = integer(cfg.get("max_steps", IntegratorConfig.max_steps), "max_steps")
+    # A bad integrator key is refused in any run; here t_end counts steps and max_steps caps them.
+    budget = IntegratorConfig.from_json({k: v for k, v in cfg.items() if k != "t_end"}).max_steps
     if steps > budget:
         raise StepLimitExceeded(f"{steps} discrete steps exceed max_steps = {budget}")
     return spec, x, steps

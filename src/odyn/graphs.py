@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, triu
 
+from ._state import integer
 from .errors import (
     EmptyGraph,
     InvalidProbability,
@@ -363,8 +364,12 @@ def split_masks(labels, train_frac=1 / 3, val_frac=1 / 3, seed=0):
 
     Sampling is per class so every class appears in the training set whenever
     it has at least one node. Fractions apply within each class; the
-    remainder goes to the test set.
+    remainder goes to the test set. Each fraction must lie in [0, 1] and
+    their sum must be at most 1.
     """
+    if not (0.0 <= train_frac <= 1.0 and 0.0 <= val_frac <= 1.0 and train_frac + val_frac <= 1.0):
+        raise ValueError(f"split fractions must lie in [0, 1] and sum to at most 1, got "
+                         f"train_frac = {train_frac!r} and val_frac = {val_frac!r}")
     rng = np.random.default_rng(seed)
     train, val = [], []
     test = []
@@ -475,8 +480,8 @@ def generate_sbm(block_sizes, p_in, p_out, seed=0):
     for p in (p_in, p_out):
         if not (0.0 <= p <= 1.0):
             raise InvalidProbability(f"edge probability {p} outside [0, 1]")
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s < 1 for s in sizes):
+    sizes = [integer(s, "block size") for s in block_sizes]
+    if not sizes:
         raise ValueError("block sizes must be positive")
     src, dst = _sbm_edges(np.random.default_rng(seed), sizes, p_in, p_out)
     g = WeightedGraph.from_arrays(sum(sizes), src, dst, np.ones(src.size), directed=False)

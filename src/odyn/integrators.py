@@ -32,8 +32,8 @@ SAFETY = 0.9
 FACTOR_MIN = 0.2
 FACTOR_MAX = 5.0
 
-# Dormand-Prince 5(4) tableau, without stage times: the rhs is autonomous.
-# B holds the fifth-order weights, E the difference against the embedded fourth-order solution.
+# Dormand-Prince 5(4) tableau, without stage times: the rhs is autonomous. A's last row holds
+# the fifth-order weights (FSAL), E the difference against the embedded fourth-order solution.
 DP_A = (
     (),
     (1 / 5,),
@@ -43,7 +43,6 @@ DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 DP_E = (
     71 / 57600,
     0.0,
@@ -120,17 +119,17 @@ def rk4_step(f, x, h):
 def dopri5_step(f, x, h, k1=None):
     """One Dormand-Prince 5(4) step.
 
-    Returns (x_new, err_vec, k_last). k_last is the derivative at x_new and
-    can be fed back as k1 of the next step (FSAL). Passing k1 skips the
-    first stage evaluation.
+    Returns (x_new, err_vec, k_last). The tableau's last row holds the
+    fifth-order weights, so x_new is the last stage's input and k_last =
+    f(x_new) can be k1 of the next step (FSAL); passing k1 skips the first
+    stage. f must not modify its argument, as x_new is passed to it.
     """
     k = [k1 if k1 is not None else f(x)]
     for row in DP_A[1:]:
-        xi = x + h * sum(a * ki for a, ki in zip(row, k))
+        xi = x + h * sum(a * ki for a, ki in zip(row, k) if a != 0.0)
         k.append(f(xi))
-    x_new = x + h * sum(b * ki for b, ki in zip(DP_B, k) if b != 0.0)
     err = h * sum(e * ki for e, ki in zip(DP_E, k) if e != 0.0)
-    return x_new, err, k[6]
+    return xi, err, k[6]
 
 
 def _error_norm(err, x, rtol, atol):
@@ -139,7 +138,7 @@ def _error_norm(err, x, rtol, atol):
 
 
 def _initial_step(f, x0, cfg):
-    """Curvature-based starting step, capped at t_end / 100."""
+    """(curvature-based starting step capped at t_end / 100, f(x0))."""
     cap = cfg.t_end / 100.0
     f0 = f(x0)
     d0 = _error_norm(x0, x0, cfg.rtol, cfg.atol)
@@ -155,7 +154,7 @@ def _initial_step(f, x0, cfg):
         h_b = max(1e-6, h_a * 1e-3)
     else:
         h_b = (0.01 / max(d1, d2)) ** 0.2
-    return min(cap, h_b)
+    return min(cap, h_b), f0
 
 
 def _check_finite(t, *arrays):
@@ -243,11 +242,12 @@ def _fixed_steps(rec, x, step, h, t_end, max_steps):
 def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     """Advance x' = rhs(x) from t = 0 to cfg.t_end.
 
-    Fixed-step schemes record every step; dopri5 records accepted steps and
-    always lands exactly on t_end. energy_fn, when given, is evaluated on
-    every recorded state. post_step, when given, maps each recorded state to
-    a replacement (used for semi-supervised clamping); it invalidates FSAL
-    reuse for the step that follows.
+    Fixed-step schemes record every step. dopri5 records accepted steps, the
+    last exactly at t_end; it calls rhs twice for its first step size (the
+    first call is also the first stage) and 6 times per attempt (FSAL).
+    energy_fn, when given, is evaluated on every recorded state. post_step,
+    when given, maps each recorded state to a replacement (semi-supervised
+    clamping); the next attempt then calls rhs once more.
 
     Raises StepLimitExceeded when the step budget runs out, TooLarge when
     the recorded states would pass _RECORD_LIMIT bytes (fixed steps check
@@ -261,30 +261,29 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
         step = euler_step if cfg.scheme == "euler" else rk4_step
         return _fixed_steps(rec, x, lambda x, h: step(rhs, x, h), cfg.h, cfg.t_end, cfg.max_steps)
 
-    h = _initial_step(rhs, x, cfg)
-    k1 = None
+    h, k1 = _initial_step(rhs, x, cfg)
+    t_stop = cfg.t_end - 1e-12 * cfg.t_end
     attempts = 0
     err_norms = []
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
+    while t < t_stop:
         h = min(h, cfg.t_end - t)
         attempts += 1
         if attempts > cfg.max_steps:
             raise StepLimitExceeded(
                 f"dopri5 exceeded max_steps = {cfg.max_steps} at t = {t:.6g}"
             )
+        # A rejected attempt keeps k1, as x has not moved; a post_step moved it.
+        k1 = rhs(x) if k1 is None else k1
         x_new, err, k_last = dopri5_step(rhs, x, h, k1=k1)
         # Every attempt, a rejected one too, stops the run when it blows up.
         _check_finite(t, x_new, err)
         norm = _error_norm(err, x, cfg.rtol, cfg.atol)
         if norm <= 1.0:
-            x = rec.accept(t, t + h, x_new)
-            t = t + h
+            t_next = t + h if t + h < t_stop else cfg.t_end  # the last step lands on t_end
+            x, t = rec.accept(t, t_next, x_new), t_next
             k1 = k_last if post_step is None else None
             err_norms.append(norm)
-            factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
-        else:
-            k1 = None
-            factor = SAFETY * norm ** -0.2
+        factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
         h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
     return rec.finish(error_norms=np.array(err_norms))
 

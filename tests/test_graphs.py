@@ -6,6 +6,7 @@ cycle enumeration) rather than from the library's own traversals.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -819,6 +820,21 @@ def test_sbm_rejects_bad_probability():
         generate_sbm([3, 3], 0.5, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("sizes, bad", [([2.5, 3.9], 2.5), (["4", True], "'4'"), ([3, True], True),
+                                        ([3, 0], 0), ([3, math.nan], math.nan)])
+def test_sbm_refuses_block_sizes_that_are_not_counts(sizes, bad):
+    message = f"block size must be an integer >= 1, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_sbm(sizes, 0.5, 0.1)
+
+
+def test_sbm_reads_integral_float_block_sizes_and_refuses_none():
+    _, labels = generate_sbm([4.0, 3], 0.5, 0.1)
+    assert np.bincount(labels.labels).tolist() == [4, 3]
+    with pytest.raises(ValueError, match="block sizes must be positive"):
+        generate_sbm([], 0.5, 0.1)
+
+
 def test_sbm_homophily_tracks_block_structure():
     g, labels = generate_sbm([30, 30], 0.3, 0.02, seed=2)
     assert homophily_level(g, labels) > 0.75
@@ -857,6 +873,21 @@ def test_split_masks_keeps_rare_classes_in_train():
     base = NodeLabels(np.array([0] * 20 + [1]), 2)
     nl = split_masks(base, train_frac=0.1, val_frac=0.1, seed=0)
     assert (nl.labels[nl.train] == 1).sum() == 1
+
+
+@pytest.mark.parametrize("train_frac, val_frac", [(1.5, 0.0), (-0.5, 0.3), (0.3, -0.2),
+                                                  (0.7, 0.5), (math.nan, 0.3)])
+def test_split_masks_refuses_fractions_outside_the_unit_interval(train_frac, val_frac):
+    base = NodeLabels(np.array([0, 1] * 5), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"got train_frac = {train_frac!r} and val_frac = {val_frac!r}")):
+        split_masks(base, train_frac=train_frac, val_frac=val_frac)
+
+
+def test_split_masks_takes_the_ends_of_the_unit_interval():
+    base = NodeLabels(np.array([0, 1] * 5), 2)
+    assert split_masks(base, train_frac=1.0, val_frac=0.0).train.size == 10
+    assert split_masks(base, train_frac=0.0, val_frac=1.0).val.size == 8  # one train node a class
 
 
 # Every product of a hypergraph's memberships with their transpose.

@@ -195,6 +195,64 @@ def test_dopri5_fsal_reuses_last_stage():
     assert calls[0] <= 6 * accepted + 12
 
 
+def counted_dopri5_run(monkeypatch, rhs, x0, cfg, post_step=None):
+    """(rhs calls, dopri5 attempts, accepted steps) of one integrate() run."""
+    calls, attempts = [0], [0]
+
+    def counted(x):
+        calls[0] += 1
+        return rhs(x)
+
+    def step(*args, **kwargs):
+        attempts[0] += 1
+        return dopri5_step(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "dopri5_step", step)
+    traj = integrate(counted, x0, cfg, post_step=post_step)
+    return calls[0], attempts[0], len(traj) - 1
+
+
+def oscillator(x):
+    return np.array([x[1], -x[0]])
+
+
+@pytest.mark.parametrize("rhs, x0, cfg, rejects", [
+    (decay, np.ones(3), IntegratorConfig(rtol=1e-6, atol=1e-9), False),
+    (oscillator, np.array([1.0, 0.0]), IntegratorConfig(rtol=1e-10, atol=1e-12, t_end=10.0), True),
+], ids=["no-rejection", "rejections"])
+@pytest.mark.parametrize("post_step", [None, np.copy], ids=["plain", "post_step"])
+def test_dopri5_calls_rhs_twice_to_start_and_six_times_an_attempt(monkeypatch, rhs, x0, cfg,
+                                                                    rejects, post_step):
+    # The first step-size probe is the first attempt's k1, a rejected attempt keeps its
+    # k1, and after a post_step the next attempt evaluates k1 once.
+    calls, attempts, accepted = counted_dopri5_run(monkeypatch, rhs, x0, cfg, post_step)
+    assert (attempts > accepted) == rejects
+    assert calls == 2 + 6 * attempts + (accepted - 1 if post_step else 0)
+
+
+def test_dopri5_step_returns_the_last_stage_input_as_the_fifth_order_solution():
+    rng = np.random.default_rng(21)
+    x, h = rng.standard_normal((5, 3)), 0.37
+    stages = [rng.standard_normal((5, 3)) for _ in range(7)]
+    seen = []
+
+    def f(xi):
+        seen.append(xi)
+        return stages[len(seen) - 1]
+
+    x_new, _, k_last = dopri5_step(f, x, h)
+    b = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+    assert_bits_equal(x_new, x + h * sum(w * k for w, k in zip(b, stages) if w != 0.0))
+    assert x_new is seen[6] and k_last is stages[6]  # the seventh stage ran on x_new itself
+
+
+def test_dopri5_lands_exactly_on_t_end():
+    # t + h of the last step is one ulp below this t_end.
+    t_end = 1.5884969521709615
+    cfg = IntegratorConfig(rtol=1e-3, atol=1e-3, t_end=t_end)
+    assert integrate(lambda x: -0.01 * x, np.ones(3), cfg).times[-1] == t_end
+
+
 def test_dopri5_step_function_error_estimate():
     x = np.array([1.0])
     x5, err, k7 = dopri5_step(decay, x, 0.1)
@@ -443,7 +501,7 @@ def oracle_integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
                 )
             norm = _error_norm(err, x, cfg.rtol, cfg.atol)
             if norm <= 1.0:
-                t = t + h
+                t = t + h if t + h < cfg.t_end - 1e-12 * cfg.t_end else cfg.t_end
                 if post_step is not None:
                     x_new = np.array(post_step(x_new), dtype=np.float64)
                     k1 = None

@@ -1511,6 +1511,62 @@ def test_discrete_runs_take_max_steps_from_the_config(tmp_path, triangle_csv, ma
     assert out.exists() == (code == 0)
 
 
+# Each discrete kind's run and a graph it runs on.
+DISCRETE_KINDS = {"fd": (GRAPH_KIND_RUNS[2], LAZY_CYCLE_ROWS),
+                  "odnet-discrete": (GRAPH_KIND_RUNS[0], TRI_ROWS), "hk": (HK_RUN, TRI_ROWS)}
+BAD_INTEGRATOR_KEYS = [
+    ("scheme", "bogus", "scheme must be one of ('euler', 'rk4', 'dopri5')"),
+    ("scheme", "rk5", "scheme must be one of ('euler', 'rk4', 'dopri5')"),
+    ("h", -3, "step size h must be positive"),
+    ("rtol", -5, "tolerances must be positive"),
+    ("atol", 0, "tolerances must be positive"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy"])
+@pytest.mark.parametrize("kind", sorted(DISCRETE_KINDS))
+@pytest.mark.parametrize("key, value, message", BAD_INTEGRATOR_KEYS,
+                         ids=[f"{key}-{value}" for key, value, _ in BAD_INTEGRATOR_KEYS])
+def test_discrete_runs_refuse_invalid_integrator_keys(tmp_path, capsys, monkeypatch, command,
+                                                      kind, key, value, message):
+    import odyn.cli as cli
+
+    monkeypatch.setattr(cli, "iterate_map", mock.Mock(side_effect=AssertionError("stepped")))
+    run, rows = DISCRETE_KINDS[kind]
+    obj = {**run, key: value}
+    if command == "energy":  # the second arm's own key; the first arm must not run either
+        obj = {**run, "runs": [{"name": "a"}, {"name": "b", key: value}]}
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    graph = write_text(tmp_path / "g.csv", rows)
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", graph, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(DISCRETE_KINDS))
+def test_discrete_runs_take_valid_integrator_keys(tmp_path, capsys, kind):
+    # A discrete t_end counts steps, so it need not be a valid horizon.
+    run, rows = DISCRETE_KINDS[kind]
+    keys = {"scheme": "rk4", "h": 0.5, "rtol": 1e-3, "atol": 1e-3, "t_end": 0}
+    cfg = write_config(tmp_path, "cfg.json", {**run, **keys})
+    graph = write_text(tmp_path / "g.csv", rows)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--graph", graph, "--config", cfg, "--out", out) == 0
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + 1
+
+
+def test_discrete_arm_inherits_valid_continuous_keys(tmp_path, capsys, triangle_csv):
+    base = {**GRAPH_KIND_RUNS[1], "scheme": "rk4", "h": 0.05, "rtol": 1e-4, "atol": 1e-6,
+            "t_end": 1.0, "max_steps": 50}
+    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "steps": 12}]
+    cfg = write_config(tmp_path, "cfg.json", dict(base, runs=runs))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
+    assert len((out / "energy_d.csv").read_text().splitlines()) == 1 + 13
+    assert (out / "energy_c.csv").read_text().splitlines()[-1].startswith("1.0,")
+
+
 @pytest.mark.parametrize("command, flag", [
     *((c, "--jobs") for c in ("simulate", "energy", "simplify", "classify", "homophily")),
     *((c, "--labels") for c in ("simulate", "energy", "simplify", "sweep")),
@@ -1598,6 +1654,22 @@ def test_classify_command_outputs(tmp_path, capsys):
     assert accuracy["test"] >= 0.5
     preds = read_labels_csv(out / "predictions.csv", node_count=8)
     assert preds.labels.shape == (8,)
+
+
+@pytest.mark.parametrize("fracs", [{"train_frac": 1.5}, {"train_frac": -0.5}, {"val_frac": -0.2},
+                                   {"train_frac": 0.7, "val_frac": 0.5}], ids=str)
+def test_classify_refuses_split_fractions_outside_the_unit_interval(tmp_path, capsys,
+                                                                    triangle_csv, fracs):
+    y = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,1\n2,0\n")
+    cfg = write_config(tmp_path, "cfg.json", {"eps1": 0.0, "eps2": 1.0, **fracs})
+    out = tmp_path / "cls"
+    assert run_cli("classify", "--graph", triangle_csv, "--labels", y, "--config", cfg,
+                   "--out", out) == 2
+    train, val = fracs.get("train_frac", 1 / 3), fracs.get("val_frac", 1 / 3)
+    assert capsys.readouterr().err == (
+        "input error: split fractions must lie in [0, 1] and sum to at most 1, got "
+        f"train_frac = {train!r} and val_frac = {val!r}\n")
+    assert not out.exists()
 
 
 def test_homophily_prints_value_and_optionally_writes(tmp_path, capsys):
