@@ -41,11 +41,11 @@ def norm1(d):
 def integer(value, name, minimum=1):
     """value as an int; ValueError naming `name` unless it is a whole number >= minimum.
 
-    4.0 passes as 4. A fraction, NaN, a string or a boolean is refused rather
-    than truncated, as a step budget or a count compared against it would be wrong.
+    4.0 passes as 4. A fraction, NaN, a string or a boolean (NumPy's too) is refused
+    rather than truncated, as a step budget or a count compared against it would be wrong.
     """
     try:
-        integral = not isinstance(value, bool) and value == int(value)
+        integral = not isinstance(value, (bool, np.bool_)) and value == int(value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or value < minimum:
@@ -78,22 +78,27 @@ def string(value, name):
 _READERS = {"float": number, "int": integer, "bool": boolean, "str": string}
 
 
-def config_keys(cls, **rename):
-    """{rename.get(name, name): reader} for each float, int, bool and str field of cls."""
-    return {rename.get(f.name, f.name): read for f in fields(cls)
+def _key(f):
+    """A field's config key: its metadata's "key" if it has one, else its name."""
+    return f.metadata.get("key", f.name)
+
+
+def config_keys(cls):
+    """{key: reader} for each float, int, bool and str field of cls."""
+    return {_key(f): read for f in fields(cls)
             if (read := _READERS.get(getattr(f.type, "__name__", f.type)))}
 
 
-def config_fields(cls, obj, **rename):
+def config_fields(cls, obj):
     """{field: value} of dataclass cls read from the config object obj.
 
-    Each field in config_keys(cls, **rename) is read by its type's reader under
-    its name, or rename[name]. An absent key keeps the field's default; a field
-    without one is a ValueError naming the key. Other fields are the caller's to give.
+    Each field in config_keys(cls) is read by its type's reader under its key.
+    An absent key keeps the field's default; a field without one is a
+    ValueError naming the key. Other fields are the caller's to give.
     """
-    out, readers = {}, config_keys(cls, **rename)
+    out, readers = {}, config_keys(cls)
     for f in fields(cls):
-        key = rename.get(f.name, f.name)
+        key = _key(f)
         if key in readers and key in obj:
             out[f.name] = readers[key](obj[key], key)
         elif key in readers and f.default is MISSING and f.default_factory is MISSING:

@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 input error (bad files, bad config), 3 numeric
 failure at runtime (a NumericFailure: blow-up, step caps, operator checks). The env var
 ODYN_LOG (error|warn|info|debug) sets the log level. A command computes
 first and creates `--out` only once that has succeeded (sweep, whose runs
-write into it, once its config is read), so exit 2 or 3 leaves no `--out`.
+write into it, once every run's config is checked), so exit 2 or 3 leaves no `--out`.
 The directory holds a manifest.json describing the run that produced it.
 simulate and each energy arm use the --graph or --hypergraph their kind runs
 on (odyn.dynamics); an all-to-all kind takes the first given, if any.
@@ -38,7 +38,7 @@ from .dynamics import DynamicSpec
 from .errors import NumericFailure, OdynError, StepLimitExceeded
 from .graphs import Hypergraph, NodeLabels, WeightedGraph, homophily_level, split_masks
 from .influence import InfluenceConfig, SimilaritySpec
-from .integrators import IntegratorConfig, integrate, iterate_map
+from .integrators import SCHEMES, IntegratorConfig, integrate, iterate_map
 from .io import (
     read_graph_csv,
     read_hypergraph_csv,
@@ -108,22 +108,22 @@ def _sweep_part(value, key):
 
 
 # Each command's config keys and their readers; the dataclasses give their fields' keys.
-_SHARED = {**config_keys(InfluenceConfig, lam="lambda"), **config_keys(IntegratorConfig),
+_SHARED = {**config_keys(InfluenceConfig), **config_keys(IntegratorConfig),
            "directed": boolean}
-_RUN = {**_SHARED, **config_keys(DynamicSpec), **config_keys(SimilaritySpec, kind="similarity"),
+_RUN = {**_SHARED, **config_keys(DynamicSpec), **config_keys(SimilaritySpec),
         "node_count": integer, "init": string, "dim": integer, "state_csv": string,
         "steps": lambda value, key: integer(value, key, minimum=0)}
 KEYS = {"simulate": _RUN, "energy": {**_RUN, "runs": _arms, "name": string},
-        "simplify": {**_SHARED, **config_keys(SimplifyConfig, weight_cutoff="cutoff",
-                                              feature_dim="dim")},
+        "simplify": {**_SHARED, **config_keys(SimplifyConfig)},
         "classify": {**_SHARED, "train_frac": number, "val_frac": number},
         "homophily": {"directed": boolean}, "sweep": {"base": _sweep_part, "sweep": _sweep_part}}
 _KNOWN = sorted(set().union(*KEYS.values()))
 
 
 def _check_config(cfg, command):
-    """cfg, once each key in it and in each energy arm passes its reader in KEYS[command];
-    a key only other commands read is ignored with a warning, any other is refused."""
+    """cfg, once each key in it and in each energy arm passes its reader in KEYS[command],
+    and each arm's name passes _arm_names; a key only other commands read is ignored
+    with a warning, any other is refused."""
     keys = KEYS[command]
     arms = _arms(cfg["runs"], "runs") if "runs" in cfg and "runs" in keys else []
     for i, obj in enumerate([cfg, *arms], start=-1):
@@ -137,7 +137,25 @@ def _check_config(cfg, command):
                 log.warning("config key %r is not read by %s; ignored", key, command)
             else:
                 raise ValueError(f"unknown config key {key!r}{_closest(key, _KNOWN)}")
+    if command == "energy":
+        _arm_names(cfg)
     return cfg
+
+
+def _arm_names(cfg):
+    """energy's arm names, with no runs one arm that is the whole config.
+
+    A name becomes the file stem of energy_<name>.csv inside --out."""
+    names = []
+    for i, run in enumerate(cfg.get("runs", [{}])):
+        name = run.get("name", cfg.get("name", f"run{i}" if "runs" in cfg else "run"))
+        if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+            raise ValueError(f"energy arm {i} name {name!r} must be a plain file stem: "
+                             "not empty, '.' or '..', and no path separator or NUL")
+        if name in names:
+            raise ValueError(f"energy arm {i} repeats the name {name!r}")
+        names.append(name)
+    return names
 
 
 def _closest(key, known):
@@ -255,17 +273,9 @@ def cmd_simulate(args, cfg, graph, hypergraph):
 def cmd_energy(args, cfg, graph, hypergraph):
     if graph is None and hypergraph is None:
         raise ValueError("energy needs --graph or --hypergraph")
-    runs = cfg.get("runs", [{"name": cfg.get("name", "run")}])  # one arm: the whole config
     arms = []
-    for i, run_cfg in enumerate(runs):
+    for name, run_cfg in zip(_arm_names(cfg), cfg.get("runs", [{}])):
         merged = {k: v for k, v in {**cfg, **run_cfg}.items() if k != "runs"}
-        name = merged.get("name", f"run{i}")
-        # The name becomes the file stem of energy_<name>.csv inside --out.
-        if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
-            raise ValueError(f"energy arm {i} name {name!r} must be a plain file stem: "
-                             "not empty, '.' or '..', and no path separator or NUL")
-        if any(name == arm[0] for arm in arms):
-            raise ValueError(f"energy arm {i} repeats the name {name!r}")
         arms.append((name, *_prepare(merged, graph, hypergraph, args.seed, own=run_cfg)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
@@ -298,7 +308,7 @@ def cmd_simplify(args, cfg, graph, hypergraph):
     base = SimplifyConfig(influence)
     simplify_cfg = replace(
         base, integrator=replace(base.integrator, **config_fields(IntegratorConfig, cfg)),
-        **config_fields(SimplifyConfig, cfg, weight_cutoff="cutoff", feature_dim="dim"))
+        **config_fields(SimplifyConfig, cfg))
     simplified, report = simplify_network(graph, simplify_cfg, seed=args.seed)
     log.info("simplify kept %d of %d edges", report.edges_after, report.edges_before)
     files = {"simplified.csv": (write_graph_csv, simplified),
@@ -344,7 +354,8 @@ def cmd_sweep(args):
     """Fan `simulate` out over one parameter.
 
     The runs write into `--out`, so it publishes the manifest and their
-    configs before they run, and index.json after.
+    configs before they run, and index.json after. Each run's config and
+    structure are checked as simulate checks them before `--out` is created.
     """
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -355,7 +366,16 @@ def cmd_sweep(args):
         readers = ", ".join(command for command, keys in KEYS.items() if param in keys)
         raise ValueError(f"sweep param {param!r} is read by {readers}, not simulate"
                          f"{_closest(param, _RUN)}")
-    _check_config({**base, param: values[0]}, "simulate")  # each run's config, before --out
+    _check_config({**base, param: values[0]}, "simulate")  # its warnings once
+    structures = {}  # by `directed`, which they are read with; dropped before the runs
+    for value in values:
+        _RUN[param](value, param)
+        run = {**base, param: value}
+        directed = run.get("directed", False)
+        if directed not in structures:
+            structures[directed] = _load_structure(args, run)
+        _prepare(run, *structures[directed], args.seed)
+    del structures
     names = [f"run_{i:04d}" for i in range(len(values))]
     out = Path(args.out)
     configs = {f"{name}/config.json": (write_json, {**base, param: value})
@@ -395,7 +415,7 @@ _FLAGS = {
     "--labels": {"help": "label CSV (node,label)"},
     "--config": {"help": "flat JSON config for the run"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
-    "--scheme": {"choices": ["euler", "rk4", "dopri5"], "help": "integrator override"},
+    "--scheme": {"choices": SCHEMES, "help": "integrator override"},
     "--t-end": {"dest": "t_end", "type": float, "help": "horizon override"},
     "--jobs": {"type": int, "default": 1, "help": "worker processes, capped at runs and CPUs"},
 }

@@ -36,7 +36,6 @@ __all__ = [
     "make_hypergraph_odnet_rhs",
     "make_hypergraph_diffusion_rhs",
     "DynamicSpec",
-    "KINDS",
 ]
 
 # kind: (structure it runs on, None if all-to-all; needs influence; discrete map)
@@ -166,7 +165,9 @@ def make_hypergraph_odnet_rhs(h, cfg, sim=SimilaritySpec()):
     similarity is that of the clique expansion.
     """
     g = h.clique_expansion()
-    count = np.asarray(h._co_membership_csr()[g.src, g.dst]).ravel()
+    # g's arcs are a subset of C's pattern, both are canonical CSR and every
+    # count is at least 1, so the elementwise product keeps exactly g's arcs, in order.
+    count = h._co_membership_csr().multiply(g._csr(np.ones(g.arc_count))).data
     return _coupling_rhs(g, cfg, sim, count)
 
 
@@ -295,6 +296,6 @@ class DynamicSpec:
         is given, `similarity` and `temperature` for the SimilaritySpec; each absent
         key keeps its field's default."""
         influence = InfluenceConfig.from_json(obj) if "eps1" in obj else None
-        similarity = SimilaritySpec(**config_fields(SimilaritySpec, obj, kind="similarity"))
+        similarity = SimilaritySpec(**config_fields(SimilaritySpec, obj))
         return cls(structure=structure, influence=influence, similarity=similarity,
                    **config_fields(cls, obj))

@@ -6,6 +6,13 @@ A NumericFailure (CLI exit 3) is the dynamics or an operator failing at
 runtime; every other OdynError is bad input (exit 2).
 """
 
+__all__ = [
+    "OdynError", "NumericFailure", "EmptyGraph", "InvalidProbability", "NotStronglyConnected",
+    "NotRowStochastic", "ZeroDegree", "OutOfRangeSimilarity", "KernelNotNormalized",
+    "StepLimitExceeded", "NonFiniteState", "InsufficientData", "PreconditionFailed",
+    "NoConvergence", "TooLarge", "NotSPD", "EmptyMask", "CsvFormatError",
+]
+
 
 class OdynError(Exception):
     """Base class for all engine errors."""

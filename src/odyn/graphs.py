@@ -236,8 +236,10 @@ class Hypergraph:
     def _co_membership_csr(self):
         """Shared-hyperedge counts C = H H^T in canonical CSR form.
 
-        H @ H.T leaves rows unsorted, and a lookup C[src, dst] then scans a
-        whole row per pair: O(k^3) for one hyperedge of k members.
+        H @ H.T leaves rows unsorted. make_hypergraph_odnet_rhs aligns the
+        counts with the clique arcs by an elementwise product with the arcs'
+        CSR matrix, whose data come out in arc order only when both operands
+        are canonical.
         """
         self._product_guard("co-membership counts")
         H = self._incidence_csr()
@@ -482,7 +484,7 @@ def generate_sbm(block_sizes, p_in, p_out, seed=0):
             raise InvalidProbability(f"edge probability {p} outside [0, 1]")
     sizes = [integer(s, "block size") for s in block_sizes]
     if not sizes:
-        raise ValueError("block sizes must be positive")
+        raise ValueError("block sizes must be positive and list at least one block, got []")
     src, dst = _sbm_edges(np.random.default_rng(seed), sizes, p_in, p_out)
     g = WeightedGraph.from_arrays(sum(sizes), src, dst, np.ones(src.size), directed=False)
     return g, NodeLabels(np.repeat(np.arange(len(sizes)), sizes), len(sizes))

@@ -8,7 +8,7 @@ identity; above the upper bound it is amplified by mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class InfluenceConfig:
     eps2: float
     mu: float = 1.0
     nu: float = 0.0
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     mode: str = "attract"
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ class InfluenceConfig:
     def from_json(cls, obj):
         """The config from a flat JSON object: eps1 and eps2 required, `lambda` for
         lam; each absent key keeps its field's default."""
-        return cls(**config_fields(cls, obj, lam="lambda"))
+        return cls(**config_fields(cls, obj))
 
     def with_nu(self, nu):
         """Copy with a different repulsion strength (ablation helper)."""
@@ -83,7 +83,7 @@ class SimilaritySpec:
     applies to the dynamic kind; values are clipped back into [0, 1].
     """
 
-    kind: str = STATIC
+    kind: str = field(default=STATIC, metadata={"key": "similarity"})
     temperature: float = 1.0
 
     def __post_init__(self):

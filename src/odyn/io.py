@@ -40,15 +40,15 @@ __all__ = [
     "write_json",
 ]
 
-GRAPH_HEADER = ["src", "dst", "weight"]
-HYPERGRAPH_HEADER = ["node", "hyperedge", "weight"]
-LABELS_HEADER = ["node", "label"]
-TRAJECTORY_HEADER = ["t", "node", "feature_index", "value"]
-
-
 _GRAPH_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 _HYPERGRAPH_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("weight", np.float64)])
 _LABELS_DTYPE = np.dtype([("node", np.int64), ("label", np.int64)])
+
+# A read file's header is its columns' names.
+GRAPH_HEADER = list(_GRAPH_DTYPE.names)
+HYPERGRAPH_HEADER = list(_HYPERGRAPH_DTYPE.names)
+LABELS_HEADER = list(_LABELS_DTYPE.names)
+TRAJECTORY_HEADER = ["t", "node", "feature_index", "value"]
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 

@@ -46,10 +46,10 @@ class SimplifyConfig:
 
     influence: InfluenceConfig
     integrator: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(t_end=6.0))
-    weight_cutoff: float = 0.05
+    weight_cutoff: float = field(default=0.05, metadata={"key": "cutoff"})
     drop_isolated: bool = True
     source: str = "dynamic-final"
-    feature_dim: int = 20
+    feature_dim: int = field(default=20, metadata={"key": "dim"})
 
     def __post_init__(self):
         if self.source not in SIMILARITY_SOURCES:

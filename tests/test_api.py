@@ -1,11 +1,14 @@
 """The public API: what `import odyn` exports, pinned name by name."""
 
 import ast
+import importlib
+import inspect
 import io
 from pathlib import Path
 
 import odyn
-from odyn import Hypergraph, WeightedGraph
+from odyn import Hypergraph, InfluenceConfig, SimilaritySpec, SimplifyConfig, WeightedGraph
+from odyn._state import config_fields, config_keys
 
 PUBLIC = [
     "ClassifyResult", "CsvFormatError", "DynamicSpec", "EmptyGraph", "EmptyMask",
@@ -33,6 +36,44 @@ PUBLIC = [
 def test_public_api_is_pinned():
     # A name added to or dropped from the API must be added or dropped here too.
     assert sorted(odyn.__all__) == PUBLIC
+
+
+def _top_level_names(path):
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_odyn_exports_exactly_its_modules_all():
+    # Every module but cli and the private ones declares its public names once,
+    # in its __all__; odyn re-exports them in module order.
+    src = Path(odyn.__file__).parent
+    stems = sorted(p.stem for p in src.glob("*.py")
+                   if not p.stem.startswith("_") and p.stem != "cli")
+    modules = [importlib.import_module(f"odyn.{stem}") for stem in stems]
+    assert odyn.__all__ == [name for module in modules for name in module.__all__]
+    for stem, module in zip(stems, modules):
+        assert set(module.__all__) <= _top_level_names(src / f"{stem}.py"), stem
+
+
+def test_a_renamed_fields_key_comes_from_its_metadata():
+    for cls, name, key in ((InfluenceConfig, "lam", "lambda"),
+                           (SimilaritySpec, "kind", "similarity"),
+                           (SimplifyConfig, "weight_cutoff", "cutoff"),
+                           (SimplifyConfig, "feature_dim", "dim")):
+        keys = config_keys(cls)
+        assert key in keys and name not in keys, (cls.__name__, name)
+    read = config_fields(InfluenceConfig, {"eps1": 0.1, "eps2": 0.5, "lambda": 0.25, "lam": 9.0})
+    assert read == {"eps1": 0.1, "eps2": 0.5, "lam": 0.25}
+    # No keyword catch-all: a call site cannot rename a key.
+    assert list(inspect.signature(config_keys).parameters) == ["cls"]
+    assert list(inspect.signature(config_fields).parameters) == ["cls", "obj"]
 
 
 def test_structures_publish_no_dense_views():

@@ -546,6 +546,37 @@ def test_hypergraph_odnet_matches_per_hyperedge_oracle(seed, big):
                                rtol=0.0, atol=atol)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 60]), st.booleans())
+@example(seed=3, big=60, tiny=True)
+@settings(max_examples=40, deadline=None)
+def test_hypergraph_odnet_counts_match_a_per_arc_lookup(seed, big, tiny):
+    # The oracle looks each clique arc up in the dense C = H H^T. With tiny
+    # weights (1e-170, whose products underflow to 0), the clique expansion
+    # holds fewer pairs than C, and the counts must still line up with its arcs.
+    h = random_hypergraph(seed, big)
+    if tiny:
+        W = h._weights
+        edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
+        scale = np.where(np.random.default_rng(seed).random(W.nnz) < 0.5, 1e-170, 1.0)
+        h = Hypergraph(h.node_count, list(zip(W.indices.tolist(), edges.tolist(),
+                                              (W.data * scale).tolist())))
+    coupling_rhs, built = dynamics._coupling_rhs, []
+
+    def capture(g, cfg, sim, count=1.0):
+        built.append((g, count))
+        return coupling_rhs(g, cfg, sim, count)
+
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (h.node_count, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_coupling_rhs", capture)
+        for sim in (SimilaritySpec(), SimilaritySpec("dynamic")):
+            out = make_hypergraph_odnet_rhs(h, TEXAS, sim)(x)
+            g, count = built.pop()
+            lookup = co_membership(h)[g.src, g.dst]
+            assert count.tobytes() == lookup.tobytes()
+            assert out.tobytes() == coupling_rhs(g, TEXAS, sim, lookup)(x).tobytes()
+
+
 # --------------------------------------------------- hypergraph diffusion
 
 

@@ -835,6 +835,16 @@ def test_sbm_reads_integral_float_block_sizes_and_refuses_none():
         generate_sbm([], 0.5, 0.1)
 
 
+def test_sbm_refuses_a_numpy_boolean_block_size():
+    with pytest.raises(ValueError, match="block size must be an integer >= 1, got "):
+        generate_sbm([np.True_, 3], 1.0, 1.0)
+
+
+def test_sbm_without_blocks_says_one_is_needed():
+    with pytest.raises(ValueError, match="at least one block"):
+        generate_sbm([], 0.5, 0.5)
+
+
 def test_sbm_homophily_tracks_block_structure():
     g, labels = generate_sbm([30, 30], 0.3, 0.02, seed=2)
     assert homophily_level(g, labels) > 0.75

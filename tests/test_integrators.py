@@ -64,6 +64,13 @@ def test_config_refuses_max_steps_that_is_not_an_integer_of_one_or_more(value):
         IntegratorConfig(max_steps=value)
 
 
+def test_config_refuses_a_numpy_boolean_max_steps():
+    # np.True_ == 1, but a boolean is not a count.
+    with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+        IntegratorConfig(max_steps=np.True_)
+    assert IntegratorConfig(max_steps=np.int64(3)).max_steps == 3
+
+
 def test_config_takes_an_integral_float_max_steps_as_int():
     assert IntegratorConfig(max_steps=1e5).max_steps == 100_000
     assert type(IntegratorConfig.from_json({"max_steps": 7.0}).max_steps) is int

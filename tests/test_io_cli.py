@@ -1415,6 +1415,78 @@ def test_sweep_checks_its_first_run_as_simulate_before_out(tmp_path, capsys, tri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base, param, values, code, message", [
+    ({"kind": "bogus"}, "dim", [2, 3], 2, "kind must be one of"),
+    ({"kind": "odnet-discrete", "eps1": 0.9, "eps2": 0.1}, "dim", [2, 3], 2,
+     "need 0 <= eps1 <= eps2 <= 1"),
+    ({"kind": "fd", "init": "nope"}, "dim", [2, 3], 2, "unknown init kind 'nope'"),
+    ({"kind": "fd", "init": "csv"}, "dim", [2, 3], 2, "missing config key 'state_csv'"),
+    (dict(GRAPH_KIND_RUNS[0], steps=2), "eps2", [0.5, "x"], 2,
+     "eps2 must be a finite number, got 'x'"),
+    (dict(GRAPH_KIND_RUNS[0], max_steps=5), "steps", [4, 6], 3,
+     "6 discrete steps exceed max_steps = 5"),
+], ids=["kind", "eps-band", "init", "init-csv", "later-value", "step-budget"])
+def test_sweep_checks_every_run_before_out(tmp_path, capsys, triangle_csv, base, param, values,
+                                           code, message):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"base": base, "sweep": {"param": param, "values": values}})
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg, "--out", out) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_reads_the_graph_as_each_run_directs(tmp_path, capsys):
+    # Both arcs of one pair: a directed graph, but a duplicate edge read undirected.
+    g = write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,1.0\n1,0,1.0\n")
+    cfg = write_config(tmp_path, "cfg.json", {"base": {"kind": "fd", "init": "uniform"},
+                                              "sweep": {"param": "directed",
+                                                        "values": [True, False]}})
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--graph", g, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == "input error: duplicate edge (0, 1)\n"
+    assert not out.exists()
+
+
+def test_sweep_records_a_failure_only_the_run_can_hit(tmp_path, capsys):
+    # The hgnn kernel is checked when the rhs is built, inside the run.
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    base = {"kind": "hypergraph-diffusion", "kernel": "hgnn", "t_end": 1.0, "init": "unit"}
+    cfg = write_config(tmp_path, "cfg.json", {"base": base,
+                                              "sweep": {"param": "dim", "values": [1, 2]}})
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--hypergraph", h, "--config", cfg, "--out", out) == 3
+    capsys.readouterr()
+    index = json.loads((out / "index.json").read_text())
+    assert [run["exit_code"] for run in index["runs"]] == [3, 3]
+    assert not (out / "run_0000" / "trajectory.csv").exists()
+
+
+def test_sweep_run_writes_what_simulate_writes(tmp_path, capsys, triangle_csv):
+    base = GRAPH_KIND_RUNS[1]
+    cfg = write_config(tmp_path, "cfg.json", {"base": base,
+                                              "sweep": {"param": "eps2", "values": [0.5]}})
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg, "--out",
+                   tmp_path / "sweep") == 0
+    one = write_config(tmp_path, "one.json", dict(base, eps2=0.5))
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", one, "--out",
+                   tmp_path / "one") == 0
+    capsys.readouterr()
+    for name in ("trajectory.csv", "final_state.csv", "energy.csv"):
+        assert ((tmp_path / "sweep" / "run_0000" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes())
+
+
+def test_energy_checks_arm_names_before_reading_any_input(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", dict(GRAPH_KIND_RUNS[0], runs=[{"name": "a/b"}]))
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", tmp_path / "missing.csv", "--config", cfg,
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: energy arm 0 name 'a/b' must be a plain file stem")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("runs, stand_in, message", [
     ([{"name": "a", "kind": "hypergraph-diffusion"},
       {"name": "b", "kind": "hypergraph-diffusion", "kernel": "laplacian"}],
