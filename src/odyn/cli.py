@@ -1,16 +1,16 @@
 """Command line interface.
 
 Subcommands: simulate, energy, simplify, classify, homophily, sweep.
-Exit codes: 0 success, 2 input error (bad files, bad config), 3 numeric
-failure at runtime (a NumericFailure: blow-up, step caps, operator checks). The env var
-ODYN_LOG (error|warn|info|debug) sets the log level. A command computes
-first and creates `--out` only once that has succeeded (sweep, whose runs
-write into it, once every run's config is checked), so exit 2 or 3 leaves no `--out`.
-The directory holds a manifest.json describing the run that produced it.
-simulate and each energy arm use the --graph or --hypergraph their kind runs
-on (odyn.dynamics); an all-to-all kind takes the first given, if any.
-Runs are pure functions of their inputs and seed, so re-running a manifest
-reproduces the output files byte for byte.
+Exit codes: 0 success, 2 input error (bad files, bad config), 3 numeric failure at
+runtime (a NumericFailure: blow-up, step caps, operator checks). The env var ODYN_LOG
+(error|warn|info|debug) sets the log level. A command computes first and creates `--out`
+only once that has succeeded, so exit 2 or 3 leaves no `--out`. sweep, whose runs write
+into it, creates it once every run is checked; each run is then simulate's, in this
+process or a --jobs worker, on the structure the checks read for its `directed` value.
+The directory holds a manifest.json describing the run that produced it. simulate and
+each energy arm use the --graph or --hypergraph their kind runs on (odyn.dynamics); an
+all-to-all kind takes the first given, if any. Runs are pure functions of their inputs
+and seed, so re-running a manifest reproduces the output files byte for byte.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def _run_dynamic(spec, x0, length):
 
 
 # Each command computes from (args, cfg, graph, hypergraph) and returns the files
-# it would write, {name: (writer, *payload)}, and its stdout text; `_run` publishes.
+# it would write, {name: (writer, *payload)}, and its stdout text; `_finish` publishes.
 
 
 def cmd_simulate(args, cfg, graph, hypergraph):
@@ -340,22 +340,45 @@ def cmd_homophily(args, cfg, graph, hypergraph):
 
 
 def _run(args):
-    """Load the inputs once, compute, and only then publish `--out` (if given)."""
+    """Load the inputs once, then compute and publish (_finish)."""
     cfg = _check_config(_merge_flags(_load_config(args.config), args), args.command)
-    graph, hypergraph = _load_structure(args, cfg)
+    return _finish(args, cfg, *_load_structure(args, cfg))
+
+
+def _finish(args, cfg, graph, hypergraph):
+    """Compute, and only then publish `--out` (if given) and print."""
     files, text = args.compute(args, cfg, graph, hypergraph)
     if args.out:
         _publish(Path(args.out), {"manifest.json": (write_json, _manifest(args, cfg)), **files})
-    print(text)
+    sys.stdout.write(f"{text}\n")  # one write, so lines from --jobs workers stay whole
     return 0
+
+
+def _exit_code(fn, *inputs):
+    """fn(*inputs), or 3 for a NumericFailure and 2 for an input error, named on stderr."""
+    try:
+        return fn(*inputs)
+    except NumericFailure as exc:
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return 3
+    # MemoryError: an input such as node index 10**12 implies arrays that cannot
+    # fit; numpy's message names the size.
+    except (OdynError, OSError, ValueError, KeyError, MemoryError) as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return 2
+
+
+def _sweep_run(job):
+    """The exit code of one sweep run, job = (args, cfg, graph, hypergraph)."""
+    return _exit_code(_finish, *job)
 
 
 def cmd_sweep(args):
     """Fan `simulate` out over one parameter.
 
-    The runs write into `--out`, so it publishes the manifest and their
-    configs before they run, and index.json after. Each run's config and
-    structure are checked as simulate checks them before `--out` is created.
+    Every run is checked as simulate checks it, on structures read once per `directed`
+    value, before `--out` is created with the manifest and the runs' configs. Each run
+    is then simulate's _finish on its structure, here or in a worker; index.json last.
     """
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -367,43 +390,30 @@ def cmd_sweep(args):
         raise ValueError(f"sweep param {param!r} is read by {readers}, not simulate"
                          f"{_closest(param, _RUN)}")
     _check_config({**base, param: values[0]}, "simulate")  # its warnings once
-    structures = {}  # by `directed`, which they are read with; dropped before the runs
+    structures, runs = {}, []  # structures by `directed`, which they are read with
     for value in values:
         _RUN[param](value, param)
         run = {**base, param: value}
-        directed = run.get("directed", False)
-        if directed not in structures:
+        if (directed := run.get("directed", False)) not in structures:
             structures[directed] = _load_structure(args, run)
-        _prepare(run, *structures[directed], args.seed)
-    del structures
-    names = [f"run_{i:04d}" for i in range(len(values))]
-    out = Path(args.out)
-    configs = {f"{name}/config.json": (write_json, {**base, param: value})
-               for name, value in zip(names, values)}
+        _prepare(run, *structures[directed], args.seed)  # its x0 is dropped; each run makes its own
+        runs.append((run, *structures[directed]))
+    out, names = Path(args.out), [f"run_{i:04d}" for i in range(len(values))]
+    configs = {f"{name}/config.json": (write_json, run) for name, (run, *_) in zip(names, runs)}
     _publish(out, {"manifest.json": (write_json, _manifest(args, cfg)), **configs})
-    jobs = []
-    for name in names:
-        argv = ["simulate", "--config", str(out / name / "config.json"), "--seed", str(args.seed),
-                "--out", str(out / name)]
-        if args.graph:
-            argv += ["--graph", str(args.graph)]
-        if args.hypergraph:
-            argv += ["--hypergraph", str(args.hypergraph)]
-        jobs.append(argv)
-
+    jobs = [(argparse.Namespace(**{**vars(args), "command": "simulate", "compute": cmd_simulate,
+             "config": str(out / name / "config.json"), "out": str(out / name)}), *run)
+            for name, run in zip(names, runs)]
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(main, jobs))
+            codes = list(pool.map(_sweep_run, jobs))
     else:
-        codes = [main(argv) for argv in jobs]
-    index = {
-        "param": param,
-        "runs": [{"dir": name, "value": value, "exit_code": code}
-                 for name, value, code in zip(names, values, codes)],
-    }
+        codes = [_sweep_run(job) for job in jobs]
+    index = {"param": param, "runs": [{"dir": name, "value": value, "exit_code": code}
+                                      for name, value, code in zip(names, values, codes)]}
     _publish(out, {"index.json": (write_json, index)})
     print(str(out))
     return max(codes, default=0)
@@ -455,18 +465,8 @@ def build_parser():
 
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return cmd_sweep(args) if args.command == "sweep" else _run(args)
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    # MemoryError: an input such as node index 10**12 implies arrays that cannot
-    # fit; numpy's message names the size.
-    except (OdynError, OSError, ValueError, KeyError, MemoryError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    return _exit_code(cmd_sweep if args.command == "sweep" else _run, args)
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def cluster_count(x, tol):
     wider states from the radius pairs of a k-d tree, refused (TooLarge)
     above graphs._PAIR_LIMIT pairs.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # also refuses NaN
         raise ValueError("tol must be >= 0")
     x, _ = to_matrix(x)
     if not np.all(np.isfinite(x)):

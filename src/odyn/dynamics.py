@@ -72,7 +72,7 @@ def hk_step(x, eps):
     on the sorted values; wider states average over the radius pairs of a
     k-d tree, refused (TooLarge) above graphs._PAIR_LIMIT pairs.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # also refuses NaN
         raise ValueError("confidence radius eps must be positive")
     x, flat = to_matrix(x)
     if not np.all(np.isfinite(x)):

@@ -127,8 +127,16 @@ def similarity_static(g):
     d_src, d_dst = d[g.src], d[g.dst]
     if np.any(d_src <= 0.0) or np.any(d_dst <= 0.0):
         raise ZeroDegree("node with an arc has zero weighted degree")
-    s = g.weight / np.sqrt(d_src * d_dst)
-    return np.clip(s, 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(d_src * d_dst)
+    # Where the product left the normal float range, so its root is below sqrt(tiny)
+    # = 2**-511 or infinite, it lost the degrees; there each degree's root is taken
+    # apart. Two reductions find whether any arc did.
+    low = np.sqrt(np.finfo(float).tiny)
+    if root.size and not (root.min() >= low and root.max() < np.inf):
+        lost = ~((root >= low) & (root < np.inf))
+        root[lost] = np.sqrt(d_src[lost]) * np.sqrt(d_dst[lost])
+    return np.clip(np.divide(g.weight, root, out=root), 0.0, 1.0)
 
 
 def similarity_dynamic(x, pairs, temperature=1.0):

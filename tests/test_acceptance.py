@@ -7,6 +7,7 @@ and tolerances are pinned; seeds are frozen so the numbers are stable.
 
 import contextlib
 import io
+import shutil
 import time
 
 import numpy as np
@@ -258,33 +259,46 @@ def test_criterion_8_deterministic_reruns(tmp_path):
     graph_csv = tmp_path / "graph.csv"
     graph_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
+    labels_csv = tmp_path / "labels.csv"
+    labels_csv.write_text("node,label\n" + "".join(f"{i},{i % 2}\n" for i in range(12)),
+                          encoding="utf-8")
+
     checked = []
+    simulate = {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0,
+                "scheme": "dopri5", "t_end": 2.0, "init": "unit", "dim": 3}
+    # Every command that writes --out, each with the extra flags it needs.
     commands = {
-        "simulate": {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0,
-                     "scheme": "dopri5", "t_end": 2.0, "init": "unit", "dim": 3},
-        "simplify": {"eps1": 0.05, "eps2": 0.9, "mu": 1.4, "cutoff": 0.3,
-                     "scheme": "dopri5", "t_end": 2.0},
+        "simulate": (simulate, []),
+        "simplify": ({"eps1": 0.05, "eps2": 0.9, "mu": 1.4, "cutoff": 0.3,
+                      "scheme": "dopri5", "t_end": 2.0}, []),
+        "energy": (dict(simulate, runs=[{"name": "a"}, {"name": "b", "eps2": 0.5}]), []),
+        "classify": ({"eps1": 0.0, "eps2": 1.0, "scheme": "rk4", "t_end": 2.0},
+                     ["--labels", str(labels_csv)]),
+        "sweep": ({"base": simulate, "sweep": {"param": "eps2", "values": [0.5, 1.0]}}, []),
     }
-    for command, cfg in commands.items():
+    for command, (cfg, extra) in commands.items():
         cfg_path = tmp_path / f"{command}.json"
         write_json(cfg_path, cfg)
         out = tmp_path / command
-        argv = [command, "--graph", str(graph_csv), "--config", str(cfg_path),
+        argv = [command, "--graph", str(graph_csv), *extra, "--config", str(cfg_path),
                 "--seed", "5", "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli_main(argv) == 0
-        files = sorted(p for p in out.iterdir() if p.is_file())
-        assert files
-        first = {p.name: p.read_bytes() for p in files}
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli_main(argv) == 0
-        for p in files:
-            same = p.read_bytes() == first[p.name]
+        trees = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(argv) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        first, second = trees
+        assert first
+        assert sorted(second) == sorted(first), f"{command} wrote other files on rerun"
+        for name, data in first.items():
+            same = second[name] == data
             checked.append(same)
-            assert same, f"{command}/{p.name} changed between identical runs"
+            assert same, f"{command}/{name} changed between identical runs"
 
     elapsed = time.perf_counter() - t0
     ok = all(checked) and len(checked) >= 6 and elapsed < 10.0
     report(8, "byte-identical reruns", ok,
            f"{len(checked)} output files byte-stable across reruns of "
-           f"2 commands, {elapsed:.1f}s < 10s")
+           f"{len(commands)} commands, {elapsed:.1f}s < 10s")

@@ -254,6 +254,14 @@ def test_cluster_count_rejects_negative_tol():
         cluster_count(np.array([0.0]), -0.1)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_cluster_count_rejects_a_nan_tol_and_takes_an_infinite_one(width):
+    x = np.column_stack([[0.0, 0.5, 1.0, 3.0]] * width)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        cluster_count(x, np.nan)
+    assert cluster_count(x, np.inf) == 1
+
+
 def dense_cluster_oracle(x, tol):
     """Components of the all-pairs graph linking rows within distance tol."""
     x = np.asarray(x, dtype=np.float64)

@@ -138,6 +138,14 @@ def test_hk_rejects_nonpositive_radius():
         hk_step(np.array([0.0, 1.0]), eps=0.0)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_hk_rejects_a_nan_radius_and_takes_an_infinite_one(width):
+    x = np.column_stack([[0.0, 0.5, 1.0, 3.0]] * width)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        hk_step(x, np.nan)
+    assert np.allclose(hk_step(x, np.inf), 1.125)  # everyone hears everyone
+
+
 def test_hk_matches_double_loop_oracle():
     rng = np.random.default_rng(12)
     x = rng.uniform(0.0, 1.0, 17)

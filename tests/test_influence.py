@@ -1,6 +1,7 @@
 """Influence profile, similarity measures, and the control term."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -214,6 +215,17 @@ def test_static_similarity_zero_degree():
     g = WeightedGraph(2, [(0, 1, 1.0)], directed=True)
     with pytest.raises(ZeroDegree):
         similarity_static(g)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170, 1e-160],
+                         ids=["underflow", "overflow", "subnormal"])
+def test_static_similarity_keeps_the_degrees_at_any_weight_scale(scale):
+    # The product of two degrees at these scales leaves the normal float range.
+    unit = similarity_static(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = similarity_static(WeightedGraph(3, [(0, 1, scale), (1, 2, scale)]))
+    assert np.all(np.abs(s - unit) <= 2 * np.spacing(unit))
 
 
 def similarity_static_oracle(g):

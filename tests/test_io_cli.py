@@ -1477,6 +1477,46 @@ def test_sweep_run_writes_what_simulate_writes(tmp_path, capsys, triangle_csv):
                 == (tmp_path / "one" / name).read_bytes())
 
 
+def test_sweep_reads_checks_and_warns_once(tmp_path, capsys, caplog, triangle_csv):
+    # 'cutoff' is a key only simplify reads: simulate warns of it.
+    import odyn.cli as cli
+
+    cfg = write_config(tmp_path, "cfg.json", {
+        "base": dict(GRAPH_KIND_RUNS[0], cutoff=0.3),
+        "sweep": {"param": "eps2", "values": [0.4, 0.7, 1.0]}})
+    with (mock.patch.object(cli, "read_graph_csv", wraps=cli.read_graph_csv) as reads,
+          mock.patch.object(cli, "main", wraps=cli.main) as entries,
+          caplog.at_level("WARNING", logger="odyn")):
+        assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg,
+                       "--out", tmp_path / "sweep") == 0
+    capsys.readouterr()
+    assert reads.call_count == 1
+    assert entries.call_count == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "config key 'cutoff' is not read by simulate; ignored"]
+
+
+def test_sweep_runs_write_each_line_whole(tmp_path, monkeypatch, triangle_csv):
+    # --jobs workers share the sweep's streams; on an unbuffered stream a line
+    # written in two calls can be split by another worker's line.
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    hgnn = write_config(tmp_path, "hgnn.json", {
+        "base": {"kind": "hypergraph-diffusion", "kernel": "hgnn", "t_end": 1.0, "init": "unit"},
+        "sweep": {"param": "dim", "values": [1, 2]}})
+    monkeypatch.setattr(sys, "stdout", mock.Mock())
+    monkeypatch.setattr(sys, "stderr", mock.Mock())
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--graph", triangle_csv, "--config", sweep_config(tmp_path),
+                   "--out", out) == 0
+    assert run_cli("sweep", "--hypergraph", h, "--config", hgnn, "--out", tmp_path / "hg") == 3
+    writes = {name: [c.args[0] for c in getattr(sys, name).write.call_args_list]
+              for name in ("stdout", "stderr")}
+    assert [w for w in writes["stdout"] if "run_" in w] == [f"{out / 'run_0000'}\n",
+                                                            f"{out / 'run_0001'}\n"]
+    assert writes["stderr"] == [
+        "numeric failure: kernel rows must be nonnegative and sum to one\n"] * 2
+
+
 def test_energy_checks_arm_names_before_reading_any_input(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", dict(GRAPH_KIND_RUNS[0], runs=[{"name": "a/b"}]))
     out = tmp_path / "run"
