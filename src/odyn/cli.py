@@ -170,13 +170,16 @@ def _merge_flags(cfg, args):
     return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _load_structure(args, cfg):
-    graph = hypergraph = None
+def _read_graph(args, cfg):
+    """--graph, read as cfg directs, or None."""
     if args.graph:
-        graph = read_graph_csv(args.graph, directed=boolean(cfg.get("directed", False), "directed"))
-    if getattr(args, "hypergraph", None):
-        hypergraph = read_hypergraph_csv(args.hypergraph)
-    return graph, hypergraph
+        return read_graph_csv(args.graph, directed=boolean(cfg.get("directed", False), "directed"))
+    return None
+
+
+def _read_hypergraph(args):
+    """--hypergraph, or None."""
+    return read_hypergraph_csv(args.hypergraph) if getattr(args, "hypergraph", None) else None
 
 
 def _manifest(args, cfg):
@@ -217,7 +220,7 @@ def _prepare(cfg, graph, hypergraph, seed, own=None):
     if init == "unit":
         x = pseudo_features(node_count, dim, seed)
     elif init == "uniform":
-        x = np.random.default_rng(seed).random(node_count)
+        x = np.random.default_rng(seed).random((node_count, dim))
     elif init == "zeros":
         x = np.zeros((node_count, dim))
     elif init == "csv":
@@ -298,8 +301,6 @@ def cmd_energy(args, cfg, graph, hypergraph):
 
 
 def cmd_simplify(args, cfg, graph, hypergraph):
-    if graph is None:
-        raise ValueError("simplify needs --graph")
     given = [key for key in ("eps2", "mu", "nu", "lambda", "mode") if key in cfg]
     if given and "eps1" not in cfg:
         raise ValueError(f"simplify reads {', '.join(given)} only with eps1: give eps1 too")
@@ -317,8 +318,6 @@ def cmd_simplify(args, cfg, graph, hypergraph):
 
 
 def cmd_classify(args, cfg, graph, hypergraph):
-    if graph is None or not args.labels:
-        raise ValueError("classify needs --graph and --labels")
     labels = read_labels_csv(args.labels, node_count=graph.node_count)
     fracs = {key: number(cfg[key], key) for key in ("train_frac", "val_frac") if key in cfg}
     labels = split_masks(labels, seed=args.seed, **fracs)
@@ -332,8 +331,6 @@ def cmd_classify(args, cfg, graph, hypergraph):
 
 
 def cmd_homophily(args, cfg, graph, hypergraph):
-    if graph is None or not args.labels:
-        raise ValueError("homophily needs --graph and --labels")
     labels = read_labels_csv(args.labels, node_count=graph.node_count)
     value = homophily_level(graph, labels)
     return {"homophily.json": (write_json, {"homophily": value})}, repr(value)
@@ -342,7 +339,7 @@ def cmd_homophily(args, cfg, graph, hypergraph):
 def _run(args):
     """Load the inputs once, then compute and publish (_finish)."""
     cfg = _check_config(_merge_flags(_load_config(args.config), args), args.command)
-    return _finish(args, cfg, *_load_structure(args, cfg))
+    return _finish(args, cfg, _read_graph(args, cfg), _read_hypergraph(args))
 
 
 def _finish(args, cfg, graph, hypergraph):
@@ -376,9 +373,10 @@ def _sweep_run(job):
 def cmd_sweep(args):
     """Fan `simulate` out over one parameter.
 
-    Every run is checked as simulate checks it, on structures read once per `directed`
-    value, before `--out` is created with the manifest and the runs' configs. Each run
-    is then simulate's _finish on its structure, here or in a worker; index.json last.
+    Every run is checked as simulate checks it, on --graph read once per `directed` value
+    and --hypergraph read once, before `--out` is created with the manifest and the runs'
+    configs. Each run is then simulate's _finish on its structures, here or in a worker;
+    index.json last.
     """
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -390,12 +388,13 @@ def cmd_sweep(args):
         raise ValueError(f"sweep param {param!r} is read by {readers}, not simulate"
                          f"{_closest(param, _RUN)}")
     _check_config({**base, param: values[0]}, "simulate")  # its warnings once
-    structures, runs = {}, []  # structures by `directed`, which they are read with
+    structures, runs = {}, []  # by `directed`, which the graph is read with; one hypergraph
     for value in values:
         _RUN[param](value, param)
         run = {**base, param: value}
         if (directed := run.get("directed", False)) not in structures:
-            structures[directed] = _load_structure(args, run)
+            structures[directed] = (_read_graph(args, run),
+                                    runs[0][-1] if runs else _read_hypergraph(args))
         _prepare(run, *structures[directed], args.seed)  # its x0 is dropped; each run makes its own
         runs.append((run, *structures[directed]))
     out, names = Path(args.out), [f"run_{i:04d}" for i in range(len(values))]
@@ -428,6 +427,7 @@ _FLAGS = {
     "--scheme": {"choices": SCHEMES, "help": "integrator override"},
     "--t-end": {"dest": "t_end", "type": float, "help": "horizon override"},
     "--jobs": {"type": int, "default": 1, "help": "worker processes, capped at runs and CPUs"},
+    "--out": {"help": "output directory"},
 }
 
 
@@ -439,26 +439,25 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"odyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     overrides = ("--scheme", "--t-end")
-    # Each subcommand registers only the flags it reads.
+    # Each subcommand registers only the flags it reads, and requires those it cannot run without.
     specs = [
         ("simulate", cmd_simulate, "run a dynamic spec, write trajectory and energy CSVs",
-         ("--hypergraph", *overrides)),
+         ("--hypergraph", *overrides), ("--out",)),
         ("energy", cmd_energy, "sweep step counts, write an energy series per config",
-         ("--hypergraph", *overrides)),
+         ("--hypergraph", *overrides), ("--out",)),
         ("simplify", cmd_simplify, "re-score and prune edges through the influence function",
-         overrides),
+         overrides, ("--graph", "--out")),
         ("classify", cmd_classify, "semi-supervised labels by anchored dynamics",
-         ("--labels", *overrides)),
+         ("--labels", *overrides), ("--graph", "--labels", "--out")),
         ("homophily", cmd_homophily, "report the homophily level of a labeled graph",
-         ("--labels",)),
+         ("--labels",), ("--graph", "--labels")),
         ("sweep", cmd_sweep, "fan out simulate runs over a parameter grid",
-         ("--hypergraph", "--jobs")),
+         ("--hypergraph", "--jobs"), ("--out",)),
     ]
-    for name, fn, help_text, flags in specs:
+    for name, fn, help_text, flags, required in specs:
         p = sub.add_parser(name, help=help_text)
-        for flag in ("--graph", "--config", "--seed", *flags):
-            p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--out", required=name != "homophily", help="output directory")
+        for flag in ("--graph", "--config", "--seed", *flags, "--out"):
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
         p.set_defaults(compute=fn)
     return parser
 

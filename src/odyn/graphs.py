@@ -373,23 +373,17 @@ def split_masks(labels, train_frac=1 / 3, val_frac=1 / 3, seed=0):
         raise ValueError(f"split fractions must lie in [0, 1] and sum to at most 1, got "
                          f"train_frac = {train_frac!r} and val_frac = {val_frac!r}")
     rng = np.random.default_rng(seed)
-    train, val = [], []
-    test = []
+    train, val, test = [], [], []
     for c in range(labels.class_count):
-        idx = np.flatnonzero(labels.labels == c)
-        idx = rng.permutation(idx)
+        idx = rng.permutation(np.flatnonzero(labels.labels == c))
         n_tr = max(1, int(round(train_frac * idx.size))) if idx.size else 0
         n_va = int(round(val_frac * idx.size))
-        train.extend(idx[:n_tr].tolist())
-        val.extend(idx[n_tr : n_tr + n_va].tolist())
-        test.extend(idx[n_tr + n_va :].tolist())
-    return NodeLabels(
-        labels.labels,
-        labels.class_count,
-        train=np.array(sorted(train), dtype=np.int64),
-        val=np.array(sorted(val), dtype=np.int64),
-        test=np.array(sorted(test), dtype=np.int64),
-    )
+        train.append(idx[:n_tr])
+        val.append(idx[n_tr : n_tr + n_va])
+        test.append(idx[n_tr + n_va :])
+    # NodeLabels sorts each mask.
+    return NodeLabels(labels.labels, labels.class_count, train=np.concatenate(train),
+                      val=np.concatenate(val), test=np.concatenate(test))
 
 
 # -- predicates and generators ------------------------------------------

@@ -106,7 +106,7 @@ def phi(cfg, s):
     attract-repulse:  same upper branches;  nu * (1 - s) below the band
     """
     arr = np.asarray(s, dtype=np.float64)
-    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0 or not np.all(np.isfinite(arr))):
+    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):  # NaN fails both
         raise OutOfRangeSimilarity("similarity outside [0, 1]")
     nu = cfg.nu if cfg.mode == "attract-repulse" else 0.0
     below = nu * (1.0 - arr)

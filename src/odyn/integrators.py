@@ -177,8 +177,8 @@ _RECORD_LIMIT = 2**30
 class _Recorder:
     """The one accept-and-record path of integrate() and iterate_map().
 
-    start() records the initial state; accept() checks a step's result,
-    applies post_step and records it; finish() builds the Trajectory. Every
+    start() checks and records the initial state; accept() applies post_step to
+    a step's result and records it; finish() builds the Trajectory. Every
     recorded state is a copy, with its energy when energy_fn is given, and
     no state is recorded past _RECORD_LIMIT bytes.
     """
@@ -210,17 +210,15 @@ class _Recorder:
         _check_finite(None, x)
         return self._record(0.0, x)
 
-    def accept(self, t_start, t, x):
-        """Record x, reached at t by a step from t_start; return the next start state."""
-        _check_finite(t_start, x)
+    def accept(self, t, x):
+        """Record x, reached at t; return the next start state."""
         if self.post_step is not None:
             x = np.array(self.post_step(x), dtype=np.float64)
         return self._record(t, x)
 
-    def finish(self, **meta):
+    def finish(self):
         energies = np.array(self.energies) if self.energies is not None else None
-        return Trajectory(times=np.array(self.times), states=self.states, energies=energies,
-                          meta=meta)
+        return Trajectory(times=np.array(self.times), states=self.states, energies=energies)
 
 
 def _fixed_steps(rec, x, step, h, t_end, max_steps):
@@ -234,8 +232,10 @@ def _fixed_steps(rec, x, step, h, t_end, max_steps):
     rec.guard(n_total + 1, x)
     t = 0.0
     for k in range(int(n_total)):
-        t_next = t_end if k == n_total - 1 else t + h
-        x, t = rec.accept(t, t_next, step(x, h if k < n_full else remainder)), t_next
+        x_new = step(x, h if k < n_full else remainder)
+        _check_finite(t, x_new)
+        t = t_end if k == n_total - 1 else t + h
+        x = rec.accept(t, x_new)
     return rec.finish()
 
 
@@ -264,7 +264,6 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     h, k1 = _initial_step(rhs, x, cfg)
     t_stop = cfg.t_end - 1e-12 * cfg.t_end
     attempts = 0
-    err_norms = []
     while t < t_stop:
         h = min(h, cfg.t_end - t)
         attempts += 1
@@ -280,12 +279,11 @@ def integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
         norm = _error_norm(err, x, cfg.rtol, cfg.atol)
         if norm <= 1.0:
             t_next = t + h if t + h < t_stop else cfg.t_end  # the last step lands on t_end
-            x, t = rec.accept(t, t_next, x_new), t_next
+            x, t = rec.accept(t_next, x_new), t_next
             k1 = k_last if post_step is None else None
-            err_norms.append(norm)
         factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
         h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
-    return rec.finish(error_norms=np.array(err_norms))
+    return rec.finish()
 
 
 def iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):

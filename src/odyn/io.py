@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._state import to_matrix
 from .errors import CsvFormatError
 from .graphs import Hypergraph, NodeLabels, WeightedGraph
 
@@ -238,12 +239,12 @@ def write_state_csv(path, x):
 
 
 def write_trajectory_csv(path, traj):
-    """Long-format trajectory: one row per (time, node, feature)."""
+    """Long-format trajectory: one row per (time, node, feature); a 1-d state is one column."""
+    states = [to_matrix(state)[0] for state in traj.states]  # each checked before the file opens
     keys, shape = [], None
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for t, state in zip(traj.times.tolist(), traj.states):
-            state = np.atleast_2d(np.asarray(state, dtype=np.float64).T).T
+        for t, state in zip(traj.times.tolist(), states):
             if state.shape != shape:
                 shape = state.shape
                 # An object array: its blocks' .tolist() hands back these strings.

@@ -165,6 +165,12 @@ def test_energy_series_from_trajectory():
     assert series.energy[0] == 1.0  # directed: both arcs of weight 0.5 count
 
 
+def test_energy_series_needs_recorded_energies():
+    traj = integrate(lambda x: -x, np.ones(2), IntegratorConfig(scheme="euler", h=0.5))
+    with pytest.raises(ValueError, match="trajectory carries no recorded energies"):
+        EnergySeries.from_trajectory(traj)
+
+
 # ----------------------------------------------------------- oversmoothing
 
 
@@ -247,6 +253,14 @@ def test_cluster_count_multidimensional():
     x = np.array([[0.0, 0.0], [0.0, 0.3], [2.0, 0.0]])
     assert cluster_count(x, 0.5) == 2
     assert cluster_count(x, 3.0) == 1
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_count_needs_a_finite_state(width, bad):
+    x = np.column_stack([[0.0, bad, 1.0]] * width)
+    with pytest.raises(ValueError, match="cluster_count needs a finite state"):
+        cluster_count(x, 0.1)
 
 
 def test_cluster_count_rejects_negative_tol():
@@ -392,6 +406,12 @@ def test_consensus_named_precondition_failures():
     periodic = WeightedGraph(2, [(0, 1, 1.0), (1, 0, 1.0)], directed=True)
     with pytest.raises(PreconditionFailed, match="aperiodic"):
         consensus_predict(periodic, np.zeros(2))
+
+
+def test_consensus_needs_a_state_row_per_node():
+    g = random_row_stochastic(3)
+    with pytest.raises(ValueError, match="state row count must match node count"):
+        consensus_predict(g, np.zeros((g.node_count + 1, 2)))
 
 
 def test_consensus_is_fixed_point_of_itself():

@@ -126,6 +126,7 @@ def test_undirected_edges_are_mirrored():
 def test_directed_edges_are_not_mirrored():
     g = WeightedGraph(3, [(0, 1, 1.0)], directed=True)
     assert g.arc_count == 1
+    assert g.edge_count == 1
     assert g.weighted_out_degree().tolist() == [1.0, 0.0, 0.0]
 
 
@@ -134,6 +135,22 @@ def test_self_loop_stored_once():
     assert g.arc_count == 3  # loop + mirrored pair
     assert g.edge_count == 2
     assert 0 not in neighbors(g, 0)
+
+
+def test_containers_compare_and_print():
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert g == WeightedGraph(3, [(1, 2, 1.0), (0, 1, 1.0)])
+    assert g != WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
+    assert g != "not a graph"  # __eq__ defers to the other operand
+    assert repr(g) == "WeightedGraph(3 nodes, 2 undirected edges)"
+    assert repr(WeightedGraph(3, [(0, 1, 1.0)], directed=True)) == (
+        "WeightedGraph(3 nodes, 1 directed edges)")
+    assert repr(Hypergraph(4, [(0, 0, 1.0), (3, 1, 1.0)])) == "Hypergraph(4 nodes, 2 hyperedges)"
+
+
+def test_hypergraph_needs_a_node():
+    with pytest.raises(EmptyGraph, match="at least one node"):
+        Hypergraph(0, [(0, 0, 1.0)])
 
 
 BAD_EDGE_LISTS = [
@@ -619,6 +636,12 @@ def test_homophily_examples():
     )
 
 
+def test_homophily_needs_a_label_per_node():
+    tri = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    with pytest.raises(ValueError, match="labels length must match node count"):
+        homophily_level(tri, NodeLabels(np.array([0, 1]), 2))
+
+
 def test_homophily_skips_isolated_nodes(caplog):
     g = WeightedGraph(3, [(0, 1, 1.0)])
     with caplog.at_level("INFO", logger="odyn"):
@@ -864,6 +887,8 @@ def test_node_labels_validation():
         NodeLabels(labels, 1)  # label 1 outside [0, 1)
     with pytest.raises(ValueError):
         NodeLabels(labels, 2, train=np.array([9]))
+    with pytest.raises(ValueError, match="class_count must be positive"):
+        NodeLabels(labels, 0)
 
 
 def test_split_masks_stratified():
@@ -892,6 +917,33 @@ def test_split_masks_refuses_fractions_outside_the_unit_interval(train_frac, val
     with pytest.raises(ValueError, match=re.escape(
             f"got train_frac = {train_frac!r} and val_frac = {val_frac!r}")):
         split_masks(base, train_frac=train_frac, val_frac=val_frac)
+
+
+def sorted_list_split_masks(labels, train_frac, val_frac, seed):
+    """split_masks as it was written with sorted Python lists, as an oracle."""
+    rng = np.random.default_rng(seed)
+    train, val, test = [], [], []
+    for c in range(labels.class_count):
+        idx = rng.permutation(np.flatnonzero(labels.labels == c))
+        n_tr = max(1, int(round(train_frac * idx.size))) if idx.size else 0
+        n_va = int(round(val_frac * idx.size))
+        train.extend(idx[:n_tr].tolist())
+        val.extend(idx[n_tr : n_tr + n_va].tolist())
+        test.extend(idx[n_tr + n_va :].tolist())
+    return [np.array(sorted(m), dtype=np.int64) for m in (train, val, test)]
+
+
+@given(st.lists(st.integers(0, 4), max_size=40), st.integers(0, 3),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_split_masks_match_the_sorted_list_oracle(labels, spare, train_frac, val_frac, seed):
+    val_frac *= 1.0 - train_frac  # sums to at most 1
+    # spare classes have no node
+    base = NodeLabels(np.array(labels, dtype=np.int64), max(labels, default=0) + 1 + spare)
+    got = split_masks(base, train_frac=train_frac, val_frac=val_frac, seed=seed)
+    want = sorted_list_split_masks(base, train_frac, val_frac, seed)
+    for mask, expected in zip((got.train, got.val, got.test), want):
+        assert mask.dtype == expected.dtype and np.array_equal(mask, expected)
 
 
 def test_split_masks_takes_the_ends_of_the_unit_interval():

@@ -75,6 +75,15 @@ def test_phi_rejects_similarity_outside_range():
         phi(CORA, np.array([0.2, 1.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("wrap", [float, lambda s: np.array([0.2, s, 0.7])],
+                         ids=["scalar", "array"])
+def test_phi_rejects_non_finite_similarity(bad, wrap):
+    # One range pass: NaN fails both bounds, an infinity one of them.
+    with pytest.raises(OutOfRangeSimilarity):
+        phi(CORA, wrap(bad))
+
+
 @given(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),

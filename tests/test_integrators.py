@@ -168,16 +168,25 @@ def test_dopri5_endpoint_accuracy():
     assert traj.times[-1] == 1.0
 
 
-def test_dopri5_error_norms_of_accepted_steps_at_most_one():
+def test_dopri5_error_norms_of_accepted_steps_at_most_one(monkeypatch):
     cfg = IntegratorConfig(scheme="dopri5", rtol=1e-8, atol=1e-10, t_end=5.0)
+    attempts = []  # (start state, new state, error norm) of each attempt
+
+    def step(f, x, h, k1=None):
+        x_new, err, k_last = dopri5_step(f, x, h, k1=k1)
+        attempts.append((x, x_new, _error_norm(err, x, cfg.rtol, cfg.atol)))
+        return x_new, err, k_last
 
     def oscillator(x):
         return np.array([x[1], -x[0]])
 
+    monkeypatch.setattr(integrators, "dopri5_step", step)
     traj = integrate(oscillator, np.array([1.0, 0.0]), cfg)
-    norms = np.asarray(traj.meta["error_norms"])
-    assert norms.size == traj.times.size - 1
-    assert (norms <= 1.0).all()
+    # An attempt was accepted when the next one starts from its new state; the last one was.
+    norms = [norm for (_, new, norm), (start, _, _) in zip(attempts, attempts[1:])
+             if start is new] + [attempts[-1][2]]
+    assert len(norms) == traj.times.size - 1
+    assert max(norms) <= 1.0
     assert np.allclose(traj.final_state, [np.cos(5.0), -np.sin(5.0)], atol=1e-6)
 
 
@@ -237,6 +246,30 @@ def test_dopri5_calls_rhs_twice_to_start_and_six_times_an_attempt(monkeypatch, r
     assert calls == 2 + 6 * attempts + (accepted - 1 if post_step else 0)
 
 
+@pytest.mark.parametrize("post_step", [None, np.copy], ids=["plain", "post_step"])
+def test_dopri5_checks_each_attempt_once_and_x0_once(monkeypatch, post_step):
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_end=10.0)
+    checks = mock.Mock(wraps=integrators._check_finite)
+    monkeypatch.setattr(integrators, "_check_finite", checks)
+    _, attempts, accepted = counted_dopri5_run(monkeypatch, oscillator, np.array([1.0, 0.0]),
+                                               cfg, post_step)
+    assert attempts > accepted  # rejected attempts are checked too
+    assert checks.call_count == 1 + attempts
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4", "map"])
+def test_fixed_steps_check_each_step_once_and_x0_once(monkeypatch, scheme):
+    checks = mock.Mock(wraps=integrators._check_finite)
+    monkeypatch.setattr(integrators, "_check_finite", checks)
+    if scheme == "map":
+        traj = iterate_map(lambda x: 0.5 * x, np.ones(3), 7, post_step=np.copy)
+    else:
+        traj = integrate(decay, np.ones(3), IntegratorConfig(scheme=scheme, h=0.3, t_end=1.0),
+                         post_step=np.copy)
+    assert checks.call_count == len(traj)
+    assert [c.args[0] for c in checks.call_args_list] == [None, *traj.times[:-1]]
+
+
 def test_dopri5_step_returns_the_last_stage_input_as_the_fifth_order_solution():
     rng = np.random.default_rng(21)
     x, h = rng.standard_normal((5, 3)), 0.37
@@ -274,7 +307,8 @@ def test_dopri5_runs_an_empty_state(shape):
     traj = integrate(decay, np.zeros(shape), IntegratorConfig())
     assert traj.times[-1] == 1.0
     assert all(state.shape == shape for state in traj.states)
-    assert traj.meta["error_norms"].tolist() == [0.0] * (len(traj) - 1)
+    assert traj.meta == {}
+    assert _error_norm(np.zeros(shape), np.zeros(shape), 1e-6, 1e-8) == 0.0
 
 
 def test_dopri5_step_budget():
@@ -462,7 +496,6 @@ def oracle_integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
     times = [0.0]
     states = [x.copy()]
     energies = [energy_fn(x)] if energy_fn else None
-    err_norms = []
 
     def record(t, x):
         times.append(t)
@@ -516,16 +549,14 @@ def oracle_integrate(rhs, x0, cfg, energy_fn=None, post_step=None):
                     k1 = k_last
                 x = x_new
                 record(t, x)
-                err_norms.append(norm)
                 factor = FACTOR_MAX if norm == 0.0 else SAFETY * norm ** -0.2
             else:
                 k1 = None
                 factor = SAFETY * norm ** -0.2
             h = h * min(FACTOR_MAX, max(FACTOR_MIN, factor))
 
-    traj_meta = {"error_norms": np.array(err_norms)} if cfg.scheme == "dopri5" else {}
     return (np.array(times), states,
-            np.array(energies) if energies is not None else None, traj_meta)
+            np.array(energies) if energies is not None else None, {})
 
 
 def oracle_iterate_map(step_fn, x0, n_steps, energy_fn=None, post_step=None):

@@ -484,6 +484,22 @@ def test_trajectory_writer_matches_row_oracle(tmp_path, shape, count, reshape, b
     assert same_bytes(tmp_path, block, write_trajectory_csv, trajectory_csv_oracle, traj)
 
 
+@pytest.mark.parametrize("writer, payload", [
+    (write_trajectory_csv, SimpleNamespace(times=np.zeros(2), states=[np.zeros((2, 2))] * 2)),
+    (write_state_csv, np.zeros((2, 2))),
+], ids=["trajectory", "state"])
+def test_writers_refuse_a_state_of_three_axes(tmp_path, writer, payload):
+    # Three axes used to come out as shape[0] * shape[1] rows, the rest of the values dropped.
+    bad = np.arange(8.0).reshape(2, 2, 2)
+    if writer is write_trajectory_csv:
+        payload.states = [payload.states[0], bad]
+    else:
+        payload = bad
+    with pytest.raises(ValueError, match="state must be a vector or an N x d matrix"):
+        writer(tmp_path / "x.csv", payload)
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ------------------------------------ whole-file writers, the row-block oracles
 
 
@@ -655,8 +671,46 @@ def test_simulate_hk_needs_no_graph(tmp_path, capsys):
     # no structure, so no energy series
     assert not (out / "energy.csv").exists()
     final = read_state_csv(out / "final_state.csv")
-    assert final.shape == (1, 12)
+    assert final.shape == (12, 1)
     assert np.all((final >= 0.0) & (final <= 1.0))
+
+
+@pytest.mark.parametrize("dim", [None, 1, 3])
+def test_uniform_init_reads_dim_and_its_final_state_reads_back(tmp_path, capsys, triangle_csv,
+                                                               dim):
+    run = {"kind": "hk", "hk_radius": 0.3, "init": "uniform", "steps": 3}
+    if dim is not None:
+        run["dim"] = dim
+    cfg = write_config(tmp_path, "cfg.json", run)
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out",
+                   tmp_path / "a") == 0
+    final_csv = tmp_path / "a" / "final_state.csv"
+    assert read_state_csv(final_csv).shape == (3, dim or 1)
+    back = write_config(tmp_path, "back.json",
+                        dict(run, init="csv", steps=0, state_csv=str(final_csv)))
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", back, "--out",
+                   tmp_path / "b") == 0
+    assert (tmp_path / "b" / "final_state.csv").read_bytes() == final_csv.read_bytes()
+    capsys.readouterr()
+
+
+def test_uniform_init_draws_one_column_from_the_seeded_stream(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "hk", "hk_radius": 0.3, "node_count": 5,
+                                              "init": "uniform", "steps": 0})
+    assert run_cli("simulate", "--config", cfg, "--seed", 7, "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    final = read_state_csv(tmp_path / "run" / "final_state.csv")
+    assert final[:, 0].tolist() == np.random.default_rng(7).random(5).tolist()
+
+
+def test_zeros_init_reads_dim(tmp_path, capsys, triangle_csv):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
+                                              "init": "zeros", "dim": 2, "steps": 2})
+    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out",
+                   tmp_path / "run") == 0
+    capsys.readouterr()
+    final = read_state_csv(tmp_path / "run" / "final_state.csv")
+    assert final.shape == (3, 2) and not final.any()
 
 
 def test_simulate_writes_energy_and_manifest(tmp_path, triangle_csv):
@@ -1496,6 +1550,25 @@ def test_sweep_reads_checks_and_warns_once(tmp_path, capsys, caplog, triangle_cs
         "config key 'cutoff' is not read by simulate; ignored"]
 
 
+def test_sweep_reads_the_hypergraph_once(tmp_path, capsys, triangle_csv):
+    import odyn.cli as cli
+
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "base": {"kind": "hypergraph-diffusion", "kernel": "uniform", "t_end": 1.0, "dim": 2},
+        "sweep": {"param": "directed", "values": [True, False]}})
+    with (mock.patch.object(cli, "read_graph_csv", wraps=cli.read_graph_csv) as graph_reads,
+          mock.patch.object(cli, "read_hypergraph_csv",
+                            wraps=cli.read_hypergraph_csv) as hypergraph_reads):
+        assert run_cli("sweep", "--graph", triangle_csv, "--hypergraph", h, "--config", cfg,
+                       "--out", tmp_path / "sweep") == 0
+    capsys.readouterr()
+    assert [c.kwargs["directed"] for c in graph_reads.call_args_list] == [True, False]
+    assert hypergraph_reads.call_count == 1
+    index = json.loads((tmp_path / "sweep" / "index.json").read_text())
+    assert [run["exit_code"] for run in index["runs"]] == [0, 0]
+
+
 def test_sweep_runs_write_each_line_whole(tmp_path, monkeypatch, triangle_csv):
     # --jobs workers share the sweep's streams; on an unbuffered stream a line
     # written in two calls can be split by another worker's line.
@@ -1679,6 +1752,26 @@ def test_discrete_arm_inherits_valid_continuous_keys(tmp_path, capsys, triangle_
     assert (out / "energy_c.csv").read_text().splitlines()[-1].startswith("1.0,")
 
 
+# Each command's required input flags, besides --out.
+REQUIRED_FLAGS = {"simplify": ("--graph",), "classify": ("--graph", "--labels"),
+                  "homophily": ("--graph", "--labels")}
+
+
+@pytest.mark.parametrize("command, missing", [
+    (command, flag) for command, flags in REQUIRED_FLAGS.items() for flag in flags])
+def test_parser_requires_input_flags(tmp_path, capsys, triangle_csv, command, missing):
+    labels = write_text(tmp_path / "labels.csv", "node,label\n0,0\n1,1\n2,0\n")
+    given = {"--graph": triangle_csv, "--labels": labels}
+    argv = [arg for flag in REQUIRED_FLAGS[command] if flag != missing
+            for arg in (flag, given[flag])]
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *argv, "--out", out)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     *((c, "--jobs") for c in ("simulate", "energy", "simplify", "classify", "homophily")),
     *((c, "--labels") for c in ("simulate", "energy", "simplify", "sweep")),
@@ -1687,8 +1780,9 @@ def test_discrete_arm_inherits_valid_continuous_keys(tmp_path, capsys, triangle_
 ])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     value = "rk4" if flag == "--scheme" else "1"
+    required = [arg for f in REQUIRED_FLAGS.get(command, ()) for arg in (f, tmp_path / "in.csv")]
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, flag, value, "--out", tmp_path / "run")
+        run_cli(command, flag, value, *required, "--out", tmp_path / "run")
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
