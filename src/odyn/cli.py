@@ -98,6 +98,20 @@ def _arms(value, key):
     return value
 
 
+# Each init kind's x0, from (node_count, dim, seed, cfg).
+_INITS = {"unit": lambda n, dim, seed, cfg: pseudo_features(n, dim, seed),
+          "uniform": lambda n, dim, seed, cfg: np.random.default_rng(seed).random((n, dim)),
+          "zeros": lambda n, dim, seed, cfg: np.zeros((n, dim)),
+          "csv": lambda n, dim, seed, cfg: read_state_csv(cfg["state_csv"])}
+
+
+def _init(value, key):
+    """init: a kind in _INITS."""
+    if string(value, key) not in _INITS:
+        raise ValueError(f"unknown init kind {value!r}; expected one of {tuple(_INITS)}")
+    return value
+
+
 def _sweep_part(value, key):
     """sweep's base (an object) or sweep (an object with a non-empty list of values)."""
     if not isinstance(value, dict) or key == "sweep" and not (
@@ -111,7 +125,7 @@ def _sweep_part(value, key):
 _SHARED = {**config_keys(InfluenceConfig), **config_keys(IntegratorConfig),
            "directed": boolean}
 _RUN = {**_SHARED, **config_keys(DynamicSpec), **config_keys(SimilaritySpec),
-        "node_count": integer, "init": string, "dim": integer, "state_csv": string,
+        "node_count": integer, "init": _init, "dim": integer, "state_csv": string,
         "steps": lambda value, key: integer(value, key, minimum=0)}
 KEYS = {"simulate": _RUN, "energy": {**_RUN, "runs": _arms, "name": string},
         "simplify": {**_SHARED, **config_keys(SimplifyConfig)},
@@ -125,21 +139,27 @@ def _check_config(cfg, command):
     and each arm's name passes _arm_names; a key only other commands read is ignored
     with a warning, any other is refused."""
     keys = KEYS[command]
-    arms = _arms(cfg["runs"], "runs") if "runs" in cfg and "runs" in keys else []
-    for i, obj in enumerate([cfg, *arms], start=-1):
-        if i >= 0 and (own := [key for key in ("directed", "runs") if key in obj]):
-            name = string(obj.get("name", cfg.get("name", f"run{i}")), "name")
+    _check_keys(cfg, keys, command)
+    for i, arm in enumerate(cfg.get("runs", []) if "runs" in keys else []):
+        if own := [key for key in ("directed", "runs") if key in arm]:
+            name = string(arm.get("name", cfg.get("name", f"run{i}")), "name")
             raise ValueError(f"energy arm {i} ({name!r}) sets {own[0]!r}: set it at the top level")
-        for key, value in obj.items():
-            if key in keys:
-                keys[key](value, key)
-            elif key in _KNOWN:
-                log.warning("config key %r is not read by %s; ignored", key, command)
-            else:
-                raise ValueError(f"unknown config key {key!r}{_closest(key, _KNOWN)}")
+        _check_keys(arm, keys, command)
     if command == "energy":
         _arm_names(cfg)
     return cfg
+
+
+def _check_keys(obj, keys, command):
+    """Pass each key of obj to its reader in keys; warn of a key only other commands read,
+    refuse any other."""
+    for key, value in obj.items():
+        if key in keys:
+            keys[key](value, key)
+        elif key in _KNOWN:
+            log.warning("config key %r is not read by %s; ignored", key, command)
+        else:
+            raise ValueError(f"unknown config key {key!r}{_closest(key, _KNOWN)}")
 
 
 def _arm_names(cfg):
@@ -171,10 +191,8 @@ def _merge_flags(cfg, args):
 
 
 def _read_graph(args, cfg):
-    """--graph, read as cfg directs, or None."""
-    if args.graph:
-        return read_graph_csv(args.graph, directed=boolean(cfg.get("directed", False), "directed"))
-    return None
+    """--graph read with cfg's `directed` (checked by _check_config), or None."""
+    return read_graph_csv(args.graph, directed=cfg.get("directed", False)) if args.graph else None
 
 
 def _read_hypergraph(args):
@@ -215,20 +233,11 @@ def _prepare(cfg, graph, hypergraph, seed, own=None):
         node_count = integer(cfg["node_count"], "node_count")
     else:
         raise ValueError(f"kind {spec.kind!r} without a graph needs config key node_count")
-    init = string(cfg.get("init", "unit"), "init")
+    init = cfg.get("init", "unit")  # a kind in _INITS: _check_config read it
     dim = integer(cfg.get("dim", 20 if init == "unit" else 1), "dim")
-    if init == "unit":
-        x = pseudo_features(node_count, dim, seed)
-    elif init == "uniform":
-        x = np.random.default_rng(seed).random((node_count, dim))
-    elif init == "zeros":
-        x = np.zeros((node_count, dim))
-    elif init == "csv":
-        if "state_csv" not in cfg:
-            raise ValueError("missing config key 'state_csv'")
-        x = read_state_csv(string(cfg["state_csv"], "state_csv"))
-    else:
-        raise ValueError(f"unknown init kind {init!r}")
+    if init == "csv" and "state_csv" not in cfg:
+        raise ValueError("missing config key 'state_csv'")
+    x = _INITS[init](node_count, dim, seed, cfg)
     if x.shape[0] != node_count:
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
     if not spec.is_discrete:
@@ -301,7 +310,7 @@ def cmd_energy(args, cfg, graph, hypergraph):
 
 
 def cmd_simplify(args, cfg, graph, hypergraph):
-    given = [key for key in ("eps2", "mu", "nu", "lambda", "mode") if key in cfg]
+    given = [key for key in config_keys(InfluenceConfig) if key != "eps1" and key in cfg]
     if given and "eps1" not in cfg:
         raise ValueError(f"simplify reads {', '.join(given)} only with eps1: give eps1 too")
     influence = InfluenceConfig.from_json(cfg) if "eps1" in cfg else InfluenceConfig(0.0, 1.0)

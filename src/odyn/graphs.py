@@ -3,7 +3,8 @@
 Graphs are stored sparsely as arc arrays keyed by source node; an undirected
 graph keeps two mirrored arcs per edge so every per-node scan is a contiguous
 slice. A hypergraph keeps one sparse N x E membership-weight matrix. All
-containers are immutable after construction and safe to share.
+containers are immutable after construction and safe to share; a pickled or
+copied graph or hypergraph is rebuilt from its triples by its constructor.
 """
 
 from __future__ import annotations
@@ -110,12 +111,12 @@ class WeightedGraph:
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
                 raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
-        for a in (src, dst, w):
+        row_ptr = np.searchsorted(src, np.arange(node_count + 1))
+        for a in (src, dst, w, row_ptr):
             a.setflags(write=False)
         self.node_count = node_count
         self.directed = bool(directed)
-        self.src, self.dst, self.weight = src, dst, w
-        self._row_ptr = np.searchsorted(src, np.arange(node_count + 1))
+        self.src, self.dst, self.weight, self._row_ptr = src, dst, w, row_ptr
         self._loops = int(np.count_nonzero(src == dst))
 
     # -- basic queries -------------------------------------------------
@@ -147,6 +148,10 @@ class WeightedGraph:
             return self.src, self.dst, self.weight
         keep = self.src <= self.dst
         return self.src[keep], self.dst[keep], self.weight[keep]
+
+    def __reduce__(self):
+        """Pickled and copied as its canonical triples, which from_arrays checks and rebuilds."""
+        return type(self).from_arrays, (self.node_count, *self.undirected_pairs(), self.directed)
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
@@ -227,6 +232,16 @@ class Hypergraph:
         """Sparse (CSR) 0/1 incidence H as floats, sorted like a dense conversion."""
         W = self._weights
         return csc_matrix((np.ones(W.nnz), W.indices, W.indptr), shape=W.shape).tocsr()
+
+    def _memberships(self):
+        """(node, hyperedge, weight) columns, sorted by hyperedge, then node."""
+        W = self._weights
+        return W.indices, np.repeat(np.arange(self.edge_count), np.diff(W.indptr)), W.data
+
+    def __reduce__(self):
+        """Pickled and copied as its memberships, which the constructor checks and rebuilds."""
+        rows = np.rec.fromarrays(self._memberships(), names="node,hyperedge,weight")
+        return type(self), (self.node_count, rows, self.edge_count)
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""

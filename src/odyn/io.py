@@ -1,7 +1,8 @@
 """CSV and JSON wire formats.
 
-All files are UTF-8, comma separated, LF line endings, with a header row.
-Floats are written with repr so a write/read round trip is exact. Rows are
+All files are UTF-8, comma separated, LF line endings, with a header row
+(a state file has none). Every table value is written as its repr, so a
+write/read round trip is exact. Rows are
 emitted in a canonical sorted order, which makes outputs byte-stable, and
 joined into text one fixed-size block at a time, so a writer's strings stay
 bounded however long the file is.
@@ -56,10 +57,6 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 # Rows joined per write: large enough that the per-block overhead is noise,
 # small enough that the block's strings are a few MB at most.
 _ROW_BLOCK = 1 << 14
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 def _int64(text):
@@ -142,6 +139,16 @@ def _read_columns(path, header, dtype):
     return np.array(_read_rows(path, header, types), dtype=dtype)
 
 
+def _write_csv(path, header, *columns):
+    """Write the header (unless None), then a row per index of the matching columns: the
+    repr of each value's .tolist() scalar, so an int as its digits and a float exactly."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        _write_rows(fh, lambda *block: [row % r for r in zip(*block)], *columns)
+
+
 def _write_rows(fh, lines, *columns):
     """Write the rows of matching arrays (one row per index along axis 0).
 
@@ -170,11 +177,7 @@ def read_graph_csv(path, directed=False, node_count=None):
 
 def write_graph_csv(path, g):
     """Write a graph edge list; undirected edges appear once, canonically."""
-    src, dst, w = g.undirected_pairs()
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(GRAPH_HEADER) + "\n")
-        _write_rows(fh, lambda s, d, w: [f"{a},{b},{v!r}\n" for a, b, v in zip(s, d, w)],
-                    src, dst, w)
+    _write_csv(path, GRAPH_HEADER, *g.undirected_pairs())
 
 
 def read_hypergraph_csv(path, node_count=None, edge_count=None):
@@ -187,12 +190,7 @@ def read_hypergraph_csv(path, node_count=None, edge_count=None):
 
 def write_hypergraph_csv(path, h):
     """Write hypergraph memberships sorted by (hyperedge, node)."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(HYPERGRAPH_HEADER) + "\n")
-        W = h._weights
-        edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
-        _write_rows(fh, lambda n, e, w: [f"{a},{b},{v!r}\n" for a, b, v in zip(n, e, w)],
-                    W.indices, edges, W.data)
+    _write_csv(path, HYPERGRAPH_HEADER, *h._memberships())
 
 
 def read_labels_csv(path, node_count=None, class_count=None):
@@ -215,10 +213,7 @@ def read_labels_csv(path, node_count=None, class_count=None):
 
 
 def write_labels_csv(path, labels):
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LABELS_HEADER) + "\n")
-        _write_rows(fh, lambda n, y: [f"{a},{b}\n" for a, b in zip(n, y)],
-                    np.arange(len(labels.labels)), labels.labels)
+    _write_csv(path, LABELS_HEADER, np.arange(len(labels.labels)), labels.labels)
 
 
 def read_state_csv(path):
@@ -230,12 +225,11 @@ def read_state_csv(path):
 
 
 def write_state_csv(path, x):
-    """Write a state matrix, one row per node; a 1-d state is one row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.ndim != 2:
-        raise ValueError("state must be a vector or an N x d matrix")
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        _write_rows(fh, lambda rows: [",".join(map(repr, r)) + "\n" for r in rows], x)
+    """Write a state matrix, one row per node, no header; a 1-d state is one column."""
+    x = to_matrix(x)[0]
+    if not x.shape[1]:  # no column to give the row count; read_state_csv refuses it anyway
+        raise ValueError(f"state of shape {x.shape} has no values per node to write")
+    _write_csv(path, None, *x.T)
 
 
 def write_trajectory_csv(path, traj):
@@ -244,24 +238,21 @@ def write_trajectory_csv(path, traj):
     keys, shape = [], None
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for t, state in zip(traj.times.tolist(), states):
+        for t, state in zip(np.asarray(traj.times, dtype=np.float64).tolist(), states):
             if state.shape != shape:
                 shape = state.shape
                 # An object array: its blocks' .tolist() hands back these strings.
                 keys = np.array([f"{node},{j}," for node in range(shape[0])
                                  for j in range(shape[1])], dtype=object)
-            head = f"{_fmt(t)},"
+            head = f"{t!r},"
             _write_rows(fh, lambda k, v: [f"{head}{a}{b!r}\n" for a, b in zip(k, v)],
                         keys, state.ravel())
 
 
 def write_energy_csv(path, steps, energy, column="step"):
     """Two-column energy series; `column` names the abscissa header."""
-    label = (lambda s: str(int(s))) if column == "step" else _fmt
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{column},energy\n")
-        _write_rows(fh, lambda ss, es: [f"{label(s)},{_fmt(e)}\n" for s, e in zip(ss, es)],
-                    np.asarray(steps), np.asarray(energy))
+    steps = np.asarray(steps, dtype=np.int64 if column == "step" else np.float64)
+    _write_csv(path, [column, "energy"], steps, np.asarray(energy, dtype=np.float64))
 
 
 def write_json(path, obj):

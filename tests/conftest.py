@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
+
+# Hypothesis's pytest plugin imports this module, and with it libcst, only to report a
+# failing example; libcst's DeprecationWarning on import is then an error under the
+# "error" filter and ends the session. Imported once here, with that warning ignored,
+# a failing example is reported as one failure. Without libcst the plugin skips it.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from odyn import TooLarge, WeightedGraph, normalize_rows
 from odyn.dynamics import _sparse_kernel

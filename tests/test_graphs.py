@@ -5,7 +5,9 @@ independent oracles implemented below (boolean matrix powers, explicit
 cycle enumeration) rather than from the library's own traversals.
 """
 
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -471,6 +473,43 @@ def test_hypergraph_stores_only_the_sparse_membership_matrix():
     assert w.indices.tolist() == [0, 2, 1] and w.indptr.tolist() == [0, 2, 3]
     assert w.data.tolist() == [2.0, 0.5, 1.5]
     assert not h.members(0).flags.writeable
+
+
+COPIES = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)), "deepcopy": copy.deepcopy,
+          "copy": copy.copy}
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_a_copied_graph_is_rebuilt_equal_and_read_only(copy_of, directed):
+    g = WeightedGraph(4, [(0, 0, 0.5), (0, 1, 1.0), (2, 1, 2.5), (3, 2, 1e-300), (3, 3, 1.0)],
+                      directed=directed)
+    c = copy_of(g)
+    assert c == g and c is not g
+    assert (c._loops, c.edge_count, c.directed) == (2, 5, directed)
+    assert np.array_equal(c._row_ptr, g._row_ptr)
+    for a in (c.src, c.dst, c.weight, c._row_ptr):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in (g.src, g.dst, g.weight, g._row_ptr))
+    with pytest.raises(ValueError, match="read-only"):
+        c.weight[0] = 5.0
+
+
+@pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
+def test_a_copied_hypergraph_is_rebuilt_equal_and_read_only(copy_of):
+    # Hyperedge 2 has no member below node 3, and node 1 is in none.
+    h = Hypergraph(5, [(4, 2, 0.5), (0, 0, 2.0), (2, 1, 1.5), (3, 0, 1e-300), (3, 2, 1.0)],
+                   edge_count=3)
+    c = copy_of(h)
+    assert (c.node_count, c.edge_count) == (5, 3)
+    for mine, theirs in zip(c._memberships(), h._memberships()):
+        assert np.array_equal(mine, theirs)
+    W = c._weights
+    assert W.format == "csc" and W.shape == (5, 3)
+    for a in (W.data, W.indices, W.indptr):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        W.data[0] = 5.0
 
 
 # ------------------------------------------------------------ stochastic

@@ -172,10 +172,19 @@ def test_state_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(read_state_csv(path), x)
 
 
-def test_state_csv_vector_becomes_single_row(tmp_path):
+def test_state_csv_vector_becomes_single_column(tmp_path):
     path = tmp_path / "x.csv"
     write_state_csv(path, np.array([1.5, -2.0, 0.25]))
-    assert read_state_csv(path).shape == (1, 3)
+    assert path.read_text() == "1.5\n-2.0\n0.25\n"
+    assert read_state_csv(path).shape == (3, 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+def test_state_csv_writer_refuses_a_state_without_columns(tmp_path, shape):
+    # Its file would hold no value to read back: read_state_csv refuses it as empty.
+    with pytest.raises(ValueError, match="no values per node"):
+        write_state_csv(tmp_path / "x.csv", np.zeros(shape))
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_state_csv_writer_refuses_more_than_two_axes(tmp_path):
@@ -534,8 +543,11 @@ def labels_csv_oracle(path, labels):
 
 
 def state_csv_oracle(path, x):
-    """write_state_csv as it was: one write per row, each value through repr(float(v))."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """write_state_csv as it was: one write per row, each value through repr(float(v)).
+
+    A 1-d state is one column."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[:, None] if x.ndim == 1 else x
     with _open(path) as fh:
         for row in x:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -582,7 +594,7 @@ def test_labels_writer_matches_whole_file_oracle(tmp_path, block, classes, data)
     assert same_bytes(tmp_path, block, write_labels_csv, labels_csv_oracle, labels)
 
 
-STATE_SHAPES = st.sampled_from([(0,), (0, 2), (3, 0), (1,), (5,), (5, 1), (4, 3), (9, 2)])
+STATE_SHAPES = st.sampled_from([(0,), (0, 2), (1,), (5,), (5, 1), (4, 3), (9, 2)])
 
 
 @given(ROW_BLOCKS, STATE_SHAPES, st.data())
@@ -603,6 +615,73 @@ def test_energy_writer_matches_row_oracle(tmp_path, block, column, n, data):
         steps = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)))
     energy = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=np.float64)
     assert same_bytes(tmp_path, block, write_energy_csv, energy_csv_oracle, steps, energy, column)
+
+
+# ------------------------------------------- each table writer through its reader
+
+
+# NaN is out: repr keeps neither its sign nor its payload.
+NOT_NAN = st.floats(allow_nan=False)
+
+
+@given(st.integers(1, 8), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_graph_csv_round_trip_is_bit_exact(tmp_path, n, directed, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=30, unique=True))
+    if not directed:
+        pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    g = WeightedGraph(n, [(i, j, data.draw(POSITIVE_WEIGHTS)) for i, j in pairs],
+                      directed=directed)
+    write_graph_csv(tmp_path / "g.csv", g)
+    assert read_graph_csv(tmp_path / "g.csv", directed=directed, node_count=n) == g
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_hypergraph_csv_round_trip_is_bit_exact(tmp_path, n, edges, data):
+    members = st.sets(st.integers(0, n - 1), min_size=1)
+    rows = [(v, e, data.draw(POSITIVE_WEIGHTS)) for e in range(edges) for v in data.draw(members)]
+    h = Hypergraph(n, rows, edge_count=edges)
+    write_hypergraph_csv(tmp_path / "h.csv", h)
+    back = read_hypergraph_csv(tmp_path / "h.csv", node_count=n, edge_count=edges)
+    for mine, theirs in zip(back._memberships(), h._memberships()):
+        assert np.array_equal(mine, theirs)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_labels_csv_round_trip_is_exact(tmp_path, classes, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=20)))
+    write_labels_csv(tmp_path / "y.csv", NodeLabels(labels, classes))
+    back = read_labels_csv(tmp_path / "y.csv", node_count=labels.size, class_count=classes)
+    assert back.labels.tolist() == labels.tolist()
+
+
+@given(st.sampled_from([(1,), (6,), (1, 1), (6, 1), (4, 3)]), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_state_csv_round_trip_is_bit_exact_with_one_row_per_node(tmp_path, shape, data):
+    x = data.draw(st.lists(NOT_NAN, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    x = np.array(x).reshape(shape)
+    write_state_csv(tmp_path / "x.csv", x)
+    back = read_state_csv(tmp_path / "x.csv")
+    assert back.shape == (shape[0], 1 if x.ndim == 1 else shape[1])
+    assert back.tobytes() == x.tobytes()  # -0.0 and the infinities bit for bit
+
+
+@given(st.sampled_from(["step", "t"]), st.integers(0, 12), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
+def test_energy_csv_round_trip_is_bit_exact(tmp_path, column, n, data):
+    steps = data.draw(st.lists(st.integers(0, 10**6) if column == "step" else NOT_NAN,
+                               min_size=n, max_size=n))
+    energy = data.draw(st.lists(NOT_NAN, min_size=n, max_size=n))
+    write_energy_csv(tmp_path / "e.csv", steps, energy, column=column)
+    head, *rows = (tmp_path / "e.csv").read_text().splitlines()
+    assert head == f"{column},energy"
+    parse = int if column == "step" else float
+    back = [(parse(s), float(e)) for s, e in (row.split(",") for row in rows)]
+    assert np.array(back).tobytes() == np.array(list(zip(steps, energy)), dtype=float).tobytes()
+    assert all(type(s) is type(step) for (s, _), step in zip(back, steps))
 
 
 @pytest.mark.parametrize("writer, oracle, payload", [
@@ -1998,6 +2077,46 @@ def test_sweep_parallel_matches_serial(tmp_path, triangle_csv, capsys):
             serial = (outs["serial"] / run / name).read_bytes()
             parallel = (outs["parallel"] / run / name).read_bytes()
             assert serial == parallel, (run, name)
+
+
+@pytest.mark.parametrize("flag, rows, base", [
+    ("--graph", TRI_ROWS, {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0,
+                           "scheme": "dopri5", "t_end": 1.0, "init": "uniform", "dim": 2}),
+    ("--hypergraph", IRREGULAR_HYPERGRAPH, {"kind": "hypergraph-odnet", "eps1": 0.0, "eps2": 1.0,
+                                            "scheme": "rk4", "t_end": 1.0, "dim": 2}),
+], ids=["graph", "hypergraph"])
+def test_sweep_workers_write_the_serial_runs_files(tmp_path, capsys, monkeypatch, flag, rows,
+                                                  base):
+    # Each worker gets its structure pickled, as triples it rebuilds.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+    structure = write_text(tmp_path / "s.csv", rows)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"base": base, "sweep": {"param": "eps2", "values": [0.5, 1.0]}})
+    for jobs in (1, 2):
+        assert run_cli("sweep", flag, structure, "--config", cfg,
+                       "--out", tmp_path / f"jobs{jobs}", "--jobs", jobs) == 0
+    capsys.readouterr()
+    for run in ("run_0000", "run_0001"):
+        names = sorted(p.name for p in (tmp_path / "jobs1" / run).iterdir())
+        assert names == ["config.json", "energy.csv", "final_state.csv", "manifest.json",
+                         "trajectory.csv"]
+        assert names == sorted(p.name for p in (tmp_path / "jobs2" / run).iterdir())
+        for name in [name for name in names if name != "manifest.json"]:  # it names its --out
+            assert ((tmp_path / "jobs1" / run / name).read_bytes()
+                    == (tmp_path / "jobs2" / run / name).read_bytes()), (run, name)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {"kind": "fd", "init": "bogus"}),
+    ("energy", {"kind": "fd", "runs": [{"name": "a"}, {"name": "b", "init": "bogus"}]}),
+], ids=["simulate", "energy-arm"])
+def test_unknown_init_kind_is_refused_before_any_file_is_read(tmp_path, capsys, command, cfg):
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", tmp_path / "missing.csv",
+                   "--config", write_config(tmp_path, "cfg.json", cfg), "--out", out) == 2
+    assert capsys.readouterr().err == ("input error: unknown init kind 'bogus'; expected one of "
+                                       "('unit', 'uniform', 'zeros', 'csv')\n")
+    assert not out.exists()
 
 
 def sweep_config(tmp_path):
