@@ -268,16 +268,23 @@ def _run_dynamic(spec, x0, length):
     return integrate(spec.rhs_fn(), x0, length, energy_fn=energy_fn)
 
 
+def _energy_file(spec, steps, energy):
+    """An energy CSV's writer and payload: a discrete kind's abscissa is its integer step,
+    a continuous kind's its time t."""
+    return write_energy_csv, steps, energy, "step" if spec.is_discrete else "t"
+
+
 # Each command computes from (args, cfg, graph, hypergraph) and returns the files
 # it would write, {name: (writer, *payload)}, and its stdout text; `_finish` publishes.
 
 
 def cmd_simulate(args, cfg, graph, hypergraph):
-    traj = _run_dynamic(*_prepare(cfg, graph, hypergraph, args.seed))
+    spec, x0, length = _prepare(cfg, graph, hypergraph, args.seed)
+    traj = _run_dynamic(spec, x0, length)
     files = {"trajectory.csv": (write_trajectory_csv, traj),
              "final_state.csv": (write_state_csv, traj.final_state)}
     if traj.energies is not None:
-        files["energy.csv"] = (write_energy_csv, traj.times, traj.energies, "t")
+        files["energy.csv"] = _energy_file(spec, traj.times, traj.energies)
     log.info("simulate recorded %d states", len(traj))
     return files, str(Path(args.out))
 
@@ -294,8 +301,7 @@ def cmd_energy(args, cfg, graph, hypergraph):
     for name, spec, x0, length in arms:
         series = EnergySeries.from_trajectory(_run_dynamic(spec, x0, length))
         fname = f"energy_{name}.csv"
-        column = "step" if spec.is_discrete else "t"
-        files[fname] = (write_energy_csv, series.steps, series.energy, column)
+        files[fname] = _energy_file(spec, series.steps, series.energy)
         report = detect_oversmoothing(series)
         e0, e1 = float(series.energy[0]), float(series.energy[-1])
         summary[name] = {

@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import identity
 
 from ._state import from_matrix, norm1, to_matrix
-from .dynamics import _sparse_kernel
+from .dynamics import _identity_minus_kernel
 from .errors import (
     InsufficientData,
     NoConvergence,
@@ -35,6 +34,9 @@ __all__ = [
 ENERGY_FLOOR = 1e-300
 SPECTRAL_DENSE_LIMIT = 500
 EIGENVALUE_CUTOFF = 1e-10
+
+# Rows of I - K that spectral_gap checks and symmetrizes at a time.
+_SYMMETRY_BLOCK = 64
 
 
 @dataclass
@@ -91,9 +93,9 @@ def dirichlet_energy_hypergraph(h, x):
     it is never negative (the expanded m sum|x|^2 - |sum x|^2 cancels).
     """
     x, _ = to_matrix(x)
-    ptr = h._weights.indptr
+    ptr = h._edge_ptr
     sizes = np.diff(ptr)
-    xs = x[h._weights.indices]
+    xs = x[h._node]
     mean = np.add.reduceat(xs, ptr[:-1], axis=0) / sizes[:, None]
     c = xs - np.repeat(mean, sizes, axis=0)
     return float(2.0 * np.sum(np.repeat(sizes, sizes) * np.einsum("ij,ij->i", c, c)))
@@ -160,10 +162,11 @@ def consensus_predict(g, x0, tolerance=1e-12, max_iterations=100_000):
     x0, flat = to_matrix(x0)
     if x0.shape[0] != g.node_count:
         raise ValueError("state row count must match node count")
-    WT = g._csr(g.weight).T
-    zeta = np.full(g.node_count, 1.0 / g.node_count)
+    n = g.node_count
+    zeta = np.full(n, 1.0 / n)
     for _ in range(max_iterations):
-        nxt = WT @ zeta
+        # W^T zeta, arc by arc in arc order: the products and sums of a CSR W.T @ zeta.
+        nxt = np.bincount(g.dst, weights=g.weight * zeta[g.src], minlength=n)
         nxt /= nxt.sum()
         if float(np.max(np.abs(nxt - zeta))) <= tolerance:
             zeta = nxt
@@ -180,8 +183,9 @@ def spectral_gap(h, kernel="uniform"):
     """Smallest positive eigenvalue of the diffusion operator I - K.
 
     Dense symmetric eigendecomposition; refuses hypergraphs above 500 nodes.
-    I - K is formed, tested for symmetry and symmetrized sparse, so the one
-    dense matrix is the symmetrized operator handed to the eigensolver.
+    I - K is formed as one dense matrix, then tested for symmetry and
+    symmetrized in place a block of rows at a time, and handed to the
+    eigensolver.
     The operator must be symmetric positive semidefinite for the chosen
     kernel (true for the uniform kernel whenever co-membership totals are
     uniform, e.g. vertex-transitive hypergraphs, and for "hgnn" on
@@ -192,13 +196,22 @@ def spectral_gap(h, kernel="uniform"):
             f"spectral_gap dense path refused for {h.node_count} nodes "
             f"(limit {SPECTRAL_DENSE_LIMIT})"
         )
-    L = identity(h.node_count, format="csr") - _sparse_kernel(h, kernel)
-    if not np.all(np.abs((L - L.T).data) <= 1e-12):
-        raise NotSPD("diffusion operator is not symmetric for this kernel")
-    eigs = np.linalg.eigvalsh((0.5 * (L + L.T)).toarray())
+    L = _identity_minus_kernel(h, kernel)
+    # Block [a, b) of rows holds L[a:b, a:] and, mirrored, L[a:, a:b]; neither was
+    # written by an earlier block, so each entry becomes 0.5 * (L_ij + L_ji) of the input.
+    for a in range(0, h.node_count, _SYMMETRY_BLOCK):
+        b = a + _SYMMETRY_BLOCK
+        upper, lower = L[a:b, a:], L[a:, a:b].T
+        if not np.all(np.abs(upper - lower) <= 1e-12):
+            raise NotSPD("diffusion operator is not symmetric for this kernel")
+        sym = 0.5 * (upper + lower)
+        L[a:b, a:] = sym
+        L[a:, a:b] = sym.T
+    eigs = np.linalg.eigvalsh(L)
     if eigs[0] < -EIGENVALUE_CUTOFF:
         raise NotSPD(f"diffusion operator has negative eigenvalue {eigs[0]:.3e}")
     positive = eigs[eigs > EIGENVALUE_CUTOFF]
     if positive.size == 0:
         raise ValueError("no eigenvalue above the positivity cutoff")
     return float(positive[0])
+

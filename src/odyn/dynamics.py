@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
 
 from ._state import config_fields, from_matrix, norm1, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
@@ -183,8 +182,11 @@ def _sparse_kernel(h, kind):
     Dv^-1/2 H W De^-1 H^T Dv^-1/2 with unit hyperedge weights; its rows only
     sum to one on node-regular hypergraphs, and callers enforce that. Nodes
     in no hyperedge keep their state via K_ii = 1. Sorted indices make K @ x
-    add each row's terms in column order.
+    add each row's terms in column order. _identity_minus_kernel forms I - K
+    densely from the same definitions, bit for bit: change both together.
     """
+    from scipy.sparse import csr_matrix, diags
+
     if kind == "uniform":
         K = h._co_membership_csr()
         t = np.asarray(K.sum(axis=1)).ravel()
@@ -202,6 +204,44 @@ def _sparse_kernel(h, kind):
     K = K + csr_matrix((np.ones(idx.size), (idx, idx)), shape=K.shape)
     K.sort_indices()
     return K
+
+
+def _identity_minus_kernel(h, kind):
+    """I - K as one dense N x N array, for spectral_gap: the kernels of _sparse_kernel.
+
+    Bit-equal to identity - _sparse_kernel(h, kind) made dense: each entry
+    takes the sparse products' operations in their order. The shared-hyperedge
+    sum runs in hyperedge order (a bincount over member pairs); then "uniform"
+    divides each row by its total and "hgnn" scales each column. It is
+    0.0 - K, not -K, so an entry with no coupling is +0.0, not -0.0.
+    """
+    if kind not in ("uniform", "hgnn"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    h._product_guard(f"{kind} kernel")
+    n, ptr, node = h.node_count, h._edge_ptr, h._node
+    sizes = np.diff(ptr)
+    dv = np.bincount(node, minlength=n).astype(np.float64)  # hyperedges per node
+    if kind == "uniform":
+        a = np.ones(node.size)
+    else:
+        dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros(n), where=dv > 0.0)
+        a = dv_isqrt[node] * np.repeat(1.0 / sizes, sizes)
+    # Membership k of hyperedge e pairs with every member of e: reps[k] = |e| pairs.
+    reps = np.repeat(sizes, sizes)
+    start = np.cumsum(reps) - reps
+    j = node[np.arange(reps.sum()) + np.repeat(np.repeat(ptr[:-1], sizes) - start, reps)]
+    K = np.bincount(np.repeat(node, reps) * n + j, weights=np.repeat(a, reps), minlength=n * n)
+    K = K.reshape(n, n)
+    if kind == "uniform":
+        t = K.sum(axis=1)[:, None]
+        np.divide(K, t, out=K, where=t > 0.0)
+    else:
+        K *= dv_isqrt
+    isolated = np.flatnonzero(dv == 0.0)
+    K[isolated, isolated] = 1.0
+    L = np.subtract(0.0, K, out=K)
+    L.flat[:: n + 1] += 1.0
+    return L
 
 
 def _check_kernel(K):

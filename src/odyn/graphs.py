@@ -2,9 +2,12 @@
 
 Graphs are stored sparsely as arc arrays keyed by source node; an undirected
 graph keeps two mirrored arcs per edge so every per-node scan is a contiguous
-slice. A hypergraph keeps one sparse N x E membership-weight matrix. All
+slice. A hypergraph keeps its memberships as three arrays in CSC order. All
 containers are immutable after construction and safe to share; a pickled or
 copied graph or hypergraph is rebuilt from its triples by its constructor.
+
+scipy.sparse is imported where a sparse matrix is built, not here: `import odyn`
+then loads NumPy only, and the calls that build no operator never load SciPy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, triu
 
 from ._state import integer
 from .errors import (
@@ -139,6 +141,8 @@ class WeightedGraph:
 
     def _csr(self, data):
         """N x N CSR matrix on the arc pattern; data is aligned with the arcs."""
+        from scipy.sparse import csr_matrix  # about 0.2 s to import, only for an operator
+
         n = self.node_count
         return csr_matrix((data, self.dst, self._row_ptr), shape=(n, n))
 
@@ -172,15 +176,16 @@ class WeightedGraph:
 class Hypergraph:
     """Hypergraph stored as node-hyperedge memberships with weights.
 
-    The one stored form is the N x E membership-weight matrix _weights in
-    CSC form, so its indices/indptr list the members by hyperedge, then node.
+    The one stored form is the N x E membership-weight matrix in CSC order,
+    as three read-only arrays: _edge_ptr (E + 1 pointers), and _node and
+    _weight, which list the members by hyperedge, then node.
 
     Pair weights inside a hyperedge default to the product of the two
     membership weights, so they are nonzero exactly where both nodes
     belong to the hyperedge.
     """
 
-    __slots__ = ("node_count", "edge_count", "_weights")
+    __slots__ = ("node_count", "edge_count", "_edge_ptr", "_node", "_weight")
 
     def __init__(self, node_count, memberships, edge_count=None):
         node_count = int(node_count)
@@ -223,20 +228,26 @@ class Hypergraph:
         self.node_count = node_count
         self.edge_count = edge_count
         ptr = np.concatenate([[0], np.cumsum(sizes)])
-        W = csc_matrix((w[order], nodes[order], ptr), shape=(node_count, edge_count))
-        for a in (W.data, W.indices, W.indptr):
+        nodes, w = nodes[order], w[order]
+        for a in (ptr, nodes, w):
             a.setflags(write=False)
-        self._weights = W
+        self._edge_ptr, self._node, self._weight = ptr, nodes, w
+
+    def _csc(self, data):
+        """N x E CSC matrix on the membership pattern; data is aligned with the memberships."""
+        from scipy.sparse import csc_matrix  # about 0.2 s to import, only for an operator
+
+        return csc_matrix((data, self._node, self._edge_ptr),
+                          shape=(self.node_count, self.edge_count))
 
     def _incidence_csr(self):
         """Sparse (CSR) 0/1 incidence H as floats, sorted like a dense conversion."""
-        W = self._weights
-        return csc_matrix((np.ones(W.nnz), W.indices, W.indptr), shape=W.shape).tocsr()
+        return self._csc(np.ones(self._node.size)).tocsr()
 
     def _memberships(self):
         """(node, hyperedge, weight) columns, sorted by hyperedge, then node."""
-        W = self._weights
-        return W.indices, np.repeat(np.arange(self.edge_count), np.diff(W.indptr)), W.data
+        edges = np.repeat(np.arange(self.edge_count), np.diff(self._edge_ptr))
+        return self._node, edges, self._weight
 
     def __reduce__(self):
         """Pickled and copied as its memberships, which the constructor checks and rebuilds."""
@@ -245,8 +256,7 @@ class Hypergraph:
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e."""
-        W = self._weights
-        return W.indices[W.indptr[e] : W.indptr[e + 1]]
+        return self._node[self._edge_ptr[e] : self._edge_ptr[e + 1]]
 
     def _co_membership_csr(self):
         """Shared-hyperedge counts C = H H^T in canonical CSR form.
@@ -268,14 +278,16 @@ class Hypergraph:
         Edge weight is the sum over shared hyperedges of the product of the
         two membership weights.
         """
+        from scipy.sparse import triu
+
         self._product_guard("clique expansion")
-        M = self._weights
+        M = self._csc(self._weight)
         W = triu(M.tocsr() @ M.T, k=1).tocoo()
         return WeightedGraph.from_arrays(self.node_count, W.row, W.col, W.data)
 
     def _product_guard(self, what):
         """TooLarge before a product of the memberships with their transpose."""
-        _pair_guard(int(np.square(np.diff(self._weights.indptr)).sum()), f"{what} of a hypergraph")
+        _pair_guard(int(np.square(np.diff(self._edge_ptr)).sum()), f"{what} of a hypergraph")
 
     def __repr__(self):
         return f"Hypergraph({self.node_count} nodes, {self.edge_count} hyperedges)"
@@ -291,6 +303,7 @@ def _radius_pairs(x, radius, strict):
     """Symmetric 0/1 CSR matrix linking rows i != j with norm(x_i - x_j) < radius (strict)
     or <= radius, tested 2^16 pairs at a time; TooLarge above _PAIR_LIMIT ordered pairs,
     each row with itself. A slightly wider k-d tree ball lets no rounding drop a pair."""
+    from scipy.sparse import csr_matrix
     from scipy.spatial import cKDTree  # about 0.18 s to import, only used here
 
     n, d = x.shape
@@ -342,7 +355,10 @@ def _triples(rows):
 
 @dataclass(frozen=True)
 class NodeLabels:
-    """Integer node labels in [0, class_count) with optional split masks."""
+    """Integer node labels in [0, class_count) with optional split masks.
+
+    The labels and each mask are read-only int64 arrays of the instance's own.
+    """
 
     labels: np.ndarray
     class_count: int
@@ -351,7 +367,8 @@ class NodeLabels:
     test: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
@@ -364,6 +381,7 @@ class NodeLabels:
                 m = np.unique(np.asarray(m, dtype=np.int64))
                 if m.size and (m.min() < 0 or m.max() >= labels.size):
                     raise ValueError(f"{name} mask index out of range")
+                m.setflags(write=False)
                 object.__setattr__(self, name, m)
                 masks.append(m)
         if len(masks) > 1:

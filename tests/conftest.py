@@ -103,7 +103,9 @@ def dense_weights(g):
 def membership_weight(h):
     """Dense N x E membership weights of a hypergraph."""
     dense_view_guard(h.node_count, "dense N x E membership view")
-    return h._weights.toarray()
+    m = np.zeros((h.node_count, h.edge_count))
+    m[h._node, np.repeat(np.arange(h.edge_count), np.diff(h._edge_ptr))] = h._weight
+    return m
 
 
 def incidence(h):

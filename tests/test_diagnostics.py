@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +34,7 @@ from odyn import (
 )
 from odyn import graphs
 from odyn.diagnostics import EIGENVALUE_CUTOFF
+from odyn.dynamics import _identity_minus_kernel, _sparse_kernel
 
 from conftest import dense_weights, diffusion_kernel, random_row_stochastic
 
@@ -422,6 +423,45 @@ def test_consensus_is_fixed_point_of_itself():
     assert np.allclose(consensus_predict(g, limit), limit, atol=1e-10)
 
 
+def sparse_consensus_oracle(g, x0, tolerance=1e-12):
+    """consensus_predict's power iteration with the CSR matvec W.T @ zeta it used to run."""
+    WT = g._csr(g.weight).T
+    zeta = np.full(g.node_count, 1.0 / g.node_count)
+    while True:
+        nxt = WT @ zeta
+        nxt /= nxt.sum()
+        if float(np.max(np.abs(nxt - zeta))) <= tolerance:
+            return np.repeat((nxt @ x0)[None, :], g.node_count, axis=0)
+        zeta = nxt
+
+
+def metropolis_graph(seed, n_max=12):
+    """Undirected, connected, aperiodic and row-stochastic random graph: a ring
+    plus random chords with Metropolis weights 1 / (1 + max(d_i, d_j)), and
+    the rest of each row's unit mass on its self loop."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, n_max + 1))
+    pairs = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    pairs |= {tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))) for _ in range(n)}
+    deg = np.bincount(np.ravel(list(pairs)), minlength=n)
+    edges = [(i, j, 1.0 / (1 + max(deg[i], deg[j]))) for i, j in sorted(pairs)]
+    rows = np.zeros(n)
+    for i, j, w in edges:
+        rows[i] += w
+        rows[j] += w
+    return WeightedGraph(n, edges + [(i, i, 1.0 - rows[i]) for i in range(n)])
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_consensus_matches_the_sparse_transpose_oracle_bit_for_bit(seed, directed, dim):
+    g = random_row_stochastic(seed) if directed else metropolis_graph(seed)
+    assert g.directed == directed
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (g.node_count, dim))
+    got, want = consensus_predict(g, x0), sparse_consensus_oracle(g, x0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_consensus_no_convergence_budget():
     g = random_row_stochastic(3, n_max=6)
     with pytest.raises(NoConvergence):
@@ -514,6 +554,23 @@ def test_spectral_gap_matches_dense_oracle_bit_for_bit(n, layers, size, seed, ke
     # irregular and disconnected cases occur.
     h = node_regular_hypergraph(n, layers, min(size, n), seed)
     assert gap_outcome(spectral_gap, h, kernel) == gap_outcome(dense_spectral_gap_oracle, h, kernel)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.integers(0, 3), st.integers(1, 8),
+       st.sampled_from(["uniform", "hgnn"]))
+@settings(max_examples=150, deadline=None)
+@example(seed=0, used=1, spare=0, edges=1, kind="hgnn")  # one node, one hyperedge
+@example(seed=0, used=5, spare=3, edges=2, kind="uniform")  # three nodes in no hyperedge
+def test_dense_operator_is_identity_minus_the_sparse_kernel_bit_for_bit(seed, used, spare,
+                                                                         edges, kind):
+    # Nodes used .. used + spare - 1 are in no hyperedge; signed zeros must match too.
+    rng = np.random.default_rng(seed)
+    rows = [(int(v), e, float(rng.uniform(0.1, 2.0)))
+            for e in range(edges)
+            for v in rng.choice(used, int(rng.integers(1, used + 1)), replace=False)]
+    h = Hypergraph(used + spare, rows)
+    want = (identity(h.node_count, format="csr") - _sparse_kernel(h, kind)).toarray()
+    assert np.array_equal(_identity_minus_kernel(h, kind).view(np.int64), want.view(np.int64))
 
 
 def test_spectral_gap_keeps_one_dense_matrix():

@@ -563,11 +563,10 @@ def test_hypergraph_odnet_counts_match_a_per_arc_lookup(seed, big, tiny):
     # holds fewer pairs than C, and the counts must still line up with its arcs.
     h = random_hypergraph(seed, big)
     if tiny:
-        W = h._weights
-        edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
-        scale = np.where(np.random.default_rng(seed).random(W.nnz) < 0.5, 1e-170, 1.0)
-        h = Hypergraph(h.node_count, list(zip(W.indices.tolist(), edges.tolist(),
-                                              (W.data * scale).tolist())))
+        edges = np.repeat(np.arange(h.edge_count), np.diff(h._edge_ptr))
+        scale = np.where(np.random.default_rng(seed).random(h._node.size) < 0.5, 1e-170, 1.0)
+        h = Hypergraph(h.node_count, list(zip(h._node.tolist(), edges.tolist(),
+                                              (h._weight * scale).tolist())))
     coupling_rhs, built = dynamics._coupling_rhs, []
 
     def capture(g, cfg, sim, count=1.0):

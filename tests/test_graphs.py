@@ -465,13 +465,14 @@ def test_hypergraph_above_dense_limit_is_sparse():
     assert h.clique_expansion().edge_count == 3 * (n // 3)
 
 
-def test_hypergraph_stores_only_the_sparse_membership_matrix():
+def test_hypergraph_stores_only_the_membership_arrays_in_csc_order():
     h = Hypergraph(3, [(2, 0, 0.5), (0, 0, 2.0), (1, 1, 1.5)])
-    assert Hypergraph.__slots__ == ("node_count", "edge_count", "_weights")
-    w = h._weights
-    assert w.format == "csc" and w.shape == (3, 2)
-    assert w.indices.tolist() == [0, 2, 1] and w.indptr.tolist() == [0, 2, 3]
-    assert w.data.tolist() == [2.0, 0.5, 1.5]
+    assert Hypergraph.__slots__ == ("node_count", "edge_count", "_edge_ptr", "_node", "_weight")
+    assert (h.node_count, h.edge_count) == (3, 2)
+    assert h._node.tolist() == [0, 2, 1] and h._edge_ptr.tolist() == [0, 2, 3]
+    assert h._weight.tolist() == [2.0, 0.5, 1.5]
+    for a in (h._edge_ptr, h._node, h._weight):
+        assert not a.flags.writeable
     assert not h.members(0).flags.writeable
 
 
@@ -504,12 +505,12 @@ def test_a_copied_hypergraph_is_rebuilt_equal_and_read_only(copy_of):
     assert (c.node_count, c.edge_count) == (5, 3)
     for mine, theirs in zip(c._memberships(), h._memberships()):
         assert np.array_equal(mine, theirs)
-    W = c._weights
-    assert W.format == "csc" and W.shape == (5, 3)
-    for a in (W.data, W.indices, W.indptr):
+    assert c._edge_ptr.tolist() == [0, 2, 3, 5]
+    for a in (c._edge_ptr, c._node, c._weight):
         assert not a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in (h._edge_ptr, h._node, h._weight))
     with pytest.raises(ValueError, match="read-only"):
-        W.data[0] = 5.0
+        c._weight[0] = 5.0
 
 
 # ------------------------------------------------------------ stochastic
@@ -928,6 +929,17 @@ def test_node_labels_validation():
         NodeLabels(labels, 2, train=np.array([9]))
     with pytest.raises(ValueError, match="class_count must be positive"):
         NodeLabels(labels, 0)
+
+
+def test_node_labels_are_an_own_read_only_copy():
+    a = np.array([0, 1, 1])
+    nl = NodeLabels(a, 2)
+    a[1] = 9
+    assert nl.labels.tolist() == [0, 1, 1] and nl.labels.dtype == np.int64
+    split = split_masks(NodeLabels(np.array([0, 1] * 6), 2), seed=1)
+    for arr in (nl.labels, split.labels, split.train, split.val, split.test):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_split_masks_stratified():

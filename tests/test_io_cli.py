@@ -527,12 +527,11 @@ def graph_csv_oracle(path, g):
 
 def hypergraph_csv_oracle(path, h):
     """write_hypergraph_csv as it was: every row in one join."""
-    W = h._weights
-    edges = np.repeat(np.arange(h.edge_count), np.diff(W.indptr))
+    edges = np.repeat(np.arange(h.edge_count), np.diff(h._edge_ptr))
     with _open(path) as fh:
         fh.write("node,hyperedge,weight\n")
         fh.write("".join([f"{n},{e},{w!r}\n"
-                          for n, e, w in zip(W.indices.tolist(), edges.tolist(), W.data.tolist())]))
+                          for n, e, w in zip(h._node.tolist(), edges.tolist(), h._weight.tolist())]))
 
 
 def labels_csv_oracle(path, labels):
@@ -1091,6 +1090,21 @@ def test_graph_kind_given_both_structures_runs_on_the_graph(tmp_path, capsys, ru
                    "--out", tmp_path / "both") == 0
     for name in ("final_state.csv", "trajectory.csv", "energy.csv"):
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
+
+
+@pytest.mark.parametrize("run", GRAPH_KIND_RUNS, ids=lambda run: run["kind"])
+def test_simulate_and_an_energy_arm_write_the_same_energy_bytes(tmp_path, capsys, run):
+    # A discrete kind's abscissa is its integer step in both, a continuous kind's its time.
+    g = write_text(tmp_path / "g.csv", LAZY_CYCLE_ROWS)
+    # energy fits the tail of at least 10 samples.
+    cfg = write_config(tmp_path, "cfg.json", {**run, "steps": 12} if "steps" in run else run)
+    assert run_cli("simulate", "--graph", g, "--config", cfg, "--out", tmp_path / "s") == 0
+    assert run_cli("energy", "--graph", g, "--config", cfg, "--out", tmp_path / "e") == 0
+    capsys.readouterr()
+    written = (tmp_path / "s" / "energy.csv").read_bytes()
+    assert written == (tmp_path / "e" / "energy_run.csv").read_bytes()
+    header = b"t,energy\n0.0," if run["kind"] == "odnet-continuous" else b"step,energy\n0,"
+    assert written.startswith(header)
 
 
 def test_energy_arms_given_both_structures_each_run_on_their_own(tmp_path, capsys, triangle_csv):
@@ -2045,13 +2059,63 @@ def test_hyperedge_of_4097_members_exits_2_before_any_product(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_cli_import_loads_no_csgraph_linalg_spatial_or_multiprocessing():
-    heavy = ["scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.spatial",
-             "multiprocessing"]
-    code = f"import sys, odyn.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_cli_import_loads_no_scipy_or_multiprocessing():
+    code = ("import sys, odyn, odyn.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Each call here builds no sparse operator, so none may load SciPy; nor may the CLI's
+# homophily command, nor a config it refuses with exit 2 before the run.
+SCIPY_FREE_CALLS = """
+import os
+import sys
+import numpy as np
+import odyn
+from odyn.cli import main
+
+os.chdir(sys.argv[1])
+g, labels = odyn.generate_sbm([20, 20], 0.3, 0.05, seed=1)
+odyn.homophily_level(g, labels)
+odyn.label_by_degree(g)
+odyn.normalize_rows(g)
+ring = odyn.WeightedGraph(5, [(i, j % 5, 0.5) for i in range(5) for j in (i, i + 1)],
+                          directed=True)
+assert odyn.is_strongly_connected(ring) and odyn.is_aperiodic(ring)
+x = np.random.default_rng(1).random((5, 2))
+odyn.consensus_predict(ring, x)
+odyn.dirichlet_energy_graph(ring, x)
+v = np.random.default_rng(2).random(40)
+assert odyn.cluster_count(odyn.hk_step(v, 0.2), 1e-3) >= 1
+h = odyn.Hypergraph(6, [((e + k) % 6, e, 1.0) for e in range(6) for k in range(3)])
+odyn.dirichlet_energy_hypergraph(h, np.random.default_rng(3).random((6, 2)))
+for kernel in ("uniform", "hgnn"):
+    assert odyn.spectral_gap(h, kernel) > 0.0
+odyn.write_graph_csv("g.csv", g)
+odyn.read_graph_csv("g.csv")
+odyn.write_hypergraph_csv("h.csv", h)
+odyn.read_hypergraph_csv("h.csv")
+odyn.write_labels_csv("y.csv", labels)
+odyn.read_labels_csv("y.csv")
+odyn.write_state_csv("x.csv", x)
+odyn.read_state_csv("x.csv")
+odyn.write_trajectory_csv("t.csv", odyn.iterate_map(lambda s: odyn.hk_step(s, 0.2), v, 3))
+odyn.write_energy_csv("e.csv", [0, 1], [1.0, 0.5])
+odyn.write_json("bad.json", {"kind": "odnet-discrete", "eps1": "0.5"})
+assert main(["homophily", "--graph", "g.csv", "--labels", "y.csv", "--out", "hom"]) == 0
+assert main(["simulate", "--graph", "g.csv", "--config", "bad.json", "--out", "run"]) == 2
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_calls_that_build_no_sparse_operator_load_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CALLS, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # after homophily's own line
+    assert (tmp_path / "hom" / "homophily.json").exists() and not (tmp_path / "run").exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path, triangle_csv, capsys):
