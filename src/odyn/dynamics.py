@@ -24,7 +24,7 @@ import numpy as np
 
 from ._state import config_fields, from_matrix, norm1, to_matrix
 from .errors import KernelNotNormalized, NotRowStochastic
-from .graphs import Hypergraph, WeightedGraph, _radius_pairs, validate_row_stochastic
+from .graphs import Hypergraph, WeightedGraph, _csr_matrix, _radius_pairs, validate_row_stochastic
 from .influence import InfluenceConfig, SimilaritySpec, phi, similarity_dynamic, similarity_static
 from .integrators import euler_step
 
@@ -164,84 +164,71 @@ def make_hypergraph_odnet_rhs(h, cfg, sim=SimilaritySpec()):
     similarity is that of the clique expansion.
     """
     g = h.clique_expansion()
+    ones = np.ones(h._node.size)
+    C = _csr_matrix(h.node_count, *h._pair_product(ones, ones, "co-membership counts"))
+    del ones  # each step holds only what the next one reads
+    C.sort_indices()
     # g's arcs are a subset of C's pattern, both are canonical CSR and every
     # count is at least 1, so the elementwise product keeps exactly g's arcs, in order.
-    count = h._co_membership_csr().multiply(g._csr(np.ones(g.arc_count))).data
+    count = C.multiply(g._csr(np.ones(g.arc_count))).data
+    del C
     return _coupling_rhs(g, cfg, sim, count)
 
 
 # -- hypergraph diffusion -------------------------------------------------
 
 
-def _sparse_kernel(h, kind):
-    """Diffusion kernel K as a CSR matrix with sorted indices and no stored zeros.
+def _kernel(h, kind, pair_sums):
+    """Diffusion kernel K as CSR arrays from h's pair sums, h._pair_product or h._pair_bincount.
 
     "uniform" spreads each node's unit mass evenly over its co-memberships:
-    K_ij = C_ij / sum_j C_ij with C the shared-hyperedge count matrix
-    (diagonal included). "hgnn" is the degree-normalized incidence product
-    Dv^-1/2 H W De^-1 H^T Dv^-1/2 with unit hyperedge weights; its rows only
-    sum to one on node-regular hypergraphs, and callers enforce that. Nodes
-    in no hyperedge keep their state via K_ii = 1. Sorted indices make K @ x
-    add each row's terms in column order. _identity_minus_kernel forms I - K
-    densely from the same definitions, bit for bit: change both together.
+    K_ij = C_ij / sum_j C_ij with C the shared-hyperedge counts (diagonal
+    included). "hgnn" is Dv^-1/2 H De^-1 H^T Dv^-1/2, multiplied in that order;
+    its rows only sum to one on node-regular hypergraphs, and callers enforce
+    that. Nodes in no hyperedge keep their state via K_ii = 1.
     """
-    from scipy.sparse import csr_matrix, diags
-
+    n, node, sizes = h.node_count, h._node, np.diff(h._edge_ptr)
+    ones = np.ones(node.size)
     if kind == "uniform":
-        K = h._co_membership_csr()
-        t = np.asarray(K.sum(axis=1)).ravel()
-        K.data /= np.repeat(t, np.diff(K.indptr))
+        indptr, indices, data = pair_sums(ones, ones, "uniform kernel")
+        # Row i's counts total the sizes of i's hyperedges: integers, so exact.
+        total = np.bincount(node, weights=np.repeat(sizes, sizes), minlength=n)
+        data /= np.repeat(total, np.diff(indptr))
     elif kind == "hgnn":
-        h._product_guard("hgnn kernel")
-        H = h._incidence_csr()
-        dv = np.asarray(H.sum(axis=1)).ravel()
-        de = np.asarray(H.sum(axis=0)).ravel()
-        dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros_like(dv), where=dv > 0.0)
-        K = diags(dv_isqrt) @ H @ diags(1.0 / de) @ H.T @ diags(dv_isqrt)
+        dv = np.bincount(node, minlength=n).astype(np.float64)  # hyperedges per node
+        dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros(n), where=dv > 0.0)
+        left = dv_isqrt[node] * np.repeat(1.0 / sizes, sizes)
+        indptr, indices, data = pair_sums(left, ones, "hgnn kernel")
+        data *= dv_isqrt[indices]
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    idx = np.flatnonzero(np.diff(K.indptr) == 0)  # nodes in no hyperedge
-    K = K + csr_matrix((np.ones(idx.size), (idx, idx)), shape=K.shape)
+    isolated = np.flatnonzero(np.diff(indptr) == 0)  # nodes in no hyperedge
+    if isolated.size:
+        at = indptr[isolated]
+        indptr = indptr + np.searchsorted(isolated, np.arange(n + 1))
+        indices, data = np.insert(indices, at, isolated), np.insert(data, at, 1.0)
+    return indptr, indices, data
+
+
+def _sparse_kernel(h, kind):
+    """_kernel's K as a CSR matrix with sorted indices, so K @ x adds a row in column order."""
+    K = _csr_matrix(h.node_count, *_kernel(h, kind, h._pair_product))
     K.sort_indices()
     return K
 
 
 def _identity_minus_kernel(h, kind):
-    """I - K as one dense N x N array, for spectral_gap: the kernels of _sparse_kernel.
+    """I - K as one dense N x N array, for spectral_gap; loads no SciPy.
 
-    Bit-equal to identity - _sparse_kernel(h, kind) made dense: each entry
-    takes the sparse products' operations in their order. The shared-hyperedge
-    sum runs in hyperedge order (a bincount over member pairs); then "uniform"
-    divides each row by its total and "hgnn" scales each column. It is
-    0.0 - K, not -K, so an entry with no coupling is +0.0, not -0.0.
+    Bit-equal to identity - _sparse_kernel(h, kind) made dense. It is 0.0 - K,
+    not -K, so an entry with no coupling is +0.0, not -0.0.
     """
-    if kind not in ("uniform", "hgnn"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    h._product_guard(f"{kind} kernel")
-    n, ptr, node = h.node_count, h._edge_ptr, h._node
-    sizes = np.diff(ptr)
-    dv = np.bincount(node, minlength=n).astype(np.float64)  # hyperedges per node
-    if kind == "uniform":
-        a = np.ones(node.size)
-    else:
-        dv_isqrt = np.divide(1.0, np.sqrt(dv), out=np.zeros(n), where=dv > 0.0)
-        a = dv_isqrt[node] * np.repeat(1.0 / sizes, sizes)
-    # Membership k of hyperedge e pairs with every member of e: reps[k] = |e| pairs.
-    reps = np.repeat(sizes, sizes)
-    start = np.cumsum(reps) - reps
-    j = node[np.arange(reps.sum()) + np.repeat(np.repeat(ptr[:-1], sizes) - start, reps)]
-    K = np.bincount(np.repeat(node, reps) * n + j, weights=np.repeat(a, reps), minlength=n * n)
-    K = K.reshape(n, n)
-    if kind == "uniform":
-        t = K.sum(axis=1)[:, None]
-        np.divide(K, t, out=K, where=t > 0.0)
-    else:
-        K *= dv_isqrt
-    isolated = np.flatnonzero(dv == 0.0)
-    K[isolated, isolated] = 1.0
-    L = np.subtract(0.0, K, out=K)
-    L.flat[:: n + 1] += 1.0
-    return L
+    indptr, indices, data = _kernel(h, kind, h._pair_bincount)
+    n = h.node_count
+    L = np.zeros(n * n)
+    L[np.repeat(np.arange(0, n * n, n), np.diff(indptr)) + indices] = np.subtract(0.0, data)
+    L[:: n + 1] += 1.0  # the diagonal
+    return L.reshape(n, n)
 
 
 def _check_kernel(K):

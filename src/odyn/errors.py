@@ -28,7 +28,7 @@ class EmptyGraph(OdynError):
 
 
 class InvalidProbability(OdynError):
-    """A probability parameter fell outside [0, 1]."""
+    """An edge probability fell outside [0, 1]."""
 
 
 class NotStronglyConnected(OdynError):

@@ -141,10 +141,7 @@ class WeightedGraph:
 
     def _csr(self, data):
         """N x N CSR matrix on the arc pattern; data is aligned with the arcs."""
-        from scipy.sparse import csr_matrix  # about 0.2 s to import, only for an operator
-
-        n = self.node_count
-        return csr_matrix((data, self.dst, self._row_ptr), shape=(n, n))
+        return _csr_matrix(self.node_count, self._row_ptr, self.dst, data)
 
     def undirected_pairs(self):
         """Canonical (i, j, w) arrays with i <= j, each logical edge once."""
@@ -233,17 +230,6 @@ class Hypergraph:
             a.setflags(write=False)
         self._edge_ptr, self._node, self._weight = ptr, nodes, w
 
-    def _csc(self, data):
-        """N x E CSC matrix on the membership pattern; data is aligned with the memberships."""
-        from scipy.sparse import csc_matrix  # about 0.2 s to import, only for an operator
-
-        return csc_matrix((data, self._node, self._edge_ptr),
-                          shape=(self.node_count, self.edge_count))
-
-    def _incidence_csr(self):
-        """Sparse (CSR) 0/1 incidence H as floats, sorted like a dense conversion."""
-        return self._csc(np.ones(self._node.size)).tocsr()
-
     def _memberships(self):
         """(node, hyperedge, weight) columns, sorted by hyperedge, then node."""
         edges = np.repeat(np.arange(self.edge_count), np.diff(self._edge_ptr))
@@ -255,22 +241,41 @@ class Hypergraph:
         return type(self), (self.node_count, rows, self.edge_count)
 
     def members(self, e):
-        """Sorted node indices belonging to hyperedge e."""
+        """Sorted node indices belonging to hyperedge e, for 0 <= e < edge_count."""
+        if not 0 <= e < self.edge_count:
+            raise IndexError(f"hyperedge {e} outside [0, {self.edge_count})")
         return self._node[self._edge_ptr[e] : self._edge_ptr[e + 1]]
 
-    def _co_membership_csr(self):
-        """Shared-hyperedge counts C = H H^T in canonical CSR form.
+    def _pair_product(self, left, right, what):
+        """Pair sums S as CSR arrays (indptr, indices, data), by SciPy's sparse product.
 
-        H @ H.T leaves rows unsorted. make_hypergraph_odnet_rhs aligns the
-        counts with the clique arcs by an elementwise product with the arcs'
-        CSR matrix, whose data come out in arc order only when both operands
-        are canonical.
+        S_ij sums left[i's membership] * right[j's membership] (both aligned with
+        _node) over the hyperedges i and j share, in hyperedge order. No pair is
+        stored twice, no zero sum is stored, and a row's columns come in any order.
         """
-        self._product_guard("co-membership counts")
-        H = self._incidence_csr()
-        C = H @ H.T
-        C.sum_duplicates()
-        return C
+        from scipy.sparse import csc_matrix  # about 0.2 s to import, only for an operator
+
+        self._product_guard(what)
+        shape = (self.node_count, self.edge_count)
+        L = csc_matrix((left, self._node, self._edge_ptr), shape=shape).tocsr()
+        S = L @ csc_matrix((right, self._node, self._edge_ptr), shape=shape).T
+        return S.indptr, S.indices, S.data
+
+    def _pair_bincount(self, left, right, what):
+        """_pair_product's arrays, bit for bit up to column order, with no SciPy: one
+        bincount over member pairs into N^2 sums, so for small dense paths only."""
+        self._product_guard(what)
+        n, ptr, node, sizes = self.node_count, self._edge_ptr, self._node, np.diff(self._edge_ptr)
+        # Membership k of hyperedge e pairs with every member of e: reps[k] = |e| pairs.
+        reps = np.repeat(sizes, sizes)
+        start = np.cumsum(reps) - reps
+        k = np.arange(reps.sum()) + np.repeat(np.repeat(ptr[:-1], sizes) - start, reps)
+        with np.errstate(over="ignore"):  # an overflow is inf, silently, as in the product
+            weight = np.repeat(left, reps) * right[k]
+        S = np.bincount(np.repeat(node, reps) * n + node[k], weights=weight, minlength=n * n)
+        key = np.flatnonzero(S != 0)  # faster than on the floats themselves
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)  # row i holds keys i * n + j
+        return indptr, key - np.repeat(np.arange(0, n * n, n), np.diff(indptr)), S[key]
 
     def clique_expansion(self):
         """Undirected graph over co-membered pairs.
@@ -280,9 +285,9 @@ class Hypergraph:
         """
         from scipy.sparse import triu
 
-        self._product_guard("clique expansion")
-        M = self._csc(self._weight)
-        W = triu(M.tocsr() @ M.T, k=1).tocoo()
+        w = self._weight  # the product is a temporary, freed before the graph is built
+        W = triu(_csr_matrix(self.node_count, *self._pair_product(w, w, "clique expansion")),
+                 k=1).tocoo()
         return WeightedGraph.from_arrays(self.node_count, W.row, W.col, W.data)
 
     def _product_guard(self, what):
@@ -297,6 +302,13 @@ def _pair_guard(pairs, what):
     """Raise TooLarge before `what` holds more than _PAIR_LIMIT node pairs."""
     if pairs > _PAIR_LIMIT:
         raise TooLarge(f"{what} refused for {pairs} node pairs (limit {_PAIR_LIMIT})")
+
+
+def _csr_matrix(n, indptr, indices, data):
+    """N x N CSR matrix on CSR arrays (indptr, indices, data)."""
+    from scipy.sparse import csr_matrix  # about 0.2 s to import, only for an operator
+
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _radius_pairs(x, radius, strict):

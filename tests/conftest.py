@@ -116,7 +116,8 @@ def incidence(h):
 def co_membership(h):
     """Dense count matrix C with C[i, j] = number of shared hyperedges."""
     dense_view_guard(h.node_count, "dense co-membership")
-    return h._co_membership_csr().toarray()
+    H = incidence(h).astype(np.float64)
+    return H @ H.T
 
 
 def diffusion_kernel(h, kind="uniform"):

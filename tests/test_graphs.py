@@ -38,7 +38,7 @@ from odyn import (
     split_masks,
     validate_row_stochastic,
 )
-from odyn.dynamics import _sparse_kernel
+from odyn.dynamics import _identity_minus_kernel, _sparse_kernel
 
 from conftest import (co_membership, degree, dense_weights, incidence, make_ring,
                       membership_weight, neighbors, out_slice, random_digraph,
@@ -353,13 +353,13 @@ def test_hypergraph_incidence_and_comembership():
     assert np.array_equal(c, expected)
 
 
-def test_co_membership_csr_is_canonical():
-    # H @ H.T leaves rows unsorted, and a lookup C[src, dst] on an unsorted
-    # row scans the whole row: O(k^3) for one hyperedge of k members.
-    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
-    C = h._co_membership_csr()
-    assert C.has_canonical_format
-    assert all((np.diff(C.indices[lo:hi]) > 0).all() for lo, hi in zip(C.indptr, C.indptr[1:]))
+@pytest.mark.parametrize("kind", ["uniform", "hgnn"])
+def test_sparse_kernel_is_canonical(kind):
+    # A product leaves rows unsorted; K @ x must add each row's terms in column order.
+    h = Hypergraph(5, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (2, 1, 1.0), (3, 1, 1.0)])
+    K = _sparse_kernel(h, kind)
+    assert K.has_canonical_format
+    assert all((np.diff(K.indices[lo:hi]) > 0).all() for lo, hi in zip(K.indptr, K.indptr[1:]))
 
 
 def test_hypergraph_rejects_empty_hyperedge():
@@ -456,6 +456,58 @@ def test_clique_expansion_weights():
     assert w[(0, 1)] == 6.0  # 2 * 3 inside hyperedge 0
     assert w[(1, 2)] == 1.0
     assert (0, 2) not in w
+
+
+def test_members_refuses_a_hyperedge_index_out_of_range():
+    h = Hypergraph(3, [(0, 0, 1.0), (2, 0, 1.0), (1, 1, 1.0)])
+    assert h.members(0).tolist() == [0, 2] and h.members(1).tolist() == [1]
+    for e in (-1, 2):
+        with pytest.raises(IndexError, match=rf"hyperedge {e} outside \[0, 2\)"):
+            h.members(e)
+
+
+@st.composite
+def weighted_hypergraphs(draw):
+    """Small hypergraphs with some nodes in no hyperedge, and weights whose pair
+    products underflow to zero (1e-170) or overflow (1e155)."""
+    used, spare = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    groups = draw(st.lists(st.sets(st.integers(0, used - 1), min_size=1), min_size=1, max_size=6))
+    weight = st.sampled_from([1.0, 0.5, 3.0, 1e-170, 1e150, 1e155])
+    return Hypergraph(used + spare, [(v, e, draw(weight))
+                                     for e, members in enumerate(groups) for v in sorted(members)])
+
+
+def rows_sorted(indptr, indices, data):
+    """CSR arrays with each row's columns sorted, as int64 arrays (data as its bits)."""
+    row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    order = np.lexsort((indices, row))
+    return indptr.astype(np.int64), indices[order].astype(np.int64), data[order].view(np.int64)
+
+
+@given(weighted_hypergraphs(), st.sampled_from(["w*w", "a*1", "1*1"]))
+@settings(max_examples=300, deadline=None)
+def test_pair_engines_agree_bit_for_bit(h, weighting):
+    ones = np.ones(h._node.size)
+    sizes = np.diff(h._edge_ptr)
+    left, right = {"w*w": (h._weight, h._weight), "1*1": (ones, ones),
+                   "a*1": (h._weight * np.repeat(1.0 / sizes, sizes), ones)}[weighting]
+    product = rows_sorted(*h._pair_product(left, right, "pair sums"))
+    bincount = rows_sorted(*h._pair_bincount(left, right, "pair sums"))
+    for got, want in zip(bincount, product):
+        assert np.array_equal(got, want)
+    indptr, indices, data = product
+    row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    assert np.all(data != 0)  # data holds the bits: no +0.0 sum is stored
+    assert np.all((np.diff(row) > 0) | (np.diff(indices) > 0))  # no pair is stored twice
+
+
+def test_pair_engines_drop_zero_sums_and_keep_overflow():
+    # Node 1's weight squared underflows to 0.0, node 2's overflows; node 3 is in no hyperedge.
+    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1e-170), (2, 1, 1e155)])
+    for engine in (h._pair_product, h._pair_bincount):
+        indptr, indices, data = rows_sorted(*engine(h._weight, h._weight, "pair sums"))
+        assert indptr.tolist() == [0, 2, 3, 4, 4] and indices.tolist() == [0, 1, 0, 2]
+        assert data.view(np.float64).tolist() == [1.0, 1e-170, 1e-170, math.inf]
 
 
 def test_hypergraph_above_dense_limit_is_sparse():
@@ -1006,9 +1058,12 @@ def test_split_masks_takes_the_ends_of_the_unit_interval():
 # Every product of a hypergraph's memberships with their transpose.
 HYPERGRAPH_PRODUCTS = {
     "clique_expansion": lambda h: h.clique_expansion(),
-    "co_membership": lambda h: h._co_membership_csr(),
+    "co_membership": lambda h: h._pair_product(np.ones(h._node.size), np.ones(h._node.size),
+                                               "co-membership counts"),
     "uniform_kernel": lambda h: _sparse_kernel(h, "uniform"),
     "hgnn_kernel": lambda h: _sparse_kernel(h, "hgnn"),
+    "uniform_identity_minus_kernel": lambda h: _identity_minus_kernel(h, "uniform"),
+    "hgnn_identity_minus_kernel": lambda h: _identity_minus_kernel(h, "hgnn"),
     "hypergraph_odnet_rhs": lambda h: make_hypergraph_odnet_rhs(h, InfluenceConfig(0.0, 1.0)),
 }
 

@@ -2075,6 +2075,7 @@ import sys
 import numpy as np
 import odyn
 from odyn.cli import main
+from odyn.diagnostics import SPECTRAL_DENSE_LIMIT
 
 os.chdir(sys.argv[1])
 g, labels = odyn.generate_sbm([20, 20], 0.3, 0.05, seed=1)
@@ -2089,10 +2090,13 @@ odyn.consensus_predict(ring, x)
 odyn.dirichlet_energy_graph(ring, x)
 v = np.random.default_rng(2).random(40)
 assert odyn.cluster_count(odyn.hk_step(v, 0.2), 1e-3) >= 1
-h = odyn.Hypergraph(6, [((e + k) % 6, e, 1.0) for e in range(6) for k in range(3)])
-odyn.dirichlet_energy_hypergraph(h, np.random.default_rng(3).random((6, 2)))
+# Node 6 is in no hyperedge, nor is the last node of the ring at the dense limit.
+h = odyn.Hypergraph(7, [((e + k) % 6, e, 1.0) for e in range(6) for k in range(3)])
+odyn.dirichlet_energy_hypergraph(h, np.random.default_rng(3).random((7, 2)))
+n = SPECTRAL_DENSE_LIMIT
+big = odyn.Hypergraph(n, [((e + k) % (n - 1), e, 1.0) for e in range(n - 1) for k in range(3)])
 for kernel in ("uniform", "hgnn"):
-    assert odyn.spectral_gap(h, kernel) > 0.0
+    assert odyn.spectral_gap(h, kernel) > 0.0 and odyn.spectral_gap(big, kernel) > 0.0
 odyn.write_graph_csv("g.csv", g)
 odyn.read_graph_csv("g.csv")
 odyn.write_hypergraph_csv("h.csv", h)
