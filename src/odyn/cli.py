@@ -125,9 +125,9 @@ def _sweep_part(value, key):
 _SHARED = {**config_keys(InfluenceConfig), **config_keys(IntegratorConfig),
            "directed": boolean}
 _RUN = {**_SHARED, **config_keys(DynamicSpec), **config_keys(SimilaritySpec),
-        "node_count": integer, "init": _init, "dim": integer, "state_csv": string,
-        "steps": lambda value, key: integer(value, key, minimum=0)}
-KEYS = {"simulate": _RUN, "energy": {**_RUN, "runs": _arms, "name": string},
+        "init": _init, "dim": integer, "state_csv": string}  # a run's keys on a structure
+_SIMULATE = {**_RUN, "node_count": integer}
+KEYS = {"simulate": _SIMULATE, "energy": {**_RUN, "runs": _arms, "name": string},
         "simplify": {**_SHARED, **config_keys(SimplifyConfig)},
         "classify": {**_SHARED, "train_frac": number, "val_frac": number},
         "homophily": {"directed": boolean}, "sweep": {"base": _sweep_part, "sweep": _sweep_part}}
@@ -179,8 +179,8 @@ def _arm_names(cfg):
 
 
 def _closest(key, known):
-    """'; did you mean ...?' naming the known key closest to `key`, or ''."""
-    close = difflib.get_close_matches(key, known, n=1)
+    """'; did you mean ...?' naming the key in known closest to `key`, or ''; t_end for steps."""
+    close = ["t_end"] if key == "steps" else difflib.get_close_matches(key, known, n=1)
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
@@ -218,17 +218,19 @@ def _publish(out, files):
         writer(path, *payload)
 
 
-def _prepare(cfg, graph, hypergraph, seed, own=None):
+def _prepare(cfg, graph, hypergraph, seed):
     """A run's spec, given its structure and checked; its x0; and its steps or IntegratorConfig.
 
-    An all-to-all kind keeps the first structure given, if any, for its size.
-    `own` is the keys the run set itself, if not all of cfg (an energy arm)."""
+    An all-to-all kind keeps the first structure given, if any, for its size; only
+    without one does it read node_count. A discrete kind's t_end is its step count."""
     spec = DynamicSpec.from_json(cfg)
     runs_on = spec._runs_on or (WeightedGraph, Hypergraph)
     spec.structure = next((s for s in (graph, hypergraph) if isinstance(s, runs_on)), None)
     spec._check()
     if spec.structure is not None:
         node_count = spec.structure.node_count
+        if "node_count" in cfg:
+            raise ValueError("config key node_count is refused beside a structure, which fixes it")
     elif "node_count" in cfg:
         node_count = integer(cfg["node_count"], "node_count")
     else:
@@ -242,11 +244,7 @@ def _prepare(cfg, graph, hypergraph, seed, own=None):
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
     if not spec.is_discrete:
         return spec, x, IntegratorConfig.from_json(cfg)
-    own = cfg if own is None else own
-    steps = integer(cfg.get("steps", 50), "steps", minimum=0)
-    # A discrete t_end counts steps; it beats steps, unless only the steps are the run's own.
-    if "t_end" in own or ("t_end" in cfg and "steps" not in own):
-        steps = integer(cfg["t_end"], "t_end", minimum=0)
+    steps = integer(cfg.get("t_end", 50), "t_end", minimum=0)
     # A bad integrator key is refused in any run; here t_end counts steps and max_steps caps them.
     budget = IntegratorConfig.from_json({k: v for k, v in cfg.items() if k != "t_end"}).max_steps
     if steps > budget:
@@ -294,8 +292,8 @@ def cmd_energy(args, cfg, graph, hypergraph):
         raise ValueError("energy needs --graph or --hypergraph")
     arms = []
     for name, run_cfg in zip(_arm_names(cfg), cfg.get("runs", [{}])):
-        merged = {k: v for k, v in {**cfg, **run_cfg}.items() if k != "runs"}
-        arms.append((name, *_prepare(merged, graph, hypergraph, args.seed, own=run_cfg)))
+        merged = {k: v for k, v in {**cfg, **run_cfg}.items() if k in _RUN}
+        arms.append((name, *_prepare(merged, graph, hypergraph, args.seed)))
     files, summary, outputs = {}, {}, []
     # One arm is built and run at a time, after every arm's input checks.
     for name, spec, x0, length in arms:
@@ -398,14 +396,14 @@ def cmd_sweep(args):
     cfg = _check_config(_load_config(args.config), "sweep")
     base, sweep = cfg.get("base", {}), _sweep_part(cfg.get("sweep"), "sweep")
     param, values = string(sweep.get("param"), "param"), sweep["values"]
-    if param in _KNOWN and param not in _RUN:  # simulate's keys; every run would be the same
+    if param in _KNOWN and param not in _SIMULATE:  # every run would be the same
         readers = ", ".join(command for command, keys in KEYS.items() if param in keys)
         raise ValueError(f"sweep param {param!r} is read by {readers}, not simulate"
-                         f"{_closest(param, _RUN)}")
+                         f"{_closest(param, _SIMULATE)}")
     _check_config({**base, param: values[0]}, "simulate")  # its warnings once
     structures, runs = {}, []  # by `directed`, which the graph is read with; one hypergraph
     for value in values:
-        _RUN[param](value, param)
+        _SIMULATE[param](value, param)
         run = {**base, param: value}
         if (directed := run.get("directed", False)) not in structures:
             structures[directed] = (_read_graph(args, run),

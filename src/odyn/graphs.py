@@ -173,9 +173,10 @@ class WeightedGraph:
 class Hypergraph:
     """Hypergraph stored as node-hyperedge memberships with weights.
 
-    The one stored form is the N x E membership-weight matrix in CSC order,
-    as three read-only arrays: _edge_ptr (E + 1 pointers), and _node and
-    _weight, which list the members by hyperedge, then node.
+    Its hyperedges are 0 ... E - 1, E one more than the largest index given, and
+    none is empty. It is stored as the N x E membership-weight matrix in CSC order,
+    as three read-only arrays: _edge_ptr (E + 1 pointers), and _node and _weight,
+    which list the members by hyperedge, then node.
 
     Pair weights inside a hyperedge default to the product of the two
     membership weights, so they are nonzero exactly where both nodes
@@ -184,21 +185,19 @@ class Hypergraph:
 
     __slots__ = ("node_count", "edge_count", "_edge_ptr", "_node", "_weight")
 
-    def __init__(self, node_count, memberships, edge_count=None):
+    def __init__(self, node_count, memberships):
         node_count = int(node_count)
         if node_count < 1:
             raise EmptyGraph("hypergraph needs at least one node")
         nodes, edges, w = _triples(memberships)
-        if edge_count is None:
-            edge_count = 1 + (int(edges.max()) if edges.size else -1)
-        edge_count = int(edge_count)
+        edge_count = 1 + (int(edges.max()) if edges.size else -1)
         if edge_count < 1:
             raise EmptyGraph("hypergraph needs at least one hyperedge")
         if node_count * edge_count >= 1 << 63:
             raise TooLarge(f"hypergraph of {node_count} nodes and {edge_count} hyperedges refused: "
                            "its membership keys edge * n + node overflow int64")
         bad_node = (nodes < 0) | (nodes >= node_count)
-        bad_edge = (edges < 0) | (edges >= edge_count)
+        bad_edge = edges < 0
         bad_weight = ~(np.isfinite(w) & (w > 0.0))
         # Sorted by hyperedge, then node, on one int64 key per membership; an
         # out-of-range one keys -1, so it meets no valid one. The sort is
@@ -238,10 +237,12 @@ class Hypergraph:
     def __reduce__(self):
         """Pickled and copied as its memberships, which the constructor checks and rebuilds."""
         rows = np.rec.fromarrays(self._memberships(), names="node,hyperedge,weight")
-        return type(self), (self.node_count, rows, self.edge_count)
+        return type(self), (self.node_count, rows)
 
     def members(self, e):
         """Sorted node indices belonging to hyperedge e, for 0 <= e < edge_count."""
+        if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
+            raise TypeError(f"hyperedge index e must be an integer, got {e!r}")
         if not 0 <= e < self.edge_count:
             raise IndexError(f"hyperedge {e} outside [0, {self.edge_count})")
         return self._node[self._edge_ptr[e] : self._edge_ptr[e + 1]]

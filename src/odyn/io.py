@@ -180,12 +180,12 @@ def write_graph_csv(path, g):
     _write_csv(path, GRAPH_HEADER, *g.undirected_pairs())
 
 
-def read_hypergraph_csv(path, node_count=None, edge_count=None):
+def read_hypergraph_csv(path, node_count=None):
     """Load memberships (header node,hyperedge,weight) into a Hypergraph."""
     cols = _read_columns(path, HYPERGRAPH_HEADER, _HYPERGRAPH_DTYPE)
     if node_count is None:
         node_count = 1 + (int(cols["node"].max()) if cols.size else 0)
-    return Hypergraph(node_count, cols, edge_count=edge_count)
+    return Hypergraph(node_count, cols)
 
 
 def write_hypergraph_csv(path, h):
@@ -194,19 +194,19 @@ def write_hypergraph_csv(path, h):
 
 
 def read_labels_csv(path, node_count=None, class_count=None):
-    """Load node labels (header node,label); missing nodes default to 0."""
+    """Load node labels (header node,label): one row for each node, no more and no fewer."""
     cols = _read_columns(path, LABELS_HEADER, _LABELS_DTYPE)
     nodes, labs = cols["node"], cols["label"]
     if node_count is None:
         node_count = 1 + (int(nodes.max()) if nodes.size else 0)
-    labels = np.zeros(node_count, dtype=np.int64)
     bad = np.flatnonzero((nodes < 0) | (nodes >= node_count))
     if bad.size:
         raise CsvFormatError(f"{path}: node index {nodes[bad[0]]} out of range")
-    # A node listed twice keeps its last label.
-    _, first_from_end = np.unique(nodes[::-1], return_index=True)
-    last = nodes.size - 1 - first_from_end
-    labels[nodes[last]] = labs[last]
+    rows = np.bincount(nodes, minlength=node_count)
+    if (wrong := np.flatnonzero(rows != 1)).size:
+        raise CsvFormatError(f"{path}: node {wrong[0]} has {rows[wrong[0]]} label rows; "
+                             "a label file has one row for each node")
+    labels = labs[np.argsort(nodes)]  # each node once, so in node order
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 1
     return NodeLabels(labels, class_count)

@@ -156,7 +156,7 @@ def circulant_hypergraph(seed):
                        size=int(rng.integers(0, 3)), replace=False)
     offsets = np.unique(np.concatenate([[0, 1], extra]))
     memberships = [((e + o) % n, e, 1.0) for e in range(n) for o in offsets]
-    return Hypergraph(n, memberships, edge_count=n)
+    return Hypergraph(n, memberships)
 
 
 def test_criterion_5_hypergraph_decay_rate():

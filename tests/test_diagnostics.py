@@ -111,7 +111,7 @@ def test_hypergraph_energy_matches_double_sum_oracle():
     for e in range(4):
         nodes = rng.choice(7, size=int(rng.integers(1, 5)), replace=False)
         memberships.extend((int(v), e, 1.0) for v in nodes)
-    h = Hypergraph(7, memberships, edge_count=4)
+    h = Hypergraph(7, memberships)
     x = rng.standard_normal((7, 2))
     expected = 0.0
     for e in range(4):
@@ -129,7 +129,7 @@ def test_hypergraph_energy_nonnegative_at_consensus():
     rng = np.random.default_rng(5)
     memberships = [(int(v), e, 1.0) for e in range(30)
                    for v in rng.choice(40, size=int(rng.integers(2, 12)), replace=False)]
-    h = Hypergraph(40, memberships, edge_count=30)
+    h = Hypergraph(40, memberships)
     for row in ([0.1], [0.3, -0.7, 1.9], [1e3, 1e-3]):
         assert dirichlet_energy_hypergraph(h, np.tile(row, (40, 1))) >= 0.0
 

@@ -616,7 +616,7 @@ def test_constant_state_is_diffusion_equilibrium():
 
 
 def test_uncovered_node_keeps_identity_row():
-    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)], edge_count=1)
+    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
     k = diffusion_kernel(h, "uniform")
     assert k[3].tolist() == [0.0, 0.0, 0.0, 1.0]
     x = np.array([1.0, 2.0, 3.0, 9.0])
@@ -634,7 +634,7 @@ def test_uniform_kernel_rows_always_sum_to_one(seed):
         size = int(rng.integers(1, min(n, 4) + 1))
         for node in rng.choice(n, size=size, replace=False):
             memberships.append((int(node), edge, float(rng.uniform(0.5, 2.0))))
-    h = Hypergraph(n, memberships, edge_count=e)
+    h = Hypergraph(n, memberships)
     k = diffusion_kernel(h, "uniform")
     assert np.allclose(k.sum(axis=1), 1.0, atol=1e-12)
     assert (k >= 0.0).all()

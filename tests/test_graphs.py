@@ -204,7 +204,7 @@ def test_index_beyond_64_bits_is_out_of_range():
             lambda i: WeightedGraph(3, [(i, 0, 1.0)]),
             lambda i: WeightedGraph.from_arrays(3, [i], [0], [1.0]),
             lambda i: Hypergraph(3, [(0, i, 1.0)]),
-            lambda i: Hypergraph(3, [(0, i, 1.0)], edge_count=1),
+            lambda i: Hypergraph(3, [(0, 0, 1.0), (1, i, 1.0)]),
             lambda i: Hypergraph(3, [(i, 0, 1.0)]),
         ]
         for call in calls:
@@ -224,7 +224,7 @@ def test_infinite_index_is_out_of_range(inf):
         lambda i: WeightedGraph(3, [(0, i, 1.0)]),
         lambda i: WeightedGraph.from_arrays(3, [i], [0], [1.0]),
         lambda i: Hypergraph(3, [(0, i, 1.0)]),
-        lambda i: Hypergraph(3, [(0, i, 1.0)], edge_count=1),
+        lambda i: Hypergraph(3, [(0, 0, 1.0), (1, i, 1.0)]),
         lambda i: Hypergraph(3, [(i, 0, 1.0)]),
     ]
     for call in calls:
@@ -363,15 +363,15 @@ def test_sparse_kernel_is_canonical(kind):
 
 
 def test_hypergraph_rejects_empty_hyperedge():
-    with pytest.raises(ValueError):
-        Hypergraph(3, [(0, 0, 1.0)], edge_count=2)
+    # The hyperedges are 0 ... E - 1, so a gap in the ids is an empty hyperedge.
+    with pytest.raises(ValueError, match="^hyperedge 1 contains no node$"):
+        Hypergraph(3, [(0, 0, 1.0), (1, 2, 1.0)])
 
 
-def hypergraph_oracle(node_count, memberships, edge_count=None):
+def hypergraph_oracle(node_count, memberships):
     """The per-membership validation loop: (incidence, weights) or the error."""
     rows = [(int(n), int(e), float(w)) for n, e, w in memberships]
-    if edge_count is None:
-        edge_count = 1 + max((e for _, e, _ in rows), default=-1)
+    edge_count = 1 + max((e for _, e, _ in rows), default=-1)
     if edge_count < 1:
         raise EmptyGraph("hypergraph needs at least one hyperedge")
     H = np.zeros((node_count, edge_count), dtype=bool)
@@ -403,20 +403,20 @@ MEMBERSHIPS = st.lists(
 )
 
 
-@given(MEMBERSHIPS, st.one_of(st.none(), st.integers(1, 3)))
+@given(MEMBERSHIPS)
 @settings(max_examples=300, deadline=None)
-def test_hypergraph_validation_matches_loop_oracle(memberships, edge_count):
+def test_hypergraph_validation_matches_loop_oracle(memberships):
     # Same error type and message for the first offending membership, or the
     # same arrays.
     try:
-        H, M = hypergraph_oracle(4, memberships, edge_count)
+        H, M = hypergraph_oracle(4, memberships)
     except (ValueError, EmptyGraph) as exc:
         with pytest.raises(type(exc)) as got:
-            Hypergraph(4, memberships, edge_count=edge_count)
+            Hypergraph(4, memberships)
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    h = Hypergraph(4, memberships, edge_count=edge_count)
+    h = Hypergraph(4, memberships)
     assert np.array_equal(incidence(h), H)
     assert np.array_equal(membership_weight(h), M)
 
@@ -424,29 +424,28 @@ def test_hypergraph_validation_matches_loop_oracle(memberships, edge_count):
 MEMBERSHIP_DTYPE = np.dtype([("node", np.int64), ("hyperedge", np.int64), ("weight", np.float64)])
 
 
-@given(MEMBERSHIPS.map(lambda rows: [r for r in rows if -1 <= r[0] <= 4]),
-       st.one_of(st.none(), st.integers(1, 3)))
+@given(MEMBERSHIPS.map(lambda rows: [r for r in rows if -1 <= r[0] <= 4]))
 @settings(max_examples=200, deadline=None)
-def test_hypergraph_from_structured_array_matches_loop_oracle(memberships, edge_count):
+def test_hypergraph_from_structured_array_matches_loop_oracle(memberships):
     a = np.array(memberships, dtype=MEMBERSHIP_DTYPE)
     try:
-        H, M = hypergraph_oracle(4, a.tolist(), edge_count)
+        H, M = hypergraph_oracle(4, a.tolist())
     except (ValueError, EmptyGraph) as exc:
         with pytest.raises(type(exc)) as got:
-            Hypergraph(4, a, edge_count=edge_count)
+            Hypergraph(4, a)
         assert str(got.value) == str(exc)
         return
-    h = Hypergraph(4, a, edge_count=edge_count)
+    h = Hypergraph(4, a)
     assert np.array_equal(incidence(h), H)
     assert np.array_equal(membership_weight(h), M)
 
 
 def test_hypergraph_refuses_membership_keys_past_int64():
     # One int64 key edge * n + node per membership sorts them: n * E < 2^63.
-    h = Hypergraph(1 << 62, [(5, 0, 2.0), (0, 0, 1.0)], edge_count=1)
+    h = Hypergraph(1 << 62, [(5, 0, 2.0), (0, 0, 1.0)])
     assert h.members(0).tolist() == [0, 5]
     with pytest.raises(TooLarge, match="4611686018427387904 nodes and 2 hyperedges refused"):
-        Hypergraph(1 << 62, [(0, 0, 1.0)], edge_count=2)
+        Hypergraph(1 << 62, [(0, 0, 1.0), (0, 1, 1.0)])
 
 
 def test_clique_expansion_weights():
@@ -464,6 +463,15 @@ def test_members_refuses_a_hyperedge_index_out_of_range():
     for e in (-1, 2):
         with pytest.raises(IndexError, match=rf"hyperedge {e} outside \[0, 2\)"):
             h.members(e)
+
+
+def test_members_refuses_an_index_that_is_not_an_integer():
+    h = Hypergraph(3, [(0, 0, 1.0), (2, 0, 1.0), (1, 1, 1.0)])
+    assert h.members(np.int64(1)).tolist() == h.members(np.uint8(1)).tolist() == [1]
+    for e in (1.0, 0.5, True, np.float64(1.0), np.bool_(False), "1"):
+        with pytest.raises(TypeError) as got:
+            h.members(e)
+        assert str(got.value) == f"hyperedge index e must be an integer, got {e!r}"
 
 
 @st.composite
@@ -551,8 +559,7 @@ def test_a_copied_graph_is_rebuilt_equal_and_read_only(copy_of, directed):
 @pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
 def test_a_copied_hypergraph_is_rebuilt_equal_and_read_only(copy_of):
     # Hyperedge 2 has no member below node 3, and node 1 is in none.
-    h = Hypergraph(5, [(4, 2, 0.5), (0, 0, 2.0), (2, 1, 1.5), (3, 0, 1e-300), (3, 2, 1.0)],
-                   edge_count=3)
+    h = Hypergraph(5, [(4, 2, 0.5), (0, 0, 2.0), (2, 1, 1.5), (3, 0, 1e-300), (3, 2, 1.0)])
     c = copy_of(h)
     assert (c.node_count, c.edge_count) == (5, 3)
     for mine, theirs in zip(c._memberships(), h._memberships()):

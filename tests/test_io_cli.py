@@ -129,8 +129,7 @@ def test_oversize_csv_field_is_a_located_format_error(tmp_path, capsys):
 
 
 def test_hypergraph_csv_round_trip(tmp_path):
-    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 0.5), (1, 1, 1.0), (3, 1, 2.0)],
-                   edge_count=2)
+    h = Hypergraph(4, [(0, 0, 1.0), (1, 0, 0.5), (1, 1, 1.0), (3, 1, 2.0)])
     path = tmp_path / "h.csv"
     write_hypergraph_csv(path, h)
     back = read_hypergraph_csv(path)
@@ -140,7 +139,7 @@ def test_hypergraph_csv_round_trip(tmp_path):
 
 
 def test_hypergraph_csv_rows_sorted_by_edge_then_node(tmp_path):
-    h = Hypergraph(3, [(2, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)], edge_count=2)
+    h = Hypergraph(3, [(2, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
     path = tmp_path / "h.csv"
     write_hypergraph_csv(path, h)
     lines = path.read_text().splitlines()
@@ -149,13 +148,18 @@ def test_hypergraph_csv_rows_sorted_by_edge_then_node(tmp_path):
     assert cols == [(1, 0), (0, 1), (2, 1)]
 
 
-def test_labels_csv_round_trip_with_default_zero(tmp_path):
+def test_labels_csv_needs_one_row_for_each_node(tmp_path):
     labels = NodeLabels(np.array([2, 0, 1]), 3)
     path = tmp_path / "y.csv"
     write_labels_csv(path, labels)
-    back = read_labels_csv(path, node_count=5)
-    assert back.labels.tolist() == [2, 0, 1, 0, 0]
+    back = read_labels_csv(path, node_count=3)
+    assert back.labels.tolist() == [2, 0, 1]
     assert back.class_count == 3
+    with pytest.raises(CsvFormatError, match="node 3 has 0 label rows"):
+        read_labels_csv(path, node_count=5)  # nodes 3 and 4 have no row
+    repeated = write_text(tmp_path / "r.csv", "node,label\n1,0\n0,1\n1,1\n")
+    with pytest.raises(CsvFormatError, match="node 1 has 2 label rows"):
+        read_labels_csv(repeated)
 
 
 def test_labels_csv_header_checked(tmp_path):
@@ -337,28 +341,35 @@ def test_deprecated_int_parse_goes_to_row_parser(tmp_path, monkeypatch):
 
 
 def labels_oracle(path, node_count=None):
-    """The row-loop label reader: last label of a node wins."""
+    """The row-loop label reader: each node in range, then one row for each node."""
     rows = odyn_io._read_rows(path, odyn_io.LABELS_HEADER, (odyn_io._int64, odyn_io._int64))
     if node_count is None:
         node_count = 1 + max((n for n, _ in rows), default=0)
-    labels = np.zeros(node_count, dtype=np.int64)
-    for n, lab in rows:
+    for n, _ in rows:
         if not (0 <= n < node_count):
             raise CsvFormatError(f"{path}: node index {n} out of range")
-        labels[n] = lab
-    return labels
+    labels = []
+    for node in range(node_count):
+        own = [lab for n, lab in rows if n == node]
+        if len(own) != 1:
+            raise CsvFormatError(f"{path}: node {node} has {len(own)} label rows; "
+                                 "a label file has one row for each node")
+        labels.append(own[0])
+    return np.array(labels)
 
 
 @given(st.lists(st.tuples(st.integers(-1, 6), st.integers(0, 3)), max_size=12),
        st.one_of(st.none(), st.integers(1, 7)))
 @example([(2, 1), (2, 0), (0, 3), (2, 2)], None)
+@example([(2, 1), (0, 3), (1, 0)], None)
+@example([(1, 2), (0, 0), (2, 1)], 3)
 @settings(max_examples=80, deadline=None, suppress_health_check=FRESH_FILE_PER_EXAMPLE)
 def test_labels_reader_matches_row_loop(tmp_path, rows, node_count):
     path = write_text(tmp_path / "y.csv", "node,label\n" + "".join(f"{n},{y}\n" for n, y in rows))
     try:
         expected = labels_oracle(path, node_count)
     except CsvFormatError as exc:
-        with pytest.raises(CsvFormatError, match="out of range") as got:
+        with pytest.raises(CsvFormatError) as got:
             read_labels_csv(path, node_count=node_count)
         assert str(got.value) == str(exc)
         return
@@ -581,7 +592,7 @@ def test_graph_writer_matches_whole_file_oracle(tmp_path, block, n, directed, da
 def test_hypergraph_writer_matches_whole_file_oracle(tmp_path, block, n, edges, data):
     members = st.sets(st.integers(0, n - 1), min_size=1)
     rows = [(v, e, data.draw(POSITIVE_WEIGHTS)) for e in range(edges) for v in data.draw(members)]
-    h = Hypergraph(n, rows, edge_count=edges)
+    h = Hypergraph(n, rows)
     assert same_bytes(tmp_path, block, write_hypergraph_csv, hypergraph_csv_oracle, h)
 
 
@@ -641,9 +652,9 @@ def test_graph_csv_round_trip_is_bit_exact(tmp_path, n, directed, data):
 def test_hypergraph_csv_round_trip_is_bit_exact(tmp_path, n, edges, data):
     members = st.sets(st.integers(0, n - 1), min_size=1)
     rows = [(v, e, data.draw(POSITIVE_WEIGHTS)) for e in range(edges) for v in data.draw(members)]
-    h = Hypergraph(n, rows, edge_count=edges)
+    h = Hypergraph(n, rows)
     write_hypergraph_csv(tmp_path / "h.csv", h)
-    back = read_hypergraph_csv(tmp_path / "h.csv", node_count=n, edge_count=edges)
+    back = read_hypergraph_csv(tmp_path / "h.csv", node_count=n)
     for mine, theirs in zip(back._memberships(), h._memberships()):
         assert np.array_equal(mine, theirs)
 
@@ -739,7 +750,7 @@ def test_version_flag(capsys):
 def test_simulate_hk_needs_no_graph(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "hk", "hk_radius": 0.3, "node_count": 12,
-                        "init": "uniform", "steps": 8})
+                        "init": "uniform", "t_end": 8})
     out = tmp_path / "run"
     assert run_cli("simulate", "--config", cfg, "--seed", 3, "--out", out) == 0
     assert capsys.readouterr().out.strip() == str(out)
@@ -756,7 +767,7 @@ def test_simulate_hk_needs_no_graph(tmp_path, capsys):
 @pytest.mark.parametrize("dim", [None, 1, 3])
 def test_uniform_init_reads_dim_and_its_final_state_reads_back(tmp_path, capsys, triangle_csv,
                                                                dim):
-    run = {"kind": "hk", "hk_radius": 0.3, "init": "uniform", "steps": 3}
+    run = {"kind": "hk", "hk_radius": 0.3, "init": "uniform", "t_end": 3}
     if dim is not None:
         run["dim"] = dim
     cfg = write_config(tmp_path, "cfg.json", run)
@@ -765,7 +776,7 @@ def test_uniform_init_reads_dim_and_its_final_state_reads_back(tmp_path, capsys,
     final_csv = tmp_path / "a" / "final_state.csv"
     assert read_state_csv(final_csv).shape == (3, dim or 1)
     back = write_config(tmp_path, "back.json",
-                        dict(run, init="csv", steps=0, state_csv=str(final_csv)))
+                        dict(run, init="csv", t_end=0, state_csv=str(final_csv)))
     assert run_cli("simulate", "--graph", triangle_csv, "--config", back, "--out",
                    tmp_path / "b") == 0
     assert (tmp_path / "b" / "final_state.csv").read_bytes() == final_csv.read_bytes()
@@ -774,7 +785,7 @@ def test_uniform_init_reads_dim_and_its_final_state_reads_back(tmp_path, capsys,
 
 def test_uniform_init_draws_one_column_from_the_seeded_stream(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"kind": "hk", "hk_radius": 0.3, "node_count": 5,
-                                              "init": "uniform", "steps": 0})
+                                              "init": "uniform", "t_end": 0})
     assert run_cli("simulate", "--config", cfg, "--seed", 7, "--out", tmp_path / "run") == 0
     capsys.readouterr()
     final = read_state_csv(tmp_path / "run" / "final_state.csv")
@@ -783,7 +794,7 @@ def test_uniform_init_draws_one_column_from_the_seeded_stream(tmp_path, capsys):
 
 def test_zeros_init_reads_dim(tmp_path, capsys, triangle_csv):
     cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                                              "init": "zeros", "dim": 2, "steps": 2})
+                                              "init": "zeros", "dim": 2, "t_end": 2})
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out",
                    tmp_path / "run") == 0
     capsys.readouterr()
@@ -794,7 +805,7 @@ def test_zeros_init_reads_dim(tmp_path, capsys, triangle_csv):
 def test_simulate_writes_energy_and_manifest(tmp_path, triangle_csv):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "steps": 6, "init": "unit", "dim": 4})
+                        "t_end": 6, "init": "unit", "dim": 4})
     out = tmp_path / "run"
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
                    "--out", out) == 0
@@ -813,7 +824,7 @@ def test_simulate_writes_energy_and_manifest(tmp_path, triangle_csv):
 def test_simulate_trajectory_row_count(tmp_path, triangle_csv):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "steps": 5, "init": "unit", "dim": 2})
+                        "t_end": 5, "init": "unit", "dim": 2})
     out = tmp_path / "run"
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
                    "--out", out) == 0
@@ -825,7 +836,7 @@ def test_simulate_trajectory_row_count(tmp_path, triangle_csv):
 def test_simulate_t_end_flag_overrides_discrete_steps(tmp_path, triangle_csv):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "steps": 9, "init": "unit", "dim": 2})
+                        "t_end": 9, "init": "unit", "dim": 2})
     out = tmp_path / "run"
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
                    "--out", out, "--t-end", 3.0) == 0
@@ -905,7 +916,7 @@ def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
     state = write_text(tmp_path / "x0.csv", "0.1,0.2\n0.3,0.4\n")  # 2 rows, 3 nodes
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "init": "csv", "state_csv": str(state), "steps": 12})
+                        "init": "csv", "state_csv": str(state), "t_end": 12})
     for command in ("simulate", "energy"):
         out = tmp_path / command
         code = run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out)
@@ -919,7 +930,7 @@ def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
 def test_init_csv_without_state_csv_names_the_missing_key(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "init": "csv", "steps": 12})
+                        "init": "csv", "t_end": 12})
     for command in ("simulate", "energy"):
         out = tmp_path / command
         assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
@@ -930,7 +941,7 @@ def test_init_csv_without_state_csv_names_the_missing_key(tmp_path, triangle_csv
 def test_zero_dim_state_exits_2(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "init": "unit", "dim": 0, "steps": 12})
+                        "init": "unit", "dim": 0, "t_end": 12})
     for command in ("simulate", "energy"):
         out = tmp_path / command
         code = run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out)
@@ -945,7 +956,7 @@ def test_fd_on_non_stochastic_graph_exits_3(tmp_path, capsys):
     g = write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,2.0\n1,0,2.0\n")
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "fd", "directed": True, "init": "uniform",
-                        "steps": 3})
+                        "t_end": 3})
     out = tmp_path / "run"
     code = run_cli("simulate", "--graph", g, "--config", cfg,
                    "--out", out)
@@ -958,7 +969,7 @@ def test_repulsive_blowup_exits_3(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.6, "eps2": 0.9,
                         "nu": -50.0, "mode": "attract-repulse",
-                        "init": "uniform", "steps": 400})
+                        "init": "uniform", "t_end": 400})
     out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
@@ -1048,7 +1059,7 @@ def test_energy_failing_second_arm_leaves_no_out(tmp_path, capsys):
 # -------------------------------------- the structure each kind runs on
 
 
-HK_RUN = {"kind": "hk", "hk_radius": 0.5, "steps": 12, "init": "unit", "dim": 2}
+HK_RUN = {"kind": "hk", "hk_radius": 0.5, "t_end": 12, "init": "unit", "dim": 2}
 
 
 @pytest.mark.parametrize("command", ["simulate", "energy"])
@@ -1071,10 +1082,10 @@ def test_hk_on_a_hypergraph_records_its_dirichlet_energy(tmp_path, capsys, comma
 
 
 GRAPH_KIND_RUNS = [
-    {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "steps": 4, "init": "unit", "dim": 2},
+    {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "t_end": 4, "init": "unit", "dim": 2},
     {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0, "scheme": "rk4", "t_end": 1.0,
      "init": "unit", "dim": 2},
-    {"kind": "fd", "directed": True, "steps": 4, "init": "uniform"},
+    {"kind": "fd", "directed": True, "t_end": 4, "init": "uniform"},
 ]
 # Row stochastic when read directed, for fd.
 LAZY_CYCLE_ROWS = "src,dst,weight\n0,0,0.5\n0,1,0.5\n1,1,0.5\n1,2,0.5\n2,2,0.5\n2,0,0.5\n"
@@ -1097,7 +1108,7 @@ def test_simulate_and_an_energy_arm_write_the_same_energy_bytes(tmp_path, capsys
     # A discrete kind's abscissa is its integer step in both, a continuous kind's its time.
     g = write_text(tmp_path / "g.csv", LAZY_CYCLE_ROWS)
     # energy fits the tail of at least 10 samples.
-    cfg = write_config(tmp_path, "cfg.json", {**run, "steps": 12} if "steps" in run else run)
+    cfg = write_config(tmp_path, "cfg.json", {**run, "t_end": 12} if "scheme" not in run else run)
     assert run_cli("simulate", "--graph", g, "--config", cfg, "--out", tmp_path / "s") == 0
     assert run_cli("energy", "--graph", g, "--config", cfg, "--out", tmp_path / "e") == 0
     capsys.readouterr()
@@ -1164,8 +1175,8 @@ def test_energy_checks_every_arm_before_the_first_runs(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("arm, message", [
-    ({"kind": "odnet-discrete", "steps": 2.5}, "steps must be an integer >= 0, got 2.5"),
-    ({"kind": "odnet-discrete", "steps": 2, "max_steps": 0},
+    ({"kind": "odnet-discrete", "t_end": 2.5}, "t_end must be an integer >= 0, got 2.5"),
+    ({"kind": "odnet-discrete", "t_end": 2, "max_steps": 0},
      "max_steps must be an integer >= 1, got 0"),
     ({"scheme": "midpoint"}, "scheme must be one of ('euler', 'rk4', 'dopri5')"),
 ], ids=["steps", "max_steps", "scheme"])
@@ -1188,8 +1199,9 @@ def test_energy_checks_every_arms_run_length_before_the_first_runs(
 
 @pytest.mark.parametrize("t_end", ["config", "flag"])
 def test_energy_arms_own_steps_beat_an_inherited_t_end(tmp_path, capsys, triangle_csv, t_end):
+    # A discrete arm's step count is its t_end, so its own t_end 12 beats the 1.0 it inherits.
     base = {"kind": "odnet-continuous", "scheme": "rk4", "eps1": 0.0, "eps2": 1.0, "dim": 2}
-    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "steps": 12}]
+    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "t_end": 12}]
     cfg = write_config(tmp_path, "cfg.json",
                        dict(base, runs=runs, **({"t_end": 1.0} if t_end == "config" else {})))
     flag = ("--t-end", "1.0") if t_end == "flag" else ()
@@ -1245,7 +1257,7 @@ def test_energy_arms_may_not_share_a_name(tmp_path, capsys, triangle_csv, runs, 
 
 
 DIRECTED_CYCLE = "src,dst,weight\n0,1,1\n1,2,1\n2,0,1\n"
-FD_ARM = {"name": "a", "kind": "fd", "init": "uniform", "steps": 12}
+FD_ARM = {"name": "a", "kind": "fd", "init": "uniform", "t_end": 12}
 
 
 def test_energy_arm_may_not_set_directed(tmp_path, capsys):
@@ -1304,7 +1316,7 @@ def test_simplify_influence_keys_need_eps1(tmp_path, capsys, triangle_csv, key, 
 
 @pytest.mark.parametrize("run", [
     {"kind": "odnet-continuous", "scheme": "euler", "h": 1e-4, "t_end": 1.0},
-    {"kind": "odnet-discrete", "steps": 7000},
+    {"kind": "odnet-discrete", "t_end": 7000},
 ], ids=["euler", "discrete"])
 def test_run_over_the_recorded_state_budget_exits_2_before_the_first_step(
         tmp_path, capsys, monkeypatch, run):
@@ -1331,8 +1343,8 @@ def test_run_over_the_recorded_state_budget_exits_2_before_the_first_step(
 
 
 @pytest.mark.parametrize("command, run, message", [
-    ("simulate", {**GRAPH_KIND_RUNS[0], "steps": 2.5}, "steps must be an integer >= 0, got 2.5"),
-    ("simulate", {**GRAPH_KIND_RUNS[0], "steps": "4"}, "steps must be an integer >= 0, got '4'"),
+    ("simulate", {**GRAPH_KIND_RUNS[0], "t_end": 2.5}, "t_end must be an integer >= 0, got 2.5"),
+    ("simulate", {**GRAPH_KIND_RUNS[0], "t_end": "4"}, "t_end must be a finite number, got '4'"),
     ("simulate", {**GRAPH_KIND_RUNS[0], "dim": 2.5}, "dim must be an integer >= 1, got 2.5"),
     ("simulate", {**HK_RUN, "node_count": 3.7}, "node_count must be an integer >= 1, got 3.7"),
     ("simulate", {**HK_RUN, "node_count": 0}, "node_count must be an integer >= 1, got 0"),
@@ -1352,7 +1364,7 @@ def test_count_keys_refuse_what_is_not_a_whole_number(tmp_path, triangle_csv, ca
 
 
 def test_count_keys_take_whole_floats(tmp_path, triangle_csv, capsys):
-    cfg = write_config(tmp_path, "cfg.json", {**GRAPH_KIND_RUNS[0], "steps": 4.0, "dim": 3.0})
+    cfg = write_config(tmp_path, "cfg.json", {**GRAPH_KIND_RUNS[0], "t_end": 4.0, "dim": 3.0})
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
                    "--out", tmp_path / "a") == 0
     assert read_state_csv(tmp_path / "a" / "final_state.csv").shape == (3, 3)
@@ -1367,11 +1379,11 @@ def test_count_keys_take_whole_floats(tmp_path, triangle_csv, capsys):
 
 @pytest.mark.parametrize("command, obj", [
     ("simulate", {"kind": "odnet-continuous", "eps1": 0, "eps2": 1, "t_end": {}}),
-    ("simulate", {"kind": "fd", "steps": [1]}),
+    ("simulate", {"kind": "fd", "t_end": [1]}),
     ("simulate", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "dim": None}),
-    ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": [{"steps": [1]}]}),
+    ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": [{"t_end": [1]}]}),
     ("energy", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "runs": 5}),
-    ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": "steps", "values": 5}}),
+    ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": "t_end", "values": 5}}),
     ("sweep", {"base": {"kind": "fd"}, "sweep": {"param": 5, "values": [1]}}),
 ])
 def test_config_value_of_wrong_json_type_exits_2(tmp_path, triangle_csv, capsys, command, obj):
@@ -1388,15 +1400,15 @@ CONTINUOUS = '"kind": "odnet-continuous", "eps1": 0, "eps2": 1'
 
 
 @pytest.mark.parametrize("command, text, key", [
-    ("simulate", f'{{{DISCRETE}, "steps": 1e400}}', "steps"),
-    ("simulate", f'{{{DISCRETE}, "steps": Infinity}}', "steps"),
+    ("simulate", f'{{{DISCRETE}, "t_end": 1e400}}', "t_end"),
+    ("simulate", f'{{{DISCRETE}, "t_end": Infinity}}', "t_end"),
     ("simulate", f'{{{DISCRETE}, "dim": 1e400}}', "dim"),
     ("simulate", f'{{{DISCRETE}, "t_end": -Infinity}}', "t_end"),
     ("simulate", f'{{{CONTINUOUS}, "scheme": "rk4", "t_end": 1e400}}', "t_end"),
     ("simulate", f'{{{CONTINUOUS}, "scheme": "euler", "t_end": Infinity}}', "t_end"),
     ("simulate", f'{{{CONTINUOUS}, "scheme": "rk4", "max_steps": 1e400}}', "max_steps"),
     ("simulate", f'{{{CONTINUOUS}, "lambda": NaN}}', "lambda"),
-    ("energy", f'{{{DISCRETE}, "runs": [{{"name": "a"}}, {{"steps": Infinity}}]}}', "steps"),
+    ("energy", f'{{{DISCRETE}, "runs": [{{"name": "a"}}, {{"t_end": Infinity}}]}}', "t_end"),
     ("simplify", '{"dim": 1e400}', "dim"),
     ("classify", '{"eps1": 0, "eps2": 1, "max_steps": 1e400}', "max_steps"),
 ], ids=["steps-1e400", "steps-inf", "dim", "discrete-t_end", "rk4-t_end", "euler-t_end",
@@ -1442,7 +1454,7 @@ NUMBER_KEYS = [
     *(("simplify", key) for key in ("cutoff", "t_end", "lambda")),
     *(("classify", key) for key in ("train_frac", "val_frac", "mu", "h")),
 ]
-COUNT_KEYS = [("discrete", "steps"), ("discrete", "dim"), ("discrete", "t_end"),
+COUNT_KEYS = [("discrete", "dim"), ("discrete", "t_end"),
               ("continuous", "max_steps"), ("hk", "node_count"), ("simplify", "dim")]
 BOOLEAN_KEYS = [("continuous", "directed"), ("simplify", "drop_isolated"),
                 ("homophily", "directed")]
@@ -1503,13 +1515,13 @@ def test_unknown_config_key_exits_2_naming_the_closest_key(tmp_path, triangle_cs
 @pytest.mark.parametrize("param, message", [
     ("cutoff", "'cutoff' is read by simplify, not simulate"),
     ("name", "'name' is read by energy, not simulate"),
-    ("sweep", "'sweep' is read by sweep, not simulate; did you mean 'steps'?"),
+    ("sweep", "'sweep' is read by sweep, not simulate"),
 ])
 def test_sweep_refuses_a_param_simulate_does_not_read(tmp_path, triangle_csv, capsys, caplog,
                                                       param, message):
     # Each run would ignore the key and write the same files.
     cfg = write_config(tmp_path, "cfg.json", {
-        "base": {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "steps": 3, "dim": 2},
+        "base": {"kind": "odnet-discrete", "eps1": 0, "eps2": 1, "t_end": 3, "dim": 2},
         "sweep": {"param": param, "values": [0.1, 0.5, 0.9]}})
     out = tmp_path / "sweep"
     with caplog.at_level("WARNING", logger="odyn"):
@@ -1517,6 +1529,62 @@ def test_sweep_refuses_a_param_simulate_does_not_read(tmp_path, triangle_csv, ca
     assert capsys.readouterr().err == f"input error: sweep param {message}\n"
     assert not caplog.records
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("simulate", dict(GRAPH_KIND_RUNS[0], steps=4)),
+    ("energy", dict(GRAPH_KIND_RUNS[1], runs=[{"name": "c"}, dict(GRAPH_KIND_RUNS[0], steps=4)])),
+    ("sweep", {"base": dict(GRAPH_KIND_RUNS[0], steps=4), "sweep": {"param": "dim",
+                                                                    "values": [1]}}),
+    ("sweep", {"base": GRAPH_KIND_RUNS[0], "sweep": {"param": "steps", "values": [4]}}),
+], ids=["simulate", "energy-arm", "sweep-base", "sweep-param"])
+def test_steps_is_refused_naming_t_end(tmp_path, triangle_csv, capsys, command, obj):
+    # A discrete kind's step count is t_end; `steps` was a second setting of it.
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown config key 'steps'; did you mean 't_end'?\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, obj", [
+    ("simulate", "--graph", HK_RUN),
+    ("simulate", "--hypergraph", HK_RUN),
+    ("simulate", "--graph", GRAPH_KIND_RUNS[1]),
+    ("sweep", "--graph", {"base": HK_RUN, "sweep": {"param": "dim", "values": [1, 2]}}),
+], ids=["hk-graph", "hk-hypergraph", "odnet", "sweep"])
+def test_node_count_next_to_a_structure_is_refused(tmp_path, triangle_csv, capsys, command,
+                                                    flag, obj):
+    # The structure fixes the node count, so a node_count beside it would go unread.
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    obj = ({**obj, "base": {**obj["base"], "node_count": 7}} if command == "sweep"
+           else {**obj, "node_count": 7})
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    out = tmp_path / "run"
+    structure = triangle_csv if flag == "--graph" else h
+    assert run_cli(command, flag, structure, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: config key node_count is refused beside a structure, which fixes it\n")
+    assert not out.exists()
+
+
+def test_energy_does_not_read_node_count(tmp_path, triangle_csv, capsys, caplog):
+    plain = write_config(tmp_path, "plain.json", dict(HK_RUN, name="hk"))
+    counted = write_config(tmp_path, "counted.json",
+                           dict(HK_RUN, runs=[{"name": "hk", "node_count": 7}], node_count=7))
+    assert run_cli("energy", "--graph", triangle_csv, "--config", plain,
+                   "--out", tmp_path / "plain") == 0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="odyn"):
+        assert run_cli("energy", "--graph", triangle_csv, "--config", counted,
+                       "--out", tmp_path / "counted") == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "config key 'node_count' is not read by energy; ignored"] * 2
+    for name in ("energy_hk.csv", "summary.json"):
+        assert (tmp_path / "counted" / name).read_bytes() == (
+            tmp_path / "plain" / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_unknown_config_key_without_a_close_one_is_named_alone(tmp_path, triangle_csv, capsys):
@@ -1554,11 +1622,11 @@ def test_energy_arm_may_not_set_runs(tmp_path, capsys, triangle_csv):
 
 
 def test_sweep_checks_its_first_run_as_simulate_before_out(tmp_path, capsys, triangle_csv):
-    cfg = write_config(tmp_path, "cfg.json", {"base": dict(GRAPH_KIND_RUNS[0], steps=2.5),
+    cfg = write_config(tmp_path, "cfg.json", {"base": dict(GRAPH_KIND_RUNS[0], t_end=2.5),
                                               "sweep": {"param": "eps2", "values": [0.5]}})
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
-    assert capsys.readouterr().err == "input error: steps must be an integer >= 0, got 2.5\n"
+    assert capsys.readouterr().err == "input error: t_end must be an integer >= 0, got 2.5\n"
     assert not out.exists()
 
 
@@ -1568,9 +1636,9 @@ def test_sweep_checks_its_first_run_as_simulate_before_out(tmp_path, capsys, tri
      "need 0 <= eps1 <= eps2 <= 1"),
     ({"kind": "fd", "init": "nope"}, "dim", [2, 3], 2, "unknown init kind 'nope'"),
     ({"kind": "fd", "init": "csv"}, "dim", [2, 3], 2, "missing config key 'state_csv'"),
-    (dict(GRAPH_KIND_RUNS[0], steps=2), "eps2", [0.5, "x"], 2,
+    (dict(GRAPH_KIND_RUNS[0], t_end=2), "eps2", [0.5, "x"], 2,
      "eps2 must be a finite number, got 'x'"),
-    (dict(GRAPH_KIND_RUNS[0], max_steps=5), "steps", [4, 6], 3,
+    (dict(GRAPH_KIND_RUNS[0], max_steps=5), "t_end", [4, 6], 3,
      "6 discrete steps exceed max_steps = 5"),
 ], ids=["kind", "eps-band", "init", "init-csv", "later-value", "step-budget"])
 def test_sweep_checks_every_run_before_out(tmp_path, capsys, triangle_csv, base, param, values,
@@ -1771,7 +1839,7 @@ def test_discrete_steps_beyond_max_steps_exit_3_before_the_first_step(
 
     monkeypatch.setattr(cli, "iterate_map", mock.Mock(side_effect=AssertionError("stepped")))
     cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1,
-                                              "steps": 1e15, "dim": 1})
+                                              "t_end": 1e15, "dim": 1})
     out = tmp_path / "run"
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == 3
     err = capsys.readouterr().err
@@ -1783,7 +1851,7 @@ def test_discrete_steps_beyond_max_steps_exit_3_before_the_first_step(
 def test_discrete_runs_take_max_steps_from_the_config(tmp_path, triangle_csv, max_steps, steps,
                                                       code):
     cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "eps1": 0, "eps2": 1,
-                                              "steps": steps, "dim": 1, "max_steps": max_steps})
+                                              "t_end": steps, "dim": 1, "max_steps": max_steps})
     out = tmp_path / "run"
     assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out) == code
     assert out.exists() == (code == 0)
@@ -1837,7 +1905,7 @@ def test_discrete_runs_take_valid_integrator_keys(tmp_path, capsys, kind):
 def test_discrete_arm_inherits_valid_continuous_keys(tmp_path, capsys, triangle_csv):
     base = {**GRAPH_KIND_RUNS[1], "scheme": "rk4", "h": 0.05, "rtol": 1e-4, "atol": 1e-6,
             "t_end": 1.0, "max_steps": 50}
-    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "steps": 12}]
+    runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "t_end": 12}]
     cfg = write_config(tmp_path, "cfg.json", dict(base, runs=runs))
     out = tmp_path / "run"
     assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
@@ -1885,7 +1953,7 @@ def test_energy_command_flags_contracting_arm(tmp_path, triangle_csv, capsys):
     # a band above every similarity keeps the couplings at zero
     cfg = write_config(tmp_path, "cfg.json", {
         "kind": "odnet-discrete",
-        "steps": 40,
+        "t_end": 40,
         "init": "unit",
         "dim": 4,
         "runs": [
@@ -1981,6 +2049,23 @@ def test_homophily_prints_value_and_optionally_writes(tmp_path, capsys):
     capsys.readouterr()
     blob = json.loads((out / "homophily.json").read_text())
     assert blob["homophily"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("command", ["classify", "homophily"])
+@pytest.mark.parametrize("rows, message", [
+    ("0,0\n2,1\n", "node 1 has 0 label rows"),
+    ("0,0\n1,1\n2,0\n1,0\n", "node 1 has 2 label rows"),
+], ids=["missing", "repeated"])
+def test_a_label_file_needs_one_row_for_each_node(tmp_path, capsys, triangle_csv, command, rows,
+                                                  message):
+    y = write_text(tmp_path / "y.csv", "node,label\n" + rows)
+    cfg = write_config(tmp_path, "cfg.json", {"eps1": 0.0, "eps2": 1.0})
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--labels", y, "--config", cfg,
+                   "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {y}: {message}; a label file has one row for each node\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["graph", "labels"])
@@ -2125,7 +2210,7 @@ def test_calls_that_build_no_sparse_operator_load_no_scipy(tmp_path):
 def test_sweep_parallel_matches_serial(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "base": {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                 "steps": 6, "init": "unit", "dim": 3},
+                 "t_end": 6, "init": "unit", "dim": 3},
         "sweep": {"param": "eps2", "values": [0.4, 0.7, 1.0]},
     })
     outs = {}
@@ -2189,7 +2274,7 @@ def test_unknown_init_kind_is_refused_before_any_file_is_read(tmp_path, capsys, 
 
 def sweep_config(tmp_path):
     return write_config(tmp_path, "cfg.json", {
-        "base": {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "steps": 3,
+        "base": {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "t_end": 3,
                  "init": "unit", "dim": 2},
         "sweep": {"param": "eps2", "values": [0.5, 1.0]},
     })
