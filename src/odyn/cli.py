@@ -38,7 +38,7 @@ from .dynamics import DynamicSpec
 from .errors import NumericFailure, OdynError, StepLimitExceeded
 from .graphs import Hypergraph, NodeLabels, WeightedGraph, homophily_level, split_masks
 from .influence import InfluenceConfig, SimilaritySpec
-from .integrators import SCHEMES, IntegratorConfig, integrate, iterate_map
+from .integrators import IntegratorConfig, integrate, iterate_map
 from .io import (
     read_graph_csv,
     read_hypergraph_csv,
@@ -179,15 +179,11 @@ def _arm_names(cfg):
 
 
 def _closest(key, known):
-    """'; did you mean ...?' naming the key in known closest to `key`, or ''; t_end for steps."""
-    close = ["t_end"] if key == "steps" else difflib.get_close_matches(key, known, n=1)
+    """'; did you mean ...?' naming the key in known closest to `key`, or ''; for a removed
+    key, the one that now holds its quantity: t_end for steps, nu for mode."""
+    close = ({"steps": ["t_end"], "mode": ["nu"]}.get(key)
+             or difflib.get_close_matches(key, known, n=1))
     return f"; did you mean {close[0]!r}?" if close else ""
-
-
-def _merge_flags(cfg, args):
-    """Apply flag overrides on top of the config file (flags win)."""
-    flags = {key: getattr(args, key, None) for key in ("scheme", "t_end")}
-    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _read_graph(args, cfg):
@@ -314,10 +310,7 @@ def cmd_energy(args, cfg, graph, hypergraph):
 
 
 def cmd_simplify(args, cfg, graph, hypergraph):
-    given = [key for key in config_keys(InfluenceConfig) if key != "eps1" and key in cfg]
-    if given and "eps1" not in cfg:
-        raise ValueError(f"simplify reads {', '.join(given)} only with eps1: give eps1 too")
-    influence = InfluenceConfig.from_json(cfg) if "eps1" in cfg else InfluenceConfig(0.0, 1.0)
+    influence = InfluenceConfig.from_json({"eps1": 0.0, "eps2": 1.0, **cfg})  # the full band
     # SimplifyConfig's integrator default (its own t_end) under the config's keys.
     base = SimplifyConfig(influence)
     simplify_cfg = replace(
@@ -351,7 +344,7 @@ def cmd_homophily(args, cfg, graph, hypergraph):
 
 def _run(args):
     """Load the inputs once, then compute and publish (_finish)."""
-    cfg = _check_config(_merge_flags(_load_config(args.config), args), args.command)
+    cfg = _check_config(_load_config(args.config), args.command)
     return _finish(args, cfg, _read_graph(args, cfg), _read_hypergraph(args))
 
 
@@ -437,8 +430,6 @@ _FLAGS = {
     "--labels": {"help": "label CSV (node,label)"},
     "--config": {"help": "flat JSON config for the run"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed (default 0)"},
-    "--scheme": {"choices": SCHEMES, "help": "integrator override"},
-    "--t-end": {"dest": "t_end", "type": float, "help": "horizon override"},
     "--jobs": {"type": int, "default": 1, "help": "worker processes, capped at runs and CPUs"},
     "--out": {"help": "output directory"},
 }
@@ -451,17 +442,16 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"odyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    overrides = ("--scheme", "--t-end")
     # Each subcommand registers only the flags it reads, and requires those it cannot run without.
     specs = [
         ("simulate", cmd_simulate, "run a dynamic spec, write trajectory and energy CSVs",
-         ("--hypergraph", *overrides), ("--out",)),
+         ("--hypergraph",), ("--out",)),
         ("energy", cmd_energy, "sweep step counts, write an energy series per config",
-         ("--hypergraph", *overrides), ("--out",)),
+         ("--hypergraph",), ("--out",)),
         ("simplify", cmd_simplify, "re-score and prune edges through the influence function",
-         overrides, ("--graph", "--out")),
+         (), ("--graph", "--out")),
         ("classify", cmd_classify, "semi-supervised labels by anchored dynamics",
-         ("--labels", *overrides), ("--graph", "--labels", "--out")),
+         ("--labels",), ("--graph", "--labels", "--out")),
         ("homophily", cmd_homophily, "report the homophily level of a labeled graph",
          ("--labels",), ("--graph", "--labels")),
         ("sweep", cmd_sweep, "fan out simulate runs over a parameter grid",

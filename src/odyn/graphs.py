@@ -191,8 +191,6 @@ class Hypergraph:
             raise EmptyGraph("hypergraph needs at least one node")
         nodes, edges, w = _triples(memberships)
         edge_count = 1 + (int(edges.max()) if edges.size else -1)
-        if edge_count < 1:
-            raise EmptyGraph("hypergraph needs at least one hyperedge")
         if node_count * edge_count >= 1 << 63:
             raise TooLarge(f"hypergraph of {node_count} nodes and {edge_count} hyperedges refused: "
                            "its membership keys edge * n + node overflow int64")
@@ -217,6 +215,8 @@ class Hypergraph:
             if bad_weight[k]:
                 raise ValueError("membership weights must be finite and positive")
             raise ValueError(f"duplicate membership ({nodes[k]}, {edges[k]})")
+        if edge_count < 1:  # no rows, as every row has passed its range check
+            raise EmptyGraph("hypergraph needs at least one hyperedge")
         sizes = np.bincount(edges, minlength=edge_count)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:

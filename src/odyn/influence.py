@@ -1,8 +1,8 @@
 """Bounded-confidence influence weights and similarity measures.
 
 The influence function maps a pairwise similarity s in [0, 1] to a coupling
-weight. Below the lower confidence bound the coupling is zero (attract mode)
-or repulsive (attract-repulse mode); inside the confidence band it is the
+weight. Below the lower confidence bound the coupling is nu * (1 - s): zero
+for nu = 0, repulsive for a negative nu; inside the confidence band it is the
 identity; above the upper bound it is amplified by mu.
 """
 
@@ -23,12 +23,6 @@ __all__ = [
     "similarity_dynamic",
 ]
 
-MODES = ("attract", "attract-repulse")
-
-STATIC = "static-normalized-adjacency"
-DYNAMIC = "dynamic-cosine"
-_KIND_ALIASES = {"static": STATIC, "dynamic": DYNAMIC, STATIC: STATIC, DYNAMIC: DYNAMIC}
-
 # Pairs per gather in similarity_dynamic.
 _PAIR_BLOCK = 1 << 14
 
@@ -37,9 +31,8 @@ _PAIR_BLOCK = 1 << 14
 class InfluenceConfig:
     """Piecewise influence profile plus the control strength lam.
 
-    eps1 <= eps2 bound the confidence band. In attract mode nu is ignored
-    (treated as zero); in attract-repulse mode mu must be positive and nu
-    nonpositive (nu == 0 is allowed so ablations can switch repulsion off).
+    eps1 <= eps2 bound the confidence band. nu <= 0 weighs the arcs below it:
+    0 cuts them, a negative nu repels and then needs mu > 0.
     """
 
     eps1: float
@@ -47,20 +40,16 @@ class InfluenceConfig:
     mu: float = 1.0
     nu: float = 0.0
     lam: float = field(default=0.0, metadata={"key": "lambda"})
-    mode: str = "attract"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if not (0.0 <= self.eps1 <= self.eps2 <= 1.0):
             raise ValueError("need 0 <= eps1 <= eps2 <= 1")
         if self.lam < 0.0:
             raise ValueError("control strength lam must be >= 0")
-        if self.mode == "attract-repulse":
-            if self.mu <= 0.0:
-                raise ValueError("attract-repulse mode needs mu > 0")
-            if self.nu > 0.0:
-                raise ValueError("attract-repulse mode needs nu <= 0")
+        if self.nu > 0.0:
+            raise ValueError("nu must be <= 0")
+        if self.nu < 0.0 and self.mu <= 0.0:
+            raise ValueError("a negative nu needs mu > 0")
 
     @classmethod
     def from_json(cls, obj):
@@ -77,39 +66,34 @@ class InfluenceConfig:
 class SimilaritySpec:
     """Choice of similarity measure driving the influence function.
 
-    kind is the canonical name ("static-normalized-adjacency" or
-    "dynamic-cosine"; the short aliases "static" and "dynamic" are accepted).
+    kind is "static" (normalized adjacency) or "dynamic" (cosine of the state).
     temperature divides the cosine before the affine map to [0, 1] and only
     applies to the dynamic kind; values are clipped back into [0, 1].
     """
 
-    kind: str = field(default=STATIC, metadata={"key": "similarity"})
+    kind: str = field(default="static", metadata={"key": "similarity"})
     temperature: float = 1.0
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind)
-        if kind is None:
+        if self.kind not in ("static", "dynamic"):
             raise ValueError(f"unknown similarity kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
 
     @property
     def is_dynamic(self):
-        return self.kind == DYNAMIC
+        return self.kind == "dynamic"
 
 
 def phi(cfg, s):
     """Influence weight for similarity s (scalar or array), vectorized.
 
-    attract:          mu * s  if s > eps2;  s  if eps1 <= s <= eps2;  0 else
-    attract-repulse:  same upper branches;  nu * (1 - s) below the band
+    mu * s  if s > eps2;  s  if eps1 <= s <= eps2;  nu * (1 - s) else
     """
     arr = np.asarray(s, dtype=np.float64)
     if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):  # NaN fails both
         raise OutOfRangeSimilarity("similarity outside [0, 1]")
-    nu = cfg.nu if cfg.mode == "attract-repulse" else 0.0
-    below = nu * (1.0 - arr)
+    below = cfg.nu * (1.0 - arr)
     out = np.where(arr > cfg.eps2, cfg.mu * arr, np.where(arr >= cfg.eps1, arr, below))
     if np.isscalar(s) or arr.ndim == 0:
         return float(out)

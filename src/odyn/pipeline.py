@@ -184,13 +184,15 @@ def propagate_labels(g, labels, influence, integrator, similarity=SimilaritySpec
     final state (ties resolve to the lowest class index). Returns
     predictions and accuracy for each split present on `labels`.
     """
+    unused = np.setdiff1d(np.arange(labels.class_count), labels.labels)
+    if unused.size:
+        raise EmptyMask(f"no node has class(es) {unused.tolist()}")
     if labels.train is None or labels.train.size == 0:
         raise EmptyMask("propagate_labels needs a nonempty train mask")
     train = labels.train
-    present = np.unique(labels.labels[train])
-    if present.size < labels.class_count:
-        missing = sorted(set(range(labels.class_count)) - set(present.tolist()))
-        raise EmptyMask(f"train mask lacks class(es) {missing}")
+    missing = np.setdiff1d(np.arange(labels.class_count), labels.labels[train])
+    if missing.size:
+        raise EmptyMask(f"train mask lacks class(es) {missing.tolist()}")
 
     onehot = np.zeros((labels.node_count, labels.class_count))
     onehot[train, labels.labels[train]] = 1.0

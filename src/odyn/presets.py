@@ -2,9 +2,9 @@
 
 The influence presets are published tunings for well-known benchmark
 datasets (graph datasets first, hypergraph co-occurrence variants below).
-Each entry is (eps1, eps2, horizon, nu, mu). Negative nu selects
-attract-repulse mode; nonnegative nu selects attract mode, where the
-repulsion strength is ignored.
+Each entry is (eps1, eps2, horizon, nu, mu), as published. A negative nu
+repels below the band; influence_preset reads a positive one as 0, which
+cuts those arcs.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ INFLUENCE_PRESETS = {
 def influence_preset(name, lam=0.0):
     """InfluenceConfig for a named preset; lam is a run-level choice."""
     eps1, eps2, _, nu, mu = INFLUENCE_PRESETS[name]
-    if nu < 0.0:
-        return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=nu, lam=lam, mode="attract-repulse")
-    return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=0.0, lam=lam, mode="attract")
+    return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=min(nu, 0.0), lam=lam)
 
 
 def cooccurrence_fixture(seed=96):

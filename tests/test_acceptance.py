@@ -230,8 +230,7 @@ def test_criterion_7_classification():
     homophilic_acc = attract.accuracy["test"]
 
     diffs = []
-    repulse_cfg = InfluenceConfig(0.5, 0.8, mu=1.0, nu=-0.5, lam=0.1,
-                                  mode="attract-repulse")
+    repulse_cfg = InfluenceConfig(0.5, 0.8, mu=1.0, nu=-0.5, lam=0.1)
     icfg = IntegratorConfig(scheme="rk4", h=0.1, t_end=3.0)
     for i in range(10):
         g_het, y = generate_sbm([50, 50], p_in=0.02, p_out=0.20, seed=100 + i)

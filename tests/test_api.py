@@ -183,7 +183,7 @@ def test_every_config_key_the_cli_reads_is_in_its_schema():
     reads = _literal_key_reads(Path(cli.__file__))
     declared = set().union(*cli.KEYS.values())
     assert [(line, key) for line, key in reads if key not in declared | NOT_CONFIG_KEYS] == []
-    assert {key for _, key in reads} >= NOT_CONFIG_KEYS | {"eps1", "node_count", "state_csv"}
+    assert {key for _, key in reads} >= NOT_CONFIG_KEYS | {"node_count", "state_csv"}
 
 
 def test_key_read_scan_finds_each_literal_key(tmp_path):

@@ -45,8 +45,7 @@ from conftest import (co_membership, dense_weights, diffusion_kernel, incidence,
                       membership_weight, random_digraph, random_row_stochastic)
 
 IDENTITY_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
-TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, lam=0.1,
-                        mode="attract-repulse")
+TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, lam=0.1)
 
 
 # -------------------------------------------------------------------- fd
@@ -285,7 +284,7 @@ def test_odnet_zero_coupling_keeps_state():
 @pytest.mark.parametrize("similarity", ["static", "dynamic"])
 @pytest.mark.parametrize("cfg", [
     InfluenceConfig(eps1=0.1, eps2=0.6, mu=1.5, lam=0.05),
-    InfluenceConfig(eps1=0.3, eps2=0.7, mu=1.2, nu=-0.3, lam=0.05, mode="attract-repulse"),
+    InfluenceConfig(eps1=0.3, eps2=0.7, mu=1.2, nu=-0.3, lam=0.05),
 ], ids=["attract", "attract-repulse"])
 def test_odnet_discrete_is_euler_at_unit_step_of_odnet_continuous(cfg, similarity):
     g, _ = generate_sbm([30, 30, 30, 30], 0.15, 0.01, seed=3)
@@ -340,10 +339,8 @@ def odnet_oracle(g, x, cfg, sim=SimilaritySpec()):
                 c = cfg.mu * s
             elif s >= cfg.eps1:
                 c = s
-            elif cfg.mode == "attract-repulse":
-                c = cfg.nu * (1.0 - s)
             else:
-                c = 0.0
+                c = cfg.nu * (1.0 - s)
             out[i] += c * (x[j] - x[i])
         out[i] += -cfg.lam * x[i]
     return out
@@ -408,7 +405,7 @@ def test_odnet_conserves_mean_without_control(seed):
     x = rng.uniform(-2.0, 2.0, 9)
     for cfg in (
         InfluenceConfig(eps1=0.05, eps2=0.6, mu=2.0),
-        InfluenceConfig(eps1=0.3, eps2=0.6, mu=1.5, nu=-1.0, mode="attract-repulse"),
+        InfluenceConfig(eps1=0.3, eps2=0.6, mu=1.5, nu=-1.0),
     ):
         # symmetric couplings on mirrored arcs cancel in the column sum
         assert abs(make_odnet_rhs(g, cfg)(x).sum()) < 1e-10
@@ -417,8 +414,7 @@ def test_odnet_conserves_mean_without_control(seed):
 def test_odnet_confined_repulsion_stays_bounded():
     # strong confinement against weak repulsion keeps the flow bounded
     g = WeightedGraph(2, [(0, 1, 1.0)])
-    cfg = InfluenceConfig(eps1=0.99, eps2=1.0, nu=-0.03, lam=0.1,
-                          mode="attract-repulse")
+    cfg = InfluenceConfig(eps1=0.99, eps2=1.0, nu=-0.03, lam=0.1)
     rhs = make_odnet_rhs(g, cfg, SimilaritySpec("dynamic"))
     traj = integrate(rhs, np.array([[0.4, 0.0], [-0.2, 0.1]]),
                      IntegratorConfig(scheme="rk4", h=0.05, t_end=50.0))
@@ -820,7 +816,7 @@ def test_spec_json_round_trip():
     spec = DynamicSpec(kind="odnet-continuous", structure=g, influence=TEXAS,
                        similarity=SimilaritySpec("dynamic", temperature=0.8))
     blob = {"kind": "odnet-continuous", "eps1": 0.50, "eps2": 0.80, "mu": 1.0, "nu": -50.0,
-            "lambda": 0.1, "mode": "attract-repulse", "similarity": "dynamic",
+            "lambda": 0.1, "similarity": "dynamic",
             "temperature": 0.8, "hk_radius": 0.1, "kernel": "uniform"}
     back = DynamicSpec.from_json(blob, structure=g)
     assert back == spec

@@ -208,7 +208,7 @@ def test_index_beyond_64_bits_is_out_of_range():
             lambda i: Hypergraph(3, [(i, 0, 1.0)]),
         ]
         for call in calls:
-            with pytest.raises((ValueError, EmptyGraph)) as expected:
+            with pytest.raises(ValueError) as expected:
                 call(-1)
             with pytest.raises(type(expected.value)) as got:
                 call(big)
@@ -228,7 +228,7 @@ def test_infinite_index_is_out_of_range(inf):
         lambda i: Hypergraph(3, [(i, 0, 1.0)]),
     ]
     for call in calls:
-        with pytest.raises((ValueError, EmptyGraph)) as expected:
+        with pytest.raises(ValueError) as expected:
             call(-1)
         with pytest.raises(type(expected.value)) as got:
             call(inf)
@@ -368,12 +368,19 @@ def test_hypergraph_rejects_empty_hyperedge():
         Hypergraph(3, [(0, 0, 1.0), (1, 2, 1.0)])
 
 
+def test_hypergraph_range_checks_hyperedge_ids_before_the_empty_check():
+    # A negative id is out of range whether or not a valid row remains; no rows is empty.
+    for rows in ([(0, -1, 1.0)], [(0, 0, 1.0), (1, -1, 1.0)]):
+        with pytest.raises(ValueError, match="^membership hyperedge index out of range$"):
+            Hypergraph(3, rows)
+    with pytest.raises(EmptyGraph, match="^hypergraph needs at least one hyperedge$"):
+        Hypergraph(3, [])
+
+
 def hypergraph_oracle(node_count, memberships):
     """The per-membership validation loop: (incidence, weights) or the error."""
     rows = [(int(n), int(e), float(w)) for n, e, w in memberships]
     edge_count = 1 + max((e for _, e, _ in rows), default=-1)
-    if edge_count < 1:
-        raise EmptyGraph("hypergraph needs at least one hyperedge")
     H = np.zeros((node_count, edge_count), dtype=bool)
     M = np.zeros((node_count, edge_count))
     for n, e, w in rows:
@@ -387,6 +394,8 @@ def hypergraph_oracle(node_count, memberships):
             raise ValueError(f"duplicate membership ({n}, {e})")
         H[n, e] = True
         M[n, e] = w
+    if edge_count < 1:
+        raise EmptyGraph("hypergraph needs at least one hyperedge")
     empty = np.flatnonzero(~H.any(axis=0))
     if empty.size:
         raise ValueError(f"hyperedge {int(empty[0])} contains no node")

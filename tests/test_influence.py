@@ -24,7 +24,7 @@ from odyn import (
 from conftest import dense_weights
 
 CORA = InfluenceConfig(eps1=0.012, eps2=0.40, mu=1.4)
-TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0, mode="attract-repulse")
+TEXAS = InfluenceConfig(eps1=0.50, eps2=0.80, mu=1.0, nu=-50.0)
 
 
 # ------------------------------------------------------------------- phi
@@ -101,15 +101,18 @@ def test_phi_attract_monotone_when_mu_geq_one(a, b, mu, s):
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_attract_equals_repulse_with_zero_nu(s):
-    a = InfluenceConfig(eps1=0.3, eps2=0.7, mu=2.0)
-    b = InfluenceConfig(eps1=0.3, eps2=0.7, mu=2.0, nu=0.0, mode="attract-repulse")
-    assert phi(a, s) == phi(b, s)
+    # nu = 0 is the attract profile: zero below the band.
+    cfg = InfluenceConfig(eps1=0.3, eps2=0.7, mu=2.0, nu=0.0)
+    assert phi(cfg, s) == (2.0 * s if s > 0.7 else s if s >= 0.3 else 0.0)
 
 
-def test_phi_nonnegative_in_attract_mode():
-    cfg = InfluenceConfig(eps1=0.2, eps2=0.8, mu=5.0, nu=-3.0)  # nu ignored
+def test_phi_below_band_is_nu_times_one_minus_s():
+    # A negative nu repels below the band with no other setting.
+    cfg = InfluenceConfig(eps1=0.2, eps2=0.8, mu=5.0, nu=-3.0)
     grid = np.linspace(0.0, 1.0, 257)
-    assert (phi(cfg, grid) >= 0.0).all()
+    below = grid < 0.2
+    assert phi(cfg, grid)[below].tolist() == (-3.0 * (1.0 - grid[below])).tolist()
+    assert (phi(cfg, grid)[~below] >= 0.0).all()
 
 
 # ---------------------------------------------------------------- config
@@ -124,20 +127,19 @@ def test_config_validation():
         InfluenceConfig(eps1=0.1, eps2=1.4)
     with pytest.raises(ValueError):
         InfluenceConfig(eps1=0.1, eps2=0.4, lam=-1.0)
-    with pytest.raises(ValueError):
-        InfluenceConfig(eps1=0.1, eps2=0.4, mu=0.0, mode="attract-repulse")
-    with pytest.raises(ValueError):
-        InfluenceConfig(eps1=0.1, eps2=0.4, nu=0.5, mode="attract-repulse")
-    with pytest.raises(ValueError):
-        InfluenceConfig(eps1=0.1, eps2=0.4, mode="blend")
+    with pytest.raises(ValueError, match="^nu must be <= 0$"):
+        InfluenceConfig(eps1=0.1, eps2=0.4, nu=0.5)
+    with pytest.raises(ValueError, match="^a negative nu needs mu > 0$"):
+        InfluenceConfig(eps1=0.1, eps2=0.4, mu=0.0, nu=-1.0)
+    assert InfluenceConfig(eps1=0.1, eps2=0.4, mu=0.0).mu == 0.0  # nu = 0 takes any mu
+    with pytest.raises(TypeError):  # the sign of nu sets repulsion; there is no mode
+        InfluenceConfig(eps1=0.1, eps2=0.4, mode="attract-repulse")
 
 
 def test_config_json_round_trip():
-    cfg = InfluenceConfig(eps1=0.1, eps2=0.4, mu=2.0, nu=-1.0, lam=0.3,
-                          mode="attract-repulse")
+    cfg = InfluenceConfig(eps1=0.1, eps2=0.4, mu=2.0, nu=-1.0, lam=0.3)
     # lam is read under the long name
-    blob = {"eps1": 0.1, "eps2": 0.4, "mu": 2.0, "nu": -1.0, "lambda": 0.3,
-            "mode": "attract-repulse"}
+    blob = {"eps1": 0.1, "eps2": 0.4, "mu": 2.0, "nu": -1.0, "lambda": 0.3}
     assert InfluenceConfig.from_json(blob) == cfg
     assert InfluenceConfig.from_json({"eps1": 0.0, "eps2": 1.0}) == InfluenceConfig(
         0.0, 1.0
@@ -149,16 +151,17 @@ def test_config_json_round_trip():
 def test_with_nu_ablation_helper():
     cfg = TEXAS.with_nu(0.0)
     assert cfg.nu == 0.0
-    assert cfg.eps1 == TEXAS.eps1 and cfg.mode == TEXAS.mode
+    assert cfg.eps1 == TEXAS.eps1 and cfg.mu == TEXAS.mu
 
 
-def test_similarity_spec_aliases():
-    assert SimilaritySpec("static").kind == "static-normalized-adjacency"
-    assert SimilaritySpec("dynamic").kind == "dynamic-cosine"
+def test_similarity_spec_kinds():
+    # Each kind has one name.
+    assert SimilaritySpec().kind == "static"
     assert SimilaritySpec("dynamic").is_dynamic
     assert not SimilaritySpec("static").is_dynamic
-    with pytest.raises(ValueError):
-        SimilaritySpec("euclidean")
+    for kind in ("euclidean", "static-normalized-adjacency", "dynamic-cosine"):
+        with pytest.raises(ValueError, match=f"^unknown similarity kind '{kind}'$"):
+            SimilaritySpec(kind)
     with pytest.raises(ValueError):
         SimilaritySpec("dynamic", temperature=0.0)
 

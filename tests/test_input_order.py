@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,16 +65,31 @@ def run_both(command, write_inputs, argv):
 
 
 @st.composite
-def labelled_graphs(draw):
-    """(edge rows i < j in sorted order, label per node): a path through every node,
-    so each has an edge, plus a few more edges; every class in [0, k) labels a node."""
+def graphs(draw):
+    """Edge rows i < j in sorted order: a path through every node, so each has an
+    edge, plus a few more edges."""
     n = draw(st.integers(3, 7))
     pairs = {(i, i + 1) for i in range(n - 1)}
     pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda p: p[0] < p[1]), max_size=4))
-    rows = [(i, j, draw(WEIGHTS)) for i, j in sorted(pairs)]
+    return [(i, j, draw(WEIGHTS)) for i, j in sorted(pairs)]
+
+
+@st.composite
+def labelled_graphs(draw):
+    """(edge rows as graphs() draws them, label per node); every class in [0, k)
+    labels a node."""
+    rows = draw(graphs())
+    n = 1 + rows[-1][1]  # the path's last edge ends at the last node
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return rows, [sorted(set(labels)).index(y) for y in labels]
+
+
+def shuffled_edges(rows, rnd):
+    """rows in a random order, each undirected edge's endpoints swapped at random."""
+    edges = list(rows)
+    rnd.shuffle(edges)
+    return [(j, i, w) if rnd.random() < 0.5 else (i, j, w) for i, j, w in edges]
 
 
 @given(labelled_graphs(), st.randoms(use_true_random=False))
@@ -85,15 +101,51 @@ def test_classify_reads_any_row_and_endpoint_order_the_same(graph, rnd):
     def write_inputs(d, shuffled):
         edges, label_rows = list(rows), list(enumerate(labels))
         if shuffled:
-            rnd.shuffle(edges)
+            edges = shuffled_edges(rows, rnd)
             rnd.shuffle(label_rows)
-            edges = [(j, i, w) if rnd.random() < 0.5 else (i, j, w) for i, j, w in edges]
         return {"--graph": write_csv(d / "g.csv", "src,dst,weight", edges),
                 "--labels": write_csv(d / "y.csv", "node,label", label_rows),
                 "--config": write_json(d / "cfg.json", reversed_keys(cfg) if shuffled else cfg)}
 
     canonical, shuffled = run_both("classify", write_inputs, ["--seed", "3"])
     assert set(canonical) == {"predictions.csv", "accuracy.json"}
+    assert shuffled == canonical
+
+
+def graph_inputs(rows, cfg, rnd):
+    """write_inputs for run_both: --graph and --config, shuffled as shuffled_edges and
+    reversed_keys make them."""
+    def write_inputs(d, shuffled):
+        edges = shuffled_edges(rows, rnd) if shuffled else rows
+        return {"--graph": write_csv(d / "g.csv", "src,dst,weight", edges),
+                "--config": write_json(d / "cfg.json", reversed_keys(cfg) if shuffled else cfg)}
+    return write_inputs
+
+
+BAND = {"eps1": 0.2, "eps2": 0.7, "mu": 1.5, "nu": -0.5}
+CONTINUOUS = {"kind": "odnet-continuous", **BAND, "scheme": "rk4", "h": 0.25, "t_end": 1.0,
+              "init": "unit", "dim": 2}
+
+
+@pytest.mark.parametrize("cfg", [
+    CONTINUOUS,
+    dict(CONTINUOUS, similarity="dynamic", temperature=0.5),
+    {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0, "t_end": 4, "init": "uniform", "dim": 2},
+], ids=["continuous-static", "continuous-dynamic", "discrete"])
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_simulate_reads_any_row_endpoint_and_key_order_the_same(cfg, rows, rnd):
+    canonical, shuffled = run_both("simulate", graph_inputs(rows, cfg, rnd), ["--seed", "2"])
+    assert set(canonical) == {"trajectory.csv", "final_state.csv", "energy.csv"}
+    assert shuffled == canonical
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_simplify_reads_any_row_endpoint_and_key_order_the_same(rows, rnd):
+    cfg = {**BAND, "scheme": "rk4", "h": 0.25, "t_end": 1.0, "dim": 2, "cutoff": 0.3}
+    canonical, shuffled = run_both("simplify", graph_inputs(rows, cfg, rnd), ["--seed", "4"])
+    assert set(canonical) == {"simplified.csv", "report.json"}
     assert shuffled == canonical
 
 

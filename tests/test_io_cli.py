@@ -4,6 +4,7 @@ File formats are load-bearing: reruns must be byte-identical, so the
 writers are pinned down to exact text, not just parseable text.
 """
 
+import argparse
 import json
 import os
 import re
@@ -833,22 +834,22 @@ def test_simulate_trajectory_row_count(tmp_path, triangle_csv):
     assert len(lines) == 1 + 6 * 3 * 2
 
 
-def test_simulate_t_end_flag_overrides_discrete_steps(tmp_path, triangle_csv):
+def test_energy_discrete_arm_counts_the_top_level_t_end(tmp_path, triangle_csv):
+    # An arm without its own t_end runs the top level's 11 steps, not the default 50.
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "t_end": 9, "init": "unit", "dim": 2})
+                        "t_end": 11, "init": "unit", "dim": 2, "runs": [{"name": "d"}]})
     out = tmp_path / "run"
-    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg,
-                   "--out", out, "--t-end", 3.0) == 0
-    lines = (out / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 1 + 4 * 3 * 2
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
+    lines = (out / "energy_d.csv").read_text().splitlines()
+    assert len(lines) == 1 + 12
 
 
 @pytest.mark.parametrize("t_end", [2.5, 3.5, 0.4])
 def test_simulate_discrete_t_end_must_be_a_whole_number(tmp_path, capsys, t_end):
-    cfg = write_config(tmp_path, "cfg.json", {"kind": "hk", "node_count": 6})
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "hk", "node_count": 6, "t_end": t_end})
     out = tmp_path / "run"
-    assert run_cli("simulate", "--config", cfg, "--out", out, "--t-end", t_end) == 2
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
     assert capsys.readouterr().err == f"input error: t_end must be an integer >= 0, got {t_end}\n"
     assert not out.exists()
 
@@ -968,7 +969,7 @@ def test_fd_on_non_stochastic_graph_exits_3(tmp_path, capsys):
 def test_repulsive_blowup_exits_3(tmp_path, triangle_csv, capsys):
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.6, "eps2": 0.9,
-                        "nu": -50.0, "mode": "attract-repulse",
+                        "nu": -50.0,
                         "init": "uniform", "t_end": 400})
     out = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1197,16 +1198,16 @@ def test_energy_checks_every_arms_run_length_before_the_first_runs(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("t_end", ["config", "flag"])
+@pytest.mark.parametrize("t_end", ["config", "default"])
 def test_energy_arms_own_steps_beat_an_inherited_t_end(tmp_path, capsys, triangle_csv, t_end):
-    # A discrete arm's step count is its t_end, so its own t_end 12 beats the 1.0 it inherits.
+    # A discrete arm's step count is its t_end, so its own t_end 12 beats the top level's
+    # 1.0 and the default, 1.0 for the continuous arm and 50 steps for a discrete one.
     base = {"kind": "odnet-continuous", "scheme": "rk4", "eps1": 0.0, "eps2": 1.0, "dim": 2}
     runs = [{"name": "c"}, {"name": "d", "kind": "odnet-discrete", "t_end": 12}]
     cfg = write_config(tmp_path, "cfg.json",
                        dict(base, runs=runs, **({"t_end": 1.0} if t_end == "config" else {})))
-    flag = ("--t-end", "1.0") if t_end == "flag" else ()
     out = tmp_path / "run"
-    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, *flag, "--out", out) == 0
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
     capsys.readouterr()
     rows = (out / "energy_d.csv").read_text().splitlines()
     assert rows[0] == "step,energy" and len(rows) == 1 + 13
@@ -1303,15 +1304,16 @@ def test_command_that_would_run_nothing_exits_2(tmp_path, capsys, triangle_csv, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("eps2", 0.5), ("mu", 2.0), ("nu", -0.5),
-                                        ("lambda", 0.1), ("mode", "attract-repulse")])
-def test_simplify_influence_keys_need_eps1(tmp_path, capsys, triangle_csv, key, value):
-    cfg = write_config(tmp_path, "cfg.json", {"source": "static", key: value})
-    out = tmp_path / "run"
-    assert run_cli("simplify", "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
-    assert capsys.readouterr().err == (
-        f"input error: simplify reads {key} only with eps1: give eps1 too\n")
-    assert not out.exists()
+def test_simplify_defaults_a_missing_band_bound(tmp_path, capsys, triangle_csv):
+    # simplify's band defaults to eps1 0 and eps2 1, each key on its own.
+    for name, obj in (("given", {"eps1": 0.0, "eps2": 0.5}), ("default", {"eps2": 0.5})):
+        cfg = write_config(tmp_path, f"{name}.json", {"source": "static", **obj})
+        assert run_cli("simplify", "--graph", triangle_csv, "--config", cfg,
+                       "--out", tmp_path / name) == 0
+    capsys.readouterr()
+    for fname in ("simplified.csv", "report.json"):
+        assert (tmp_path / "given" / fname).read_bytes() == (
+            tmp_path / "default" / fname).read_bytes()
 
 
 @pytest.mark.parametrize("run", [
@@ -1424,18 +1426,6 @@ def test_config_number_must_be_finite(tmp_path, triangle_csv, capsys, command, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scheme, value", [("rk4", "inf"), ("dopri5", "nan"), ("dopri5", "inf")])
-def test_t_end_flag_must_be_finite(tmp_path, triangle_csv, capsys, scheme, value):
-    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-continuous", "eps1": 0, "eps2": 1,
-                                              "scheme": scheme})
-    out = tmp_path / "run"
-    assert run_cli("simulate", "--graph", triangle_csv, "--config", cfg, "--out", out,
-                   "--t-end", value) == 2
-    err = capsys.readouterr().err
-    assert err == f"input error: t_end must be a finite number, got {float(value)!r}\n"
-    assert not out.exists()
-
-
 # A base config per command under which each key below is read.
 KEY_BASES = {
     "continuous": ("simulate", GRAPH_KIND_RUNS[1]),
@@ -1459,7 +1449,7 @@ COUNT_KEYS = [("discrete", "dim"), ("discrete", "t_end"),
 BOOLEAN_KEYS = [("continuous", "directed"), ("simplify", "drop_isolated"),
                 ("homophily", "directed")]
 STRING_KEYS = [
-    *(("continuous", key) for key in ("kind", "mode", "similarity", "kernel", "scheme", "init")),
+    *(("continuous", key) for key in ("kind", "similarity", "kernel", "scheme", "init")),
     ("csv", "state_csv"), ("energy", "name"), ("simplify", "source"), ("simplify", "scheme"),
 ]
 WRONG_TYPES = [
@@ -1545,6 +1535,26 @@ def test_steps_is_refused_naming_t_end(tmp_path, triangle_csv, capsys, command, 
     assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
     assert capsys.readouterr().err == (
         "input error: unknown config key 'steps'; did you mean 't_end'?\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("simulate", dict(GRAPH_KIND_RUNS[1], nu=-0.5, mode="attract-repulse")),
+    ("energy", dict(GRAPH_KIND_RUNS[1], runs=[{"name": "c", "mode": "attract"}])),
+    ("simplify", {"mode": "attract"}),
+    ("classify", {"eps1": 0.0, "eps2": 1.0, "mode": "attract-repulse"}),
+    ("sweep", {"base": GRAPH_KIND_RUNS[1], "sweep": {"param": "mode", "values": ["attract"]}}),
+], ids=["simulate", "energy-arm", "simplify", "classify", "sweep-param"])
+def test_mode_is_refused_naming_nu(tmp_path, triangle_csv, capsys, command, obj):
+    # The sign of nu sets repulsion; `mode` was a second setting of it.
+    cfg = write_config(tmp_path, "cfg.json", obj)
+    y = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,1\n2,0\n")
+    labels = ("--labels", y) if command == "classify" else ()
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, *labels, "--config", cfg,
+                   "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown config key 'mode'; did you mean 'nu'?\n")
     assert not out.exists()
 
 
@@ -1784,18 +1794,17 @@ def test_energy_checks_every_arms_kernel_and_radius_before_the_first_runs(
     assert not out.exists()
 
 
-def test_energy_arms_own_keys_beat_the_command_line_flags(tmp_path, capsys, triangle_csv):
-    # The flags beat the top level; an arm's own scheme or t_end beats both.
+def test_energy_arms_own_keys_beat_the_top_level(tmp_path, capsys, triangle_csv):
+    # An arm's own scheme or t_end beats the one it inherits from the top level.
     base = {"kind": "odnet-continuous", "eps1": 0.0, "eps2": 1.0, "h": 0.1, "init": "unit",
             "dim": 2}
     arms = {"inherits": ({}, "euler", 1.0), "own_t_end": ({"t_end": 2.0}, "euler", 2.0),
             "own_scheme": ({"scheme": "rk4"}, "rk4", 1.0)}
     cfg = write_config(tmp_path, "cfg.json", dict(
-        base, scheme="dopri5", t_end=3.0, runs=[dict(own, name=name) for name, (own, _, _)
-                                                 in arms.items()]))
-    out = tmp_path / "flags"
-    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--t-end", "1.0",
-                   "--scheme", "euler", "--out", out) == 0
+        base, scheme="euler", t_end=1.0, runs=[dict(own, name=name) for name, (own, _, _)
+                                                in arms.items()]))
+    out = tmp_path / "arms"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
     for name, (_, scheme, t_end) in arms.items():
         alone = write_config(tmp_path, f"{name}.json",
                              dict(base, scheme=scheme, t_end=t_end, runs=[{"name": name}]))
@@ -1822,6 +1831,27 @@ def test_readme_key_table_matches_the_schema():
     schema = {key: {command for command, keys in cli.KEYS.items() if key in keys}
               for key in set().union(*cli.KEYS.values())}
     assert table == schema
+
+
+def test_readme_flag_table_matches_the_parser():
+    import odyn.cli as cli
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    flags = re.compile(r"`(--[\w-]+)`")
+    common = set(flags.findall(text.split("All take", 1)[1].split("Besides those", 1)[0]))
+    lines = text.splitlines()
+    table = {}
+    for line in lines[lines.index("| command | flags | required |") + 2:]:
+        if not line.startswith("|"):
+            break
+        commands, given, required = (cell.strip() for cell in line.strip("|").split("|"))
+        table.update({command: (common | set(flags.findall(given)), set(flags.findall(required)))
+                      for command in re.findall(r"`(\w+)`", commands)})
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = {name: ({f for a in p._actions for f in a.option_strings} - {"-h", "--help"},
+                     {a.option_strings[0] for a in p._actions if a.required})
+              for name, p in sub.choices.items()}
+    assert table == parser
 
 
 def test_fixed_step_count_beyond_any_integer_exits_3(tmp_path, triangle_csv, capsys):
@@ -1913,6 +1943,7 @@ def test_discrete_arm_inherits_valid_continuous_keys(tmp_path, capsys, triangle_
     assert (out / "energy_c.csv").read_text().splitlines()[-1].startswith("1.0,")
 
 
+COMMANDS = ("simulate", "energy", "simplify", "classify", "homophily", "sweep")
 # Each command's required input flags, besides --out.
 REQUIRED_FLAGS = {"simplify": ("--graph",), "classify": ("--graph", "--labels"),
                   "homophily": ("--graph", "--labels")}
@@ -1937,7 +1968,7 @@ def test_parser_requires_input_flags(tmp_path, capsys, triangle_csv, command, mi
     *((c, "--jobs") for c in ("simulate", "energy", "simplify", "classify", "homophily")),
     *((c, "--labels") for c in ("simulate", "energy", "simplify", "sweep")),
     *((c, "--hypergraph") for c in ("simplify", "classify", "homophily")),
-    *((c, f) for c in ("homophily", "sweep") for f in ("--scheme", "--t-end")),
+    *((c, f) for c in COMMANDS for f in ("--scheme", "--t-end")),  # set in the config
 ])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     value = "rk4" if flag == "--scheme" else "1"
@@ -2065,6 +2096,17 @@ def test_a_label_file_needs_one_row_for_each_node(tmp_path, capsys, triangle_csv
                    "--out", out) == 2
     assert capsys.readouterr().err == (
         f"input error: {y}: {message}; a label file has one row for each node\n")
+    assert not out.exists()
+
+
+def test_classify_names_a_class_no_node_has(tmp_path, capsys):
+    # Labels 0 and 2 make three classes; no split could hold class 1.
+    g = write_text(tmp_path / "g.csv", "src,dst,weight\n0,1,1.0\n1,2,1.0\n2,3,1.0\n3,0,1.0\n")
+    y = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,2\n2,0\n3,2\n")
+    cfg = write_config(tmp_path, "cfg.json", {"eps1": 0.0, "eps2": 1.0})
+    out = tmp_path / "run"
+    assert run_cli("classify", "--graph", g, "--labels", y, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == "input error: no node has class(es) [1]\n"
     assert not out.exists()
 
 

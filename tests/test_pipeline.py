@@ -271,8 +271,7 @@ def test_propagate_labels_repulsion_separates_heterophilic_blocks():
     g, labels = generate_sbm([30, 30], 0.02, 0.25, seed=3)
     labels = split_masks(labels, train_frac=0.1, val_frac=0.0, seed=3)
     integ = IntegratorConfig(scheme="rk4", h=0.1, t_end=3.0)
-    repulse = InfluenceConfig(eps1=0.5, eps2=0.8, nu=-0.5, lam=0.1,
-                              mode="attract-repulse")
+    repulse = InfluenceConfig(eps1=0.5, eps2=0.8, nu=-0.5, lam=0.1)
     res = propagate_labels(g, labels, repulse, integ)
     ablated = propagate_labels(g, labels, repulse.with_nu(0.0), integ)
     assert res.accuracy["test"] > ablated.accuracy["test"] + 0.05
