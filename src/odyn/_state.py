@@ -75,7 +75,7 @@ def string(value, name):
     return value
 
 
-_READERS = {"float": number, "int": integer, "bool": boolean, "str": string}
+_READERS = {"float": number, "int": integer, "str": string}
 
 
 def _key(f):
@@ -84,7 +84,7 @@ def _key(f):
 
 
 def config_keys(cls):
-    """{key: reader} for each float, int, bool and str field of cls."""
+    """{key: reader} for each float, int and str field of cls."""
     return {_key(f): read for f in fields(cls)
             if (read := _READERS.get(getattr(f.type, "__name__", f.type)))}
 

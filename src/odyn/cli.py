@@ -98,17 +98,17 @@ def _arms(value, key):
     return value
 
 
-# Each init kind's x0, from (node_count, dim, seed, cfg).
-_INITS = {"unit": lambda n, dim, seed, cfg: pseudo_features(n, dim, seed),
-          "uniform": lambda n, dim, seed, cfg: np.random.default_rng(seed).random((n, dim)),
-          "zeros": lambda n, dim, seed, cfg: np.zeros((n, dim)),
-          "csv": lambda n, dim, seed, cfg: read_state_csv(cfg["state_csv"])}
+# Each init kind's x0, from (node_count, dim, seed); with state_csv, the file is x0.
+_INITS = {"unit": pseudo_features,
+          "uniform": lambda n, dim, seed: np.random.default_rng(seed).random((n, dim)),
+          "zeros": lambda n, dim, seed: np.zeros((n, dim))}
 
 
 def _init(value, key):
     """init: a kind in _INITS."""
     if string(value, key) not in _INITS:
-        raise ValueError(f"unknown init kind {value!r}; expected one of {tuple(_INITS)}")
+        raise ValueError(f"unknown init kind {value!r}; expected one of {tuple(_INITS)}, "
+                         "or state_csv alone for a start from a file")
     return value
 
 
@@ -218,7 +218,8 @@ def _prepare(cfg, graph, hypergraph, seed):
     """A run's spec, given its structure and checked; its x0; and its steps or IntegratorConfig.
 
     An all-to-all kind keeps the first structure given, if any, for its size; only
-    without one does it read node_count. A discrete kind's t_end is its step count."""
+    without one does it read node_count. A state_csv file is x0, so init and dim are
+    refused beside it. A discrete kind's t_end is its step count."""
     spec = DynamicSpec.from_json(cfg)
     runs_on = spec._runs_on or (WeightedGraph, Hypergraph)
     spec.structure = next((s for s in (graph, hypergraph) if isinstance(s, runs_on)), None)
@@ -231,11 +232,14 @@ def _prepare(cfg, graph, hypergraph, seed):
         node_count = integer(cfg["node_count"], "node_count")
     else:
         raise ValueError(f"kind {spec.kind!r} without a graph needs config key node_count")
-    init = cfg.get("init", "unit")  # a kind in _INITS: _check_config read it
-    dim = integer(cfg.get("dim", 20 if init == "unit" else 1), "dim")
-    if init == "csv" and "state_csv" not in cfg:
-        raise ValueError("missing config key 'state_csv'")
-    x = _INITS[init](node_count, dim, seed, cfg)
+    if "state_csv" in cfg:
+        if fixed := [key for key in ("init", "dim") if key in cfg]:
+            raise ValueError(f"config key {fixed[0]} is refused beside state_csv, which fixes it")
+        x = read_state_csv(cfg["state_csv"])
+    else:
+        init = cfg.get("init", "unit")  # a kind in _INITS: _check_config read it
+        dim = integer(cfg.get("dim", 20 if init == "unit" else 1), "dim")
+        x = _INITS[init](node_count, dim, seed)
     if x.shape[0] != node_count:
         raise ValueError(f"initial state has {x.shape[0]} rows for {node_count} nodes")
     if not spec.is_discrete:
@@ -310,9 +314,8 @@ def cmd_energy(args, cfg, graph, hypergraph):
 
 
 def cmd_simplify(args, cfg, graph, hypergraph):
-    influence = InfluenceConfig.from_json({"eps1": 0.0, "eps2": 1.0, **cfg})  # the full band
     # SimplifyConfig's integrator default (its own t_end) under the config's keys.
-    base = SimplifyConfig(influence)
+    base = SimplifyConfig(InfluenceConfig.from_json(cfg))
     simplify_cfg = replace(
         base, integrator=replace(base.integrator, **config_fields(IntegratorConfig, cfg)),
         **config_fields(SimplifyConfig, cfg))

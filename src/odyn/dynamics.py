@@ -37,14 +37,14 @@ __all__ = [
     "DynamicSpec",
 ]
 
-# kind: (structure it runs on, None if all-to-all; needs influence; discrete map)
+# kind: (structure it runs on, None if all-to-all; discrete map)
 _KIND_TABLE = {
-    "fd": (WeightedGraph, False, True),
-    "hk": (None, False, True),
-    "odnet-discrete": (WeightedGraph, True, True),  # Euler at h = 1 of odnet-continuous
-    "odnet-continuous": (WeightedGraph, True, False),
-    "hypergraph-odnet": (Hypergraph, True, False),
-    "hypergraph-diffusion": (Hypergraph, False, False),
+    "fd": (WeightedGraph, True),
+    "hk": (None, True),
+    "odnet-discrete": (WeightedGraph, True),  # Euler at h = 1 of odnet-continuous
+    "odnet-continuous": (WeightedGraph, False),
+    "hypergraph-odnet": (Hypergraph, False),
+    "hypergraph-diffusion": (Hypergraph, False),
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -256,15 +256,16 @@ def make_hypergraph_diffusion_rhs(h, kernel="uniform"):
 class DynamicSpec:
     """Which update rule to run, on what structure, with which knobs.
 
-    _KIND_TABLE says what each kind runs on and needs; step_fn and rhs_fn
-    check it. The structure is attached apart from JSON, as manifests name
-    files by path; all-to-all hk ignores it. hk_radius only applies to "hk",
-    kernel to "hypergraph-diffusion", similarity to the influence kinds.
+    _KIND_TABLE says what each kind runs on and whether it is a discrete map;
+    step_fn and rhs_fn check it. The structure is attached apart from JSON, as
+    manifests name files by path; all-to-all hk ignores it. hk_radius only
+    applies to "hk", kernel to "hypergraph-diffusion", influence and similarity
+    to the influence kinds; influence defaults to the full band.
     """
 
     kind: str
     structure: WeightedGraph | Hypergraph | None = None
-    influence: InfluenceConfig | None = None
+    influence: InfluenceConfig = field(default_factory=InfluenceConfig)
     similarity: SimilaritySpec = field(default_factory=SimilaritySpec)
     hk_radius: float = 0.1
     kernel: str = "uniform"
@@ -279,7 +280,7 @@ class DynamicSpec:
 
     @property
     def is_discrete(self):
-        return _KIND_TABLE[self.kind][2]
+        return _KIND_TABLE[self.kind][1]
 
     @property
     def _runs_on(self):
@@ -287,16 +288,14 @@ class DynamicSpec:
         return _KIND_TABLE[self.kind][0]
 
     def _check(self, discrete=None):
-        """ValueError unless the kind's structure and influence are there (and form, if given)."""
-        runs_on, needs_influence, is_discrete = _KIND_TABLE[self.kind]
+        """ValueError unless the kind's structure is there (and form, if given)."""
+        runs_on, is_discrete = _KIND_TABLE[self.kind]
         if discrete is not None and discrete != is_discrete:
             form = "discrete step" if discrete else "continuous rhs"
             raise ValueError(f"kind {self.kind!r} has no {form}")
         if runs_on is not None and not isinstance(self.structure, runs_on):
             noun = "graph" if runs_on is WeightedGraph else "hypergraph"
             raise ValueError(f"kind {self.kind!r} needs a {noun}")
-        if needs_influence and self.influence is None:
-            raise ValueError(f"kind {self.kind!r} needs an influence config")
 
     def step_fn(self):
         """Discrete one-step map for the discrete kinds."""
@@ -319,10 +318,9 @@ class DynamicSpec:
 
     @classmethod
     def from_json(cls, obj, structure=None):
-        """The spec from a flat JSON object: kind required, an influence config if eps1
-        is given, `similarity` and `temperature` for the SimilaritySpec; each absent
-        key keeps its field's default."""
-        influence = InfluenceConfig.from_json(obj) if "eps1" in obj else None
+        """The spec from a flat JSON object: kind required, the InfluenceConfig's keys,
+        `similarity` and `temperature` for the SimilaritySpec; each absent key keeps
+        its field's default."""
         similarity = SimilaritySpec(**config_fields(SimilaritySpec, obj))
-        return cls(structure=structure, influence=influence, similarity=similarity,
-                   **config_fields(cls, obj))
+        return cls(structure=structure, influence=InfluenceConfig.from_json(obj),
+                   similarity=similarity, **config_fields(cls, obj))

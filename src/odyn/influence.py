@@ -8,7 +8,7 @@ identity; above the upper bound it is amplified by mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,13 @@ _PAIR_BLOCK = 1 << 14
 class InfluenceConfig:
     """Piecewise influence profile plus the control strength lam.
 
-    eps1 <= eps2 bound the confidence band. nu <= 0 weighs the arcs below it:
-    0 cuts them, a negative nu repels and then needs mu > 0.
+    eps1 <= eps2 bound the confidence band, by default the full band [0, 1],
+    where phi(s) = s. nu <= 0 weighs the arcs below it: 0 cuts them, a
+    negative nu repels and then needs mu > 0.
     """
 
-    eps1: float
-    eps2: float
+    eps1: float = 0.0
+    eps2: float = 1.0
     mu: float = 1.0
     nu: float = 0.0
     lam: float = field(default=0.0, metadata={"key": "lambda"})
@@ -53,13 +54,9 @@ class InfluenceConfig:
 
     @classmethod
     def from_json(cls, obj):
-        """The config from a flat JSON object: eps1 and eps2 required, `lambda` for
-        lam; each absent key keeps its field's default."""
+        """The config from a flat JSON object, `lambda` for lam; each absent key keeps
+        its field's default."""
         return cls(**config_fields(cls, obj))
-
-    def with_nu(self, nu):
-        """Copy with a different repulsion strength (ablation helper)."""
-        return replace(self, nu=nu)
 
 
 @dataclass(frozen=True)

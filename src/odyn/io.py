@@ -193,7 +193,7 @@ def write_hypergraph_csv(path, h):
     _write_csv(path, HYPERGRAPH_HEADER, *h._memberships())
 
 
-def read_labels_csv(path, node_count=None, class_count=None):
+def read_labels_csv(path, node_count=None):
     """Load node labels (header node,label): one row for each node, no more and no fewer."""
     cols = _read_columns(path, LABELS_HEADER, _LABELS_DTYPE)
     nodes, labs = cols["node"], cols["label"]
@@ -207,9 +207,7 @@ def read_labels_csv(path, node_count=None, class_count=None):
         raise CsvFormatError(f"{path}: node {wrong[0]} has {rows[wrong[0]]} label rows; "
                              "a label file has one row for each node")
     labels = labs[np.argsort(nodes)]  # each node once, so in node order
-    if class_count is None:
-        class_count = int(labels.max()) + 1 if labels.size else 1
-    return NodeLabels(labels, class_count)
+    return NodeLabels(labels, int(labels.max()) + 1 if labels.size else 1)
 
 
 def write_labels_csv(path, labels):

@@ -2,7 +2,7 @@
 
 simplify_network runs the influence dynamics from seeded pseudo-features,
 re-scores every edge through the influence function, rescales to [0, 1] and
-drops weak edges (and, optionally, the nodes they leave isolated).
+drops weak edges.
 label_by_degree buckets nodes by connection count; propagate_labels runs the
 dynamics as a semi-supervised classifier with one-hot anchors.
 """
@@ -47,7 +47,6 @@ class SimplifyConfig:
     influence: InfluenceConfig
     integrator: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(t_end=6.0))
     weight_cutoff: float = field(default=0.05, metadata={"key": "cutoff"})
-    drop_isolated: bool = True
     source: str = "dynamic-final"
     feature_dim: int = field(default=20, metadata={"key": "dim"})
 
@@ -62,7 +61,7 @@ class SimplifyConfig:
 
 @dataclass(frozen=True)
 class SimplifyReport:
-    """Before/after counts; node identities are preserved in the output."""
+    """Before/after counts, nodes_after those left with an edge; node identities are kept."""
 
     nodes_before: int
     edges_before: int
@@ -124,7 +123,7 @@ def simplify_network(g, cfg, seed=0):
     dynamics (dynamic-final source only), (3) score each edge by the chosen
     similarity, (4) map scores through the influence function, clamp at zero
     and rescale by the max, (5) drop edges at or below the cutoff, (6) count
-    out nodes left without an edge when drop_isolated is set.
+    the nodes left with an edge.
 
     The output graph keeps the original node numbering (dropped nodes simply
     have no incident edge left); the report carries the counts.
@@ -148,14 +147,10 @@ def simplify_network(g, cfg, seed=0):
     kept = score > cfg.weight_cutoff
     out = WeightedGraph.from_arrays(g.node_count, src[kept], dst[kept], score[kept],
                                     directed=g.directed)
-
-    nodes_after = g.node_count
-    if cfg.drop_isolated:
-        nodes_after = int(np.union1d(out.src, out.dst).size)
     report = SimplifyReport(
         nodes_before=g.node_count,
         edges_before=g.edge_count,
-        nodes_after=nodes_after,
+        nodes_after=int(np.union1d(out.src, out.dst).size),
         edges_after=out.edge_count,
         cutoff=cfg.weight_cutoff,
     )

@@ -17,7 +17,6 @@ from .influence import InfluenceConfig
 __all__ = [
     "INFLUENCE_PRESETS",
     "influence_preset",
-    "cooccurrence_fixture",
     "planted_two_block_fixture",
 ]
 
@@ -43,25 +42,6 @@ def influence_preset(name, lam=0.0):
     """InfluenceConfig for a named preset; lam is a run-level choice."""
     eps1, eps2, _, nu, mu = INFLUENCE_PRESETS[name]
     return InfluenceConfig(eps1=eps1, eps2=eps2, mu=mu, nu=min(nu, 0.0), lam=lam)
-
-
-def cooccurrence_fixture(seed=96):
-    """Deterministic stand-in for a 96-node co-occurrence network.
-
-    96 nodes, exactly 2,517 undirected weighted edges. Node propensities are
-    lognormal, so degrees are heavy tailed (hubs plus sparsely connected
-    nodes) like empirical co-occurrence networks; weights follow a skewed
-    distribution in (0, 1] like empirical co-occurrence scores.
-    """
-    n, m = 96, 2517
-    rng = np.random.default_rng(seed)
-    propensity = rng.lognormal(0.0, 1.0, n)
-    iu, ju = np.triu_indices(n, k=1)
-    p = propensity[iu] * propensity[ju]
-    pick = rng.choice(iu.size, size=m, replace=False, p=p / p.sum())
-    pick.sort()
-    w = rng.beta(0.6, 2.5, size=m) * 0.98 + 0.02
-    return WeightedGraph.from_arrays(n, iu[pick], ju[pick], w, directed=False)
 
 
 def planted_two_block_fixture(block_size=30, seed=7):

@@ -65,6 +65,25 @@ def random_row_stochastic(seed, n_max=12, lazy=0.5):
 # -- per-node views of a graph's arcs, for loops that check the vectorised code
 
 
+def cooccurrence_fixture(seed=96):
+    """Deterministic stand-in for a 96-node co-occurrence network.
+
+    96 nodes, exactly 2,517 undirected weighted edges. Node propensities are
+    lognormal, so degrees are heavy tailed (hubs plus sparsely connected
+    nodes) like empirical co-occurrence networks; weights follow a skewed
+    distribution in (0, 1] like empirical co-occurrence scores.
+    """
+    n, m = 96, 2517
+    rng = np.random.default_rng(seed)
+    propensity = rng.lognormal(0.0, 1.0, n)
+    iu, ju = np.triu_indices(n, k=1)
+    p = propensity[iu] * propensity[ju]
+    pick = rng.choice(iu.size, size=m, replace=False, p=p / p.sum())
+    pick.sort()
+    w = rng.beta(0.6, 2.5, size=m) * 0.98 + 0.02
+    return WeightedGraph.from_arrays(n, iu[pick], ju[pick], w, directed=False)
+
+
 def out_slice(g, i):
     """Slice into g's arc arrays covering arcs leaving node i."""
     return slice(g._row_ptr[i], g._row_ptr[i + 1])

@@ -9,10 +9,11 @@ import contextlib
 import io
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_row_stochastic
+from conftest import cooccurrence_fixture, random_row_stochastic
 from odyn import (
     DynamicSpec,
     EnergySeries,
@@ -22,7 +23,6 @@ from odyn import (
     SimplifyConfig,
     cluster_count,
     consensus_predict,
-    cooccurrence_fixture,
     detect_oversmoothing,
     dirichlet_energy_graph,
     fd_step,
@@ -203,8 +203,7 @@ def test_criterion_6_simplification():
     fixture = cooccurrence_fixture()
     _, fixture_report = simplify_network(
         fixture,
-        SimplifyConfig(influence=InfluenceConfig(0.0, 1.0), weight_cutoff=0.0,
-                       drop_isolated=False, source="static"),
+        SimplifyConfig(influence=InfluenceConfig(0.0, 1.0), weight_cutoff=0.0, source="static"),
         seed=0,
     )
 
@@ -236,7 +235,7 @@ def test_criterion_7_classification():
         g_het, y = generate_sbm([50, 50], p_in=0.02, p_out=0.20, seed=100 + i)
         y = split_masks(y, train_frac=0.1, val_frac=0.0, seed=100 + i)
         with_repulsion = propagate_labels(g_het, y, repulse_cfg, icfg)
-        without = propagate_labels(g_het, y, repulse_cfg.with_nu(0.0), icfg)
+        without = propagate_labels(g_het, y, replace(repulse_cfg, nu=0.0), icfg)
         diffs.append(with_repulsion.accuracy["test"] - without.accuracy["test"])
     mean_gain = float(np.mean(diffs))
 

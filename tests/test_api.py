@@ -19,7 +19,7 @@ PUBLIC = [
     "OversmoothingReport", "PreconditionFailed", "SimilaritySpec", "SimplifyConfig",
     "SimplifyReport",
     "StepLimitExceeded", "TooLarge", "Trajectory", "WeightedGraph", "ZeroDegree",
-    "cluster_count", "consensus_predict", "cooccurrence_fixture", "detect_oversmoothing",
+    "cluster_count", "consensus_predict", "detect_oversmoothing",
     "dirichlet_energy_graph", "dirichlet_energy_hypergraph", "dopri5_step", "euler_step",
     "fd_step", "generate_sbm", "hk_step", "homophily_level", "influence_preset", "integrate",
     "is_aperiodic", "is_strongly_connected", "iterate_map", "label_by_degree",

@@ -761,8 +761,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         DynamicSpec(kind="fd").step_fn()  # no graph attached
     with pytest.raises(ValueError):
-        DynamicSpec(kind="odnet-discrete",
-                    structure=WeightedGraph(2, [(0, 1, 1.0)])).step_fn()
+        DynamicSpec(kind="odnet-discrete").step_fn()  # no graph attached
     with pytest.raises(ValueError):
         DynamicSpec(kind="hk").rhs_fn()  # discrete kind has no rhs
 
@@ -771,15 +770,14 @@ SPEC_STRUCTURES = {"graph": WeightedGraph(2, [(0, 1, 1.0)]),
                    "hypergraph": Hypergraph(2, [(0, 0, 1.0), (1, 0, 1.0)]), None: None}
 
 # Per kind, spelled out apart from the module's table: the structure it runs
-# on (None: all-to-all), whether it needs an influence config, and whether it
-# is a discrete map.
+# on (None: all-to-all) and whether it is a discrete map.
 KIND_FACTS = {
-    "fd": ("graph", False, True),
-    "hk": (None, False, True),
-    "odnet-discrete": ("graph", True, True),
-    "odnet-continuous": ("graph", True, False),
-    "hypergraph-odnet": ("hypergraph", True, False),
-    "hypergraph-diffusion": ("hypergraph", False, False),
+    "fd": ("graph", True),
+    "hk": (None, True),
+    "odnet-discrete": ("graph", True),
+    "odnet-continuous": ("graph", False),
+    "hypergraph-odnet": ("hypergraph", False),
+    "hypergraph-diffusion": ("hypergraph", False),
 }
 
 
@@ -790,7 +788,7 @@ def test_kinds_are_the_table_of_kinds():
 
 @pytest.mark.parametrize("kind", sorted(KIND_FACTS))
 def test_spec_checks_what_each_kind_runs_on_and_needs(kind):
-    runs_on, needs_influence, discrete = KIND_FACTS[kind]
+    runs_on, discrete = KIND_FACTS[kind]
     build, other = ("step_fn", "rhs_fn") if discrete else ("rhs_fn", "step_fn")
     form = "continuous rhs" if discrete else "discrete step"
     assert DynamicSpec(kind=kind).is_discrete == discrete
@@ -804,11 +802,8 @@ def test_spec_checks_what_each_kind_runs_on_and_needs(kind):
             with pytest.raises(ValueError, match=f"^kind '{kind}' needs a {runs_on}$"):
                 getattr(spec, build)()
     spec = DynamicSpec(kind=kind, structure=SPEC_STRUCTURES[runs_on])
-    if needs_influence:
-        with pytest.raises(ValueError, match=f"^kind '{kind}' needs an influence config$"):
-            getattr(spec, build)()
-    else:
-        assert callable(getattr(spec, build)())
+    assert spec.influence == IDENTITY_BAND  # every kind builds on the full band by default
+    assert callable(getattr(spec, build)())
 
 
 def test_spec_json_round_trip():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -144,14 +145,18 @@ def test_config_json_round_trip():
     assert InfluenceConfig.from_json({"eps1": 0.0, "eps2": 1.0}) == InfluenceConfig(
         0.0, 1.0
     )
-    with pytest.raises(ValueError, match="^missing config key 'eps2'$"):
-        InfluenceConfig.from_json({"eps1": 0.0})
+    # The band defaults to the full band, where phi(s) = s.
+    assert InfluenceConfig.from_json({}) == InfluenceConfig(0.0, 1.0) == InfluenceConfig()
+    assert InfluenceConfig.from_json({"eps1": 0.2}) == InfluenceConfig(0.2, 1.0)
+    assert InfluenceConfig.from_json({"eps2": 0.3}) == InfluenceConfig(0.0, 0.3)
 
 
 def test_with_nu_ablation_helper():
-    cfg = TEXAS.with_nu(0.0)
+    cfg = replace(TEXAS, nu=0.0)
     assert cfg.nu == 0.0
     assert cfg.eps1 == TEXAS.eps1 and cfg.mu == TEXAS.mu
+    with pytest.raises(ValueError, match="^nu must be <= 0$"):  # replace checks the copy
+        replace(TEXAS, nu=0.5)
 
 
 def test_similarity_spec_kinds():

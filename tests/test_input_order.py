@@ -176,3 +176,14 @@ def test_energy_reads_any_membership_and_key_order_the_same(rows, rnd):
     canonical, shuffled = run_both("energy", write_inputs, ["--seed", "5"])
     assert set(canonical) == {"energy_odnet.csv", "energy_diffusion.csv", "summary.json"}
     assert shuffled == canonical
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_sweep_reads_any_row_endpoint_and_key_order_the_same(rows, rnd):
+    # Keys are reversed in base and sweep alike; the order of the values names the runs.
+    cfg = {"base": CONTINUOUS, "sweep": {"param": "mu", "values": [1.5, 3.0]}}
+    canonical, shuffled = run_both("sweep", graph_inputs(rows, cfg, rnd), ["--seed", "6"])
+    assert set(canonical) == {"index.json", *(f"run_000{i}/{name}" for i in (0, 1) for name in (
+        "config.json", "trajectory.csv", "final_state.csv", "energy.csv"))}
+    assert shuffled == canonical

@@ -28,6 +28,7 @@ from odyn import (
     Hypergraph,
     NodeLabels,
     WeightedGraph,
+    dirichlet_energy_graph,
     dirichlet_energy_hypergraph,
     generate_sbm,
     hk_step,
@@ -665,7 +666,7 @@ def test_hypergraph_csv_round_trip_is_bit_exact(tmp_path, n, edges, data):
 def test_labels_csv_round_trip_is_exact(tmp_path, classes, data):
     labels = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=20)))
     write_labels_csv(tmp_path / "y.csv", NodeLabels(labels, classes))
-    back = read_labels_csv(tmp_path / "y.csv", node_count=labels.size, class_count=classes)
+    back = read_labels_csv(tmp_path / "y.csv", node_count=labels.size)
     assert back.labels.tolist() == labels.tolist()
 
 
@@ -776,8 +777,9 @@ def test_uniform_init_reads_dim_and_its_final_state_reads_back(tmp_path, capsys,
                    tmp_path / "a") == 0
     final_csv = tmp_path / "a" / "final_state.csv"
     assert read_state_csv(final_csv).shape == (3, dim or 1)
-    back = write_config(tmp_path, "back.json",
-                        dict(run, init="csv", t_end=0, state_csv=str(final_csv)))
+    # The file fixes the start, so init and dim go.
+    back = write_config(tmp_path, "back.json", {"kind": "hk", "hk_radius": 0.3, "t_end": 0,
+                                                "state_csv": str(final_csv)})
     assert run_cli("simulate", "--graph", triangle_csv, "--config", back, "--out",
                    tmp_path / "b") == 0
     assert (tmp_path / "b" / "final_state.csv").read_bytes() == final_csv.read_bytes()
@@ -917,7 +919,7 @@ def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
     state = write_text(tmp_path / "x0.csv", "0.1,0.2\n0.3,0.4\n")  # 2 rows, 3 nodes
     cfg = write_config(tmp_path, "cfg.json",
                        {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "init": "csv", "state_csv": str(state), "t_end": 12})
+                        "state_csv": str(state), "t_end": 12})
     for command in ("simulate", "energy"):
         out = tmp_path / command
         code = run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out)
@@ -929,14 +931,51 @@ def test_state_csv_row_count_mismatch_exits_2(tmp_path, triangle_csv, capsys):
 
 
 def test_init_csv_without_state_csv_names_the_missing_key(tmp_path, triangle_csv, capsys):
-    cfg = write_config(tmp_path, "cfg.json",
-                       {"kind": "odnet-discrete", "eps1": 0.0, "eps2": 1.0,
-                        "init": "csv", "t_end": 12})
-    for command in ("simulate", "energy"):
-        out = tmp_path / command
-        assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
-        assert capsys.readouterr().err == "input error: missing config key 'state_csv'\n"
-        assert not out.exists()
+    # state_csv alone starts from a file; init csv is no kind, with or without it.
+    state = write_text(tmp_path / "x0.csv", "0.1\n0.2\n0.3\n")
+    for extra in ({}, {"state_csv": str(state)}):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"kind": "odnet-discrete", "init": "csv", "t_end": 12, **extra})
+        for command in ("simulate", "energy"):
+            out = tmp_path / command
+            assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                "input error: unknown init kind 'csv'; expected one of ('unit', 'uniform', "
+                "'zeros'), or state_csv alone for a start from a file\n")
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command, obj, key", [
+    ("simulate", {"init": "zeros", "state_csv": "x0.csv"}, "init"),
+    ("simulate", {"dim": 1, "state_csv": "x0.csv"}, "dim"),
+    ("energy", {"dim": 2, "runs": [{"name": "gen", "init": "unit"},
+                                   {"name": "file", "state_csv": "x0.csv"}]}, "dim"),
+], ids=["simulate-init", "simulate-dim", "energy-arm-inherits-dim"])
+def test_init_or_dim_beside_state_csv_is_refused(tmp_path, triangle_csv, capsys, monkeypatch,
+                                                  command, obj, key):
+    # The file fixes the initial state and its width, so init or dim beside it would go unread.
+    monkeypatch.chdir(tmp_path)
+    write_text(tmp_path / "x0.csv", "0.1\n0.2\n0.3\n")
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "t_end": 2, **obj})
+    out = tmp_path / "run"
+    assert run_cli(command, "--graph", triangle_csv, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"input error: config key {key} is refused beside state_csv, which fixes it\n")
+    assert not out.exists()
+
+
+def test_energy_arm_starts_from_its_state_csv_beside_a_generated_arm(tmp_path, triangle_csv,
+                                                                     capsys):
+    x0 = np.array([[0.5, -1.0], [0.25, 2.0], [-0.75, 0.0]])
+    state = tmp_path / "x0.csv"
+    write_state_csv(state, x0)
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "odnet-discrete", "t_end": 10, "runs": [
+        {"name": "gen", "init": "unit", "dim": 2}, {"name": "file", "state_csv": str(state)}]})
+    out = tmp_path / "run"
+    assert run_cli("energy", "--graph", triangle_csv, "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    first = np.loadtxt(out / "energy_file.csv", delimiter=",", skiprows=1)[0, 1]
+    assert first == dirichlet_energy_graph(read_graph_csv(triangle_csv), x0)
 
 
 def test_zero_dim_state_exits_2(tmp_path, triangle_csv, capsys):
@@ -1316,6 +1355,46 @@ def test_simplify_defaults_a_missing_band_bound(tmp_path, capsys, triangle_csv):
             tmp_path / "default" / fname).read_bytes()
 
 
+@pytest.mark.parametrize("command, flag, obj", [
+    ("simulate", "--graph", dict(GRAPH_KIND_RUNS[1], scheme="dopri5")),
+    ("energy", "--hypergraph", {"kind": "hypergraph-odnet", "similarity": "dynamic",
+                                "scheme": "rk4", "t_end": 1.0, "dim": 2}),
+    ("classify", "--graph", {"scheme": "rk4", "t_end": 1.0}),
+], ids=["odnet-continuous", "hypergraph-odnet", "classify"])
+def test_a_missing_band_bound_defaults_to_the_full_band(tmp_path, capsys, triangle_csv, command,
+                                                        flag, obj):
+    # Every command that reads eps1 and eps2 defaults them to 0 and 1, where phi(s) = s.
+    h = write_text(tmp_path / "h.csv", IRREGULAR_HYPERGRAPH)
+    y = write_text(tmp_path / "y.csv", "node,label\n0,0\n1,1\n2,0\n")
+    inputs = [flag, h if flag == "--hypergraph" else triangle_csv]
+    inputs += ["--labels", y] if command == "classify" else []
+    obj = {k: v for k, v in obj.items() if k not in ("eps1", "eps2")}
+    for name, band in (("given", {"eps1": 0.0, "eps2": 1.0}), ("default", {})):
+        cfg = write_config(tmp_path, f"{name}.json", {**obj, **band})
+        assert run_cli(command, *inputs, "--config", cfg, "--out", tmp_path / name) == 0
+    capsys.readouterr()
+    given, default = ({path.name: path.read_bytes() for path in (tmp_path / name).iterdir()
+                       if path.name != "manifest.json"} for name in ("given", "default"))
+    assert len(given) > 1 and default == given
+
+
+@pytest.mark.parametrize("run, key, value, message", [
+    ({"kind": "hk", "node_count": 3}, "lambda", -1, "control strength lam must be >= 0"),
+    ({"kind": "fd", "directed": True}, "nu", 0.5, "nu must be <= 0"),
+    ({"kind": "fd", "directed": True}, "eps2", 1.5, "need 0 <= eps1 <= eps2 <= 1"),
+], ids=["hk-lambda", "fd-nu", "fd-eps2"])
+def test_a_kind_that_reads_no_influence_still_checks_its_keys(tmp_path, capsys, run, key,
+                                                              value, message):
+    # As the integrator keys are checked in any run, so are the influence keys.
+    g = write_text(tmp_path / "g.csv", LAZY_CYCLE_ROWS)
+    graph = () if run["kind"] == "hk" else ("--graph", g)
+    cfg = write_config(tmp_path, "cfg.json", {**run, "t_end": 2, key: value})
+    out = tmp_path / "run"
+    assert run_cli("simulate", *graph, "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [
     {"kind": "odnet-continuous", "scheme": "euler", "h": 1e-4, "t_end": 1.0},
     {"kind": "odnet-discrete", "t_end": 7000},
@@ -1431,7 +1510,7 @@ KEY_BASES = {
     "continuous": ("simulate", GRAPH_KIND_RUNS[1]),
     "discrete": ("simulate", GRAPH_KIND_RUNS[0]),
     "hk": ("simulate", {**HK_RUN, "node_count": 3}),
-    "csv": ("simulate", {**GRAPH_KIND_RUNS[1], "init": "csv", "state_csv": "x.csv"}),
+    "csv": ("simulate", {"kind": "odnet-continuous", "state_csv": "x.csv"}),
     "energy": ("energy", {**GRAPH_KIND_RUNS[1], "runs": [{"name": "a"}]}),
     "simplify": ("simplify", {"eps1": 0.0, "eps2": 1.0, "t_end": 0.5, "dim": 2}),
     "classify": ("classify", {"eps1": 0.0, "eps2": 1.0, "scheme": "rk4", "t_end": 1.0}),
@@ -1446,8 +1525,7 @@ NUMBER_KEYS = [
 ]
 COUNT_KEYS = [("discrete", "dim"), ("discrete", "t_end"),
               ("continuous", "max_steps"), ("hk", "node_count"), ("simplify", "dim")]
-BOOLEAN_KEYS = [("continuous", "directed"), ("simplify", "drop_isolated"),
-                ("homophily", "directed")]
+BOOLEAN_KEYS = [("continuous", "directed"), ("homophily", "directed")]
 STRING_KEYS = [
     *(("continuous", key) for key in ("kind", "similarity", "kernel", "scheme", "init")),
     ("csv", "state_csv"), ("energy", "name"), ("simplify", "source"), ("simplify", "scheme"),
@@ -1645,12 +1723,13 @@ def test_sweep_checks_its_first_run_as_simulate_before_out(tmp_path, capsys, tri
     ({"kind": "odnet-discrete", "eps1": 0.9, "eps2": 0.1}, "dim", [2, 3], 2,
      "need 0 <= eps1 <= eps2 <= 1"),
     ({"kind": "fd", "init": "nope"}, "dim", [2, 3], 2, "unknown init kind 'nope'"),
-    ({"kind": "fd", "init": "csv"}, "dim", [2, 3], 2, "missing config key 'state_csv'"),
+    ({"kind": "fd", "state_csv": "x.csv"}, "dim", [2, 3], 2,
+     "config key dim is refused beside state_csv, which fixes it"),
     (dict(GRAPH_KIND_RUNS[0], t_end=2), "eps2", [0.5, "x"], 2,
      "eps2 must be a finite number, got 'x'"),
     (dict(GRAPH_KIND_RUNS[0], max_steps=5), "t_end", [4, 6], 3,
      "6 discrete steps exceed max_steps = 5"),
-], ids=["kind", "eps-band", "init", "init-csv", "later-value", "step-budget"])
+], ids=["kind", "eps-band", "init", "state-csv-dim", "later-value", "step-budget"])
 def test_sweep_checks_every_run_before_out(tmp_path, capsys, triangle_csv, base, param, values,
                                            code, message):
     cfg = write_config(tmp_path, "cfg.json",
@@ -2310,7 +2389,8 @@ def test_unknown_init_kind_is_refused_before_any_file_is_read(tmp_path, capsys, 
     assert run_cli(command, "--graph", tmp_path / "missing.csv",
                    "--config", write_config(tmp_path, "cfg.json", cfg), "--out", out) == 2
     assert capsys.readouterr().err == ("input error: unknown init kind 'bogus'; expected one of "
-                                       "('unit', 'uniform', 'zeros', 'csv')\n")
+                                       "('unit', 'uniform', 'zeros'), or state_csv alone for a "
+                                       "start from a file\n")
     assert not out.exists()
 
 

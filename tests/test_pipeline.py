@@ -1,5 +1,7 @@
 """Network simplification, influencer tiers, label propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from odyn import (
     NodeLabels,
     SimplifyConfig,
     WeightedGraph,
-    cooccurrence_fixture,
     generate_sbm,
     label_by_degree,
     phi,
@@ -24,7 +25,7 @@ from odyn import (
     split_masks,
 )
 
-from conftest import degree, random_digraph
+from conftest import cooccurrence_fixture, degree, random_digraph
 
 WIDE_BAND = InfluenceConfig(eps1=0.0, eps2=1.0)
 
@@ -59,7 +60,6 @@ def test_simplify_config_validation():
 def test_simplify_zero_cutoff_keeps_every_edge():
     g, _ = generate_sbm([6, 6], 0.5, 0.2, seed=1)
     cfg = SimplifyConfig(influence=WIDE_BAND, weight_cutoff=0.0,
-                         drop_isolated=False,
                          integrator=IntegratorConfig(scheme="rk4", h=0.5, t_end=2.0))
     out, report = simplify_network(g, cfg, seed=0)
     assert report.edges_after == report.edges_before == g.edge_count
@@ -115,10 +115,6 @@ def test_simplify_counts_isolated_nodes():
     out, report = simplify_network(g, cfg)
     assert report.edges_after == 0
     assert report.nodes_after == 0
-    relaxed = SimplifyConfig(influence=WIDE_BAND, source="static",
-                             weight_cutoff=2.0, drop_isolated=False)
-    _, report = simplify_network(g, relaxed)
-    assert report.nodes_after == 4
 
 
 def test_simplify_deterministic_in_seed():
@@ -273,7 +269,7 @@ def test_propagate_labels_repulsion_separates_heterophilic_blocks():
     integ = IntegratorConfig(scheme="rk4", h=0.1, t_end=3.0)
     repulse = InfluenceConfig(eps1=0.5, eps2=0.8, nu=-0.5, lam=0.1)
     res = propagate_labels(g, labels, repulse, integ)
-    ablated = propagate_labels(g, labels, repulse.with_nu(0.0), integ)
+    ablated = propagate_labels(g, labels, replace(repulse, nu=0.0), integ)
     assert res.accuracy["test"] > ablated.accuracy["test"] + 0.05
 
 
